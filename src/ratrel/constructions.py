@@ -483,9 +483,15 @@ class BlockProfile:
 
 
 def block_profile(w: OmegaWord) -> BlockProfile:
+    """Block structure of a lasso, or of a block word tagged as a coded grid.
+
+    Only the grid tag fixes the 1,2,3,... layout of a block word: any
+    finite look at an untagged word's block lengths says nothing about the
+    rest, so untagged block words raise UndecidableCondition.
+    """
     if isinstance(w, BlockWord):
-        if any(w.block_len_fn(n) != n for n in range(1, 9)):
-            raise UndecidableCondition("block word outside the 1,2,3,... layout")
+        if not isinstance(w.h_source, GridWord):
+            raise UndecidableCondition("untagged block word: block layout unknown")
         return BlockProfile(leading_a=True, kind="layout")
     w = w.normal()
     lp, pp = len(w.prefix), len(w.period)

@@ -193,11 +193,15 @@ def grid_to_json(x: GridWord) -> str:
 
 def grid_from_json(text: str) -> GridWord:
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "default" not in doc:
-        raise ValueError("grid document needs a 'default' lasso")
+    if not isinstance(doc, dict) or not isinstance(doc.get("default"), str):
+        raise ValueError("grid document needs a 'default' lasso string")
+    columns = doc.get("columns", {})
+    if not isinstance(columns, dict):
+        raise ValueError("grid field 'columns' must map column numbers to lasso strings")
     default = LassoWord.parse(doc["default"], BINARY)
     overrides: dict[int, LassoWord] = {}
-    for key, val in doc.get("columns", {}).items():
-        m = int(key)
-        overrides[m] = LassoWord.parse(val, BINARY)
+    for key, val in columns.items():
+        if not isinstance(val, str):
+            raise ValueError(f"grid column {key!r} must be a lasso string")
+        overrides[int(key)] = LassoWord.parse(val, BINARY)
     return GridWord(default, overrides)

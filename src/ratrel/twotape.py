@@ -10,8 +10,14 @@ labels do not count as accepting behaviour.
 For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
-period.  For block-pattern inputs a budgeted best-first search reports
-evidence instead of a verdict.
+period.  The graph is explored on the fly, never stored: each tape is
+compiled into next-position tables per transition label, configurations
+are packed into ints, and one Couvreur-style SCC search with three edge
+marks (accepting state entered, tape-1 letter consumed, tape-2 letter
+consumed) stops at the first component that carries all three.  The
+certificate is rebuilt afterwards by breadth-first search over the
+configurations that search visited.  For block-pattern inputs a budgeted
+best-first search reports evidence instead of a verdict.
 """
 
 from __future__ import annotations
@@ -76,6 +82,13 @@ class TwoTapeAutomaton:
             object.__setattr__(self, "_by_src_cache", cached)
         return cached
 
+    def _compiled(self) -> tuple:
+        cached = getattr(self, "_compiled_cache", None)
+        if cached is None:
+            cached = _compile_automaton(self)
+            object.__setattr__(self, "_compiled_cache", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -114,29 +127,35 @@ def validate(aut: TwoTapeAutomaton) -> Diagnostics:
     if problems:
         raise InvalidAutomaton(problems)
 
-    fwd: dict[str, set[str]] = {s: set() for s in aut.states}
-    back: dict[str, set[str]] = {s: set() for s in aut.states}
+    back: dict[str, list[str]] = {}
     for t in aut.transitions:
-        fwd[t.src].add(t.dst)
-        back[t.dst].add(t.src)
-
-    def closure(seeds: set[str], edges: dict[str, set[str]]) -> set[str]:
-        seen = set(seeds)
-        todo = deque(seeds)
-        while todo:
-            for nxt in edges[todo.popleft()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return seen
-
-    reachable = closure({aut.initial}, fwd)
-    co_accepting = closure(set(aut.accepting), back) if aut.accepting else set()
+        back.setdefault(t.dst, []).append(t.src)
+    reachable = _closure({aut.initial}, _targets(aut.transitions))
+    co_accepting = _closure(set(aut.accepting), back)
     return Diagnostics(
         state_count=len(aut.states),
         unreachable=frozenset(states - reachable),
         cannot_reach_accepting=frozenset(states - co_accepting),
     )
+
+
+def _targets(transitions) -> dict[str, list[str]]:
+    fwd: dict[str, list[str]] = {}
+    for t in transitions:
+        fwd.setdefault(t.src, []).append(t.dst)
+    return fwd
+
+
+def _closure(seeds: set[str], edges: dict[str, list[str]]) -> set[str]:
+    """Everything reachable from seeds, seeds included, along edges."""
+    seen = set(seeds)
+    todo = deque(seeds)
+    while todo:
+        for nxt in edges.get(todo.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 def union(a: TwoTapeAutomaton, b: TwoTapeAutomaton) -> TwoTapeAutomaton:
@@ -234,17 +253,7 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
         add_rows(base + suffix, base)
     plus_names = {base + suffix for base in marked}
 
-    # prune states unreachable from the initial state
-    fwd: dict[str, list[str]] = {}
-    for t in transitions:
-        fwd.setdefault(t.src, []).append(t.dst)
-    keep = {aut.initial}
-    todo = deque([aut.initial])
-    while todo:
-        for nxt in fwd.get(todo.popleft(), ()):
-            if nxt not in keep:
-                keep.add(nxt)
-                todo.append(nxt)
+    keep = _closure({aut.initial}, _targets(transitions))
     kept_trans = tuple(t for t in transitions if t.src in keep and t.dst in keep)
     kept_states = tuple(s for s in aut.states if s in keep) + tuple(
         sorted(plus_names & keep)
@@ -272,16 +281,7 @@ def _reject_degenerate(aut: TwoTapeAutomaton, eps_edges: dict[str, list[str]]) -
     for i, c in enumerate(comp):
         members.setdefault(c, []).append(i)
 
-    fwd_all: dict[str, set[str]] = {s: set() for s in states}
-    for t in aut.transitions:
-        fwd_all[t.src].add(t.dst)
-    reachable = {aut.initial}
-    todo = deque([aut.initial])
-    while todo:
-        for nxt in fwd_all[todo.popleft()]:
-            if nxt not in reachable:
-                reachable.add(nxt)
-                todo.append(nxt)
+    reachable = _closure({aut.initial}, _targets(aut.transitions))
 
     has_consuming = {t.src for t in aut.transitions if t.read1 or t.read2}
     for nodes in members.values():
@@ -292,19 +292,7 @@ def _reject_degenerate(aut: TwoTapeAutomaton, eps_edges: dict[str, list[str]]) -
             continue
         if not any(s in reachable for s in cyc):
             continue
-        seen = set(cyc)
-        todo = deque(cyc)
-        escapes = False
-        while todo and not escapes:
-            s = todo.popleft()
-            if s in has_consuming:
-                escapes = True
-                break
-            for nxt in eps_edges.get(s, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        if not escapes:
+        if not _closure(set(cyc), eps_edges) & has_consuming:
             raise DegenerateAutomaton(
                 f"accepting silent cycle through {sorted(set(cyc))} cannot consume input"
             )
@@ -414,28 +402,44 @@ class SearchOutcome:
     stats: SearchStats | None = None
 
 
-class _Tape:
-    """Normalized positions for one lasso tape: absolute in the prefix, phase in the period."""
+# Edge marks of the fair-cycle search.
+ACC, T1, T2 = 1, 2, 4
+_ALL = ACC | T1 | T2
 
-    __slots__ = ("prefix", "period", "lp", "pp")
 
-    def __init__(self, w: LassoWord):
-        w = w.normal()
-        self.prefix = w.prefix
-        self.period = w.period
-        self.lp = len(w.prefix)
-        self.pp = len(w.period)
+def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
+    """Integer form: initial state id, the distinct labels of each tape, and
+    per state id its rows (label-1 index, label-2 index, target id, marks,
+    transition)."""
+    ids: dict[str, int] = {}
+    for s in (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst))):
+        ids.setdefault(s, len(ids))
+    labels1 = sorted({t.read1 for t in aut.transitions})
+    labels2 = sorted({t.read2 for t in aut.transitions})
+    rows: list[list] = [[] for _ in ids]
+    for t in aut.transitions:
+        marks = (ACC if t.dst in aut.accepting else 0) | (T1 if t.read1 else 0)
+        marks |= T2 if t.read2 else 0
+        row = (labels1.index(t.read1), labels2.index(t.read2), ids[t.dst], marks, t)
+        rows[ids[t.src]].append(row)
+    return ids[aut.initial], labels1, labels2, rows
 
-    def match(self, pos: int, label: str) -> int | None:
-        prefix, period, lp, pp = self.prefix, self.period, self.lp, self.pp
+
+def _compile_tape(w: LassoWord, labels: list[str]) -> tuple[int, list[list[int]]]:
+    """Positions of the normal form of w (absolute in the prefix, phase in
+    the period) and, per label, the table of next positions, -1 where the
+    label does not match."""
+    w = w.normal()
+    text = w.prefix + w.period
+    n = len(text)
+    step = list(range(1, n)) + [len(w.prefix)]
+    tables = []
+    for label in labels:
+        table = list(range(n))
         for ch in label:
-            cur = prefix[pos] if pos < lp else period[pos - lp]
-            if cur != ch:
-                return None
-            pos += 1
-            if pos >= lp + pp:
-                pos = lp + (pos - lp) % pp
-        return pos
+            table = [step[p] if p >= 0 and text[p] == ch else -1 for p in table]
+        tables.append(table)
+    return n, tables
 
 
 def accepts_lasso_pair(
@@ -443,116 +447,153 @@ def accepts_lasso_pair(
 ) -> SearchOutcome:
     """Decide membership of an ultimately periodic pair; sound and complete.
 
-    A pair is accepted iff the reachable part of the configuration graph
-    has a strongly connected component containing an accepting-state
-    configuration, an edge consuming at least one tape-1 letter and an
-    edge consuming at least one tape-2 letter: inside one component those
-    features always compose into a single fair cycle, and conversely any
-    accepting run yields such a component.  Accepted verdicts carry a
-    replayable stem-plus-cycle certificate.
+    A pair is accepted iff the reachable configuration graph has a
+    strongly connected component whose internal edges carry all three
+    marks: ``ACC`` (the edge enters an accepting state), ``T1`` (it
+    consumes a tape-1 letter) and ``T2`` (it consumes a tape-2 letter).
+    Inside one component those edges always compose into a single fair
+    cycle, and conversely any accepting run yields such a component.
+
+    The graph is never built.  Each tape is compiled into next-position
+    tables, one per distinct label, and configurations are packed into
+    ints.  One iterative Couvreur-style DFS explores the product on the
+    fly and keeps, for every root of a partial component, the marks of
+    the edges merged into it; the search stops as soon as a root holds
+    all three.  The certificate is then rebuilt from the visited
+    configurations only: the stem follows the DFS stack to that root,
+    and the cycle is stitched from breadth-first paths inside the
+    component that pick up each mark in turn and return to the root.
+    Accepted verdicts carry this replayable stem-plus-cycle certificate.
     """
     aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
-    t1 = _Tape(w1)
-    t2 = _Tape(w2)
+    initial, labels1, labels2, rows = aut._compiled()
+    n1, tabs1 = _compile_tape(w1, labels1)
+    n2, tabs2 = _compile_tape(w2, labels2)
+    for tab in tabs2:  # shift past the three mark bits of a successor code
+        tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
+    # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
+    # successors come from the rows of its head q * n1 + p1, built on
+    # first use: the tape-2 table, the code of the target at tape-2
+    # position 0, and the transition.
+    heads: list = [None] * (len(rows) * n1)
 
-    start = (aut.initial, 0, 0)
-    order: dict[tuple[str, int, int], int] = {start: 0}
-    nodes = [start]
-    out_edges: list[list[tuple[int, TwoTapeTransition]]] = [[]]
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
-        q, p1, p2 = cfg
-        row = out_edges[order[cfg]]
-        for t in aut.transitions_from(q):
-            np1 = t1.match(p1, t.read1)
-            if np1 is None:
-                continue
-            np2 = t2.match(p2, t.read2)
-            if np2 is None:
-                continue
-            dst = (t.dst, np1, np2)
-            j = order.get(dst)
-            if j is None:
-                j = len(nodes)
-                order[dst] = j
-                nodes.append(dst)
-                out_edges.append([])
-                queue.append(dst)
-            row.append((j, t))
+    def successors(c: int) -> list[int]:
+        """Successor codes ``config << 3 | marks`` of configuration c."""
+        head, p2 = divmod(c, n2)
+        rs = heads[head]
+        if rs is None:
+            q, p1 = divmod(head, n1)
+            rs = heads[head] = [
+                (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
+                for a, b, d, m, t in rows[q]
+                if tabs1[a][p1] >= 0
+            ]
+        out = []
+        for tab2, base, _ in rs:
+            y = tab2[p2]
+            if y >= 0:
+                out.append(base + y)
+        return out
 
-    comp = tarjan_scc(len(nodes), [[j for j, _ in row] for row in out_edges])
-    members: dict[int, list[int]] = {}
-    for i, c in enumerate(comp):
-        members.setdefault(c, []).append(i)
-
-    for c in sorted(members, key=lambda c: min(members[c])):
-        nodeset = members[c]
-        inside = set(nodeset)
-        anchor = None
-        for i in nodeset:  # discovery order: nodeset is ascending
-            if nodes[i][0] in aut.accepting:
-                anchor = i
+    start = initial * n1 * n2
+    number = {start: 1}  # DFS number per visited configuration; 0 once its component closed
+    lookup = number.get
+    # per open partial component: root number, marks inside, marks of the edge into the root
+    roots, inside, entry = [1], [0], [0]
+    live = [start]  # visited configurations whose component is still open, in visit order
+    todo = [(start, iter(successors(start)))]
+    count = 1
+    while todo:
+        c, succ = todo[-1]
+        for code in succ:
+            d = code >> 3
+            h = lookup(d)
+            if h is None:
+                count += 1
+                number[d] = count
+                roots.append(count)
+                inside.append(0)
+                entry.append(code & _ALL)
+                live.append(d)
+                todo.append((d, iter(successors(d))))
                 break
-        if anchor is None:
-            continue
-        e1 = e2 = None
-        for i in nodeset:
-            for j, t in out_edges[i]:
-                if j not in inside:
-                    continue
-                if e1 is None and t.read1:
-                    e1 = (i, j, t)
-                if e2 is None and t.read2:
-                    e2 = (i, j, t)
-        if e1 is None or e2 is None:
-            continue
-        stem = _bfs_edge_path(out_edges, 0, anchor, None)
-        cycle = (
-            _bfs_edge_path(out_edges, anchor, e1[0], inside)
-            + [e1[2]]
-            + _bfs_edge_path(out_edges, e1[1], e2[0], inside)
-            + [e2[2]]
-            + _bfs_edge_path(out_edges, e2[1], anchor, inside)
-        )
-        return SearchOutcome(
-            verdict=Verdict.ACCEPTED,
-            certificate=Certificate(
-                stem=RunPrefix(tuple(stem)), cycle=RunPrefix(tuple(cycle))
-            ),
-        )
+            if h:  # d is in an open component: every root above it merges
+                marks = code & _ALL
+                while h < roots[-1]:
+                    roots.pop()
+                    marks |= inside.pop() | entry.pop()
+                marks |= inside[-1]
+                inside[-1] = marks
+                if marks == _ALL:
+                    path = [f[0] for f in todo]
+                    cert = _certificate(successors, heads, n2, number, path, roots[-1])
+                    return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=cert)
+        else:
+            todo.pop()
+            if number[c] == roots[-1]:
+                roots.pop()
+                inside.pop()
+                entry.pop()
+                while True:
+                    x = live.pop()
+                    number[x] = 0
+                    if x == c:
+                        break
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _bfs_edge_path(
-    out_edges: list[list[tuple[int, TwoTapeTransition]]],
-    src: int,
-    dst: int,
-    allowed: set[int] | None,
-) -> list[TwoTapeTransition]:
-    if src == dst:
-        return []
-    parent: dict[int, tuple[int, TwoTapeTransition]] = {src: (-1, None)}  # type: ignore[dict-item]
-    queue = deque([src])
-    while queue:
-        i = queue.popleft()
-        for j, t in out_edges[i]:
-            if allowed is not None and j not in allowed:
-                continue
-            if j in parent:
-                continue
-            parent[j] = (i, t)
-            if j == dst:
-                path: list[TwoTapeTransition] = []
-                k = j
-                while k != src:
-                    k, tr = parent[k]
-                    path.append(tr)
-                path.reverse()
-                return path
-            queue.append(j)
-    raise RuntimeError("path requested between unconnected configurations")
+def _certificate(successors, heads, n2, number, path, root) -> Certificate:
+    """Stem along the DFS path to the root numbered ``root``, and a cycle
+    through that root inside its component (the open configurations
+    numbered from ``root`` on) carrying all three marks.  Only visited
+    configurations are expanded."""
+
+    def transition(c: int, code: int) -> TwoTapeTransition:
+        head, p2 = divmod(c, n2)
+        return next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
+
+    def bfs(src: int, need: int, target: int = -1) -> tuple[list, int, int]:
+        """Shortest path inside the component from src through the first
+        edge carrying a mark of need or entering target: its transitions,
+        its end and the union of its marks."""
+        parent: dict[int, tuple[int, int]] = {}
+        queue = deque([src])
+        while queue:
+            a = queue.popleft()
+            for code in successors(a):
+                d = code >> 3
+                if number.get(d, 0) < root:
+                    continue
+                if code & need or d == target:
+                    steps = [transition(a, code)]
+                    marks = code & _ALL
+                    while a != src:
+                        a, code = parent[a]
+                        steps.append(transition(a, code))
+                        marks |= code & _ALL
+                    steps.reverse()
+                    return steps, d, marks
+                if d != src and d not in parent:
+                    parent[d] = (a, code)
+                    queue.append(d)
+        raise RuntimeError("component lacks a mark its root accumulated")
+
+    k = next(i for i, c in enumerate(path) if number[c] == root)
+    stem = [
+        transition(a, next(x for x in successors(a) if x >> 3 == b))
+        for a, b in zip(path, path[1 : k + 1])
+    ]
+    anchor = here = path[k]
+    cycle: list[TwoTapeTransition] = []
+    need = _ALL
+    while need:
+        steps, here, marks = bfs(here, need)
+        cycle += steps
+        need &= ~marks
+    if here != anchor:
+        cycle += bfs(here, 0, anchor)[0]
+    return Certificate(stem=RunPrefix(tuple(stem)), cycle=RunPrefix(tuple(cycle)))
 
 
 def bounded_run_search(
@@ -650,8 +691,38 @@ def to_json(aut: TwoTapeAutomaton) -> str:
     return json.dumps(doc, indent=2)
 
 
+_DOC_FIELDS = (
+    ("states", list),
+    ("sigma1", str),
+    ("sigma2", str),
+    ("transitions", list),
+    ("initial", str),
+    ("accepting", list),
+)
+
+
 def from_json(text: str) -> TwoTapeAutomaton:
+    """Parse and validate an automaton document; raise InvalidAutomaton
+    naming every field of the wrong shape."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InvalidAutomaton(["automaton document must be a JSON object"])
+    problems = []
+    for key, kind in _DOC_FIELDS:
+        if key not in doc:
+            problems.append(f"missing field {key!r}")
+        elif not isinstance(doc[key], kind):
+            problems.append(f"field {key!r} must be a {'list' if kind is list else 'string'}")
+    if problems:
+        raise InvalidAutomaton(problems)
+    for key in ("states", "accepting"):
+        if not all(isinstance(s, str) for s in doc[key]):
+            problems.append(f"field {key!r} must list state names as strings")
+    for i, t in enumerate(doc["transitions"]):
+        if not (isinstance(t, list) and len(t) == 4 and all(isinstance(x, str) for x in t)):
+            problems.append(f"transitions[{i}] must be [source, read1, read2, target] strings")
+    if problems:
+        raise InvalidAutomaton(problems)
     aut = TwoTapeAutomaton(
         states=tuple(doc["states"]),
         sigma1=Alphabet.of(doc["sigma1"]),

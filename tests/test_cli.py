@@ -156,3 +156,39 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "member", "--aut", "R", "--pair", "A0|1A", "0|A01", "--json")
     second = run(capsys, "member", "--aut", "R", "--pair", "A0|1A", "0|A01", "--json")
     assert first == second
+
+
+GOOD_AUT = {
+    "states": ["q0"],
+    "sigma1": "01",
+    "sigma2": "01",
+    "transitions": [["q0", "0", "0", "q0"]],
+    "initial": "q0",
+    "accepting": ["q0"],
+}
+
+
+@pytest.mark.parametrize(
+    "verb, doc, field",
+    [
+        ("member", {k: v for k, v in GOOD_AUT.items() if k != "sigma1"}, "sigma1"),
+        ("member", {**GOOD_AUT, "transitions": [["q0", "0", "q0"]]}, "transitions[0]"),
+        ("member", {**GOOD_AUT, "transitions": "q0 0 0 q0"}, "transitions"),
+        ("member", {**GOOD_AUT, "states": ["q0", 1]}, "states"),
+        ("member", ["q0"], "object"),
+        ("inP", {"default": "|0", "columns": ["|1"]}, "columns"),
+        ("inP", {"default": "|0", "columns": {"2": 1}}, "2"),
+        ("inP", {"default": 0}, "default"),
+    ],
+)
+def test_malformed_file_is_input_error(capsys, tmp_path, verb, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if verb == "member":
+        argv = ["member", "--aut-file", str(path), "--pair", "|0", "|0"]
+    else:
+        argv = ["inP", "--grid", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err

@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from ratrel.constructions import (
     Decomposition,
     NotInP,
+    UndecidableCondition,
     UnknownShape,
     alpha,
     automaton_T,
@@ -24,6 +26,7 @@ from ratrel.constructions import (
 )
 from ratrel.grid import GridWord, encode_h, in_P
 from ratrel.twotape import (
+    RunPrefix,
     TwoTapeAutomaton,
     TwoTapeTransition,
     Verdict,
@@ -341,6 +344,58 @@ def test_condition_automaton_agreement_per_piece():
             )
 
 
+def long_gamma_lasso(rng: random.Random, fill: str = "01", separators: bool = True) -> LassoWord:
+    """A lasso whose period has 20-40 letters, several of them As unless told otherwise."""
+    n = rng.randint(20, 40)
+    places = set(rng.sample(range(n), rng.randint(3, 6))) if separators else set()
+    period = "".join("A" if i in places else rng.choice(fill) for i in range(n))
+    return LassoWord(rng.choice(("", "A", "0A", "A0A00A", "A1A01A", "A0A11")), period)
+
+
+def assert_replays(aut, out, w1, w2):
+    cert = out.certificate
+    for unroll in (1, 3):
+        replay = RunPrefix(cert.stem.transitions + cert.cycle.transitions * unroll)
+        assert run_prefix_valid(aut, replay, w1, w2).ok
+
+
+def test_conditions_and_r_on_long_periods():
+    # periods far beyond the naive oracle's reach, checked against the
+    # exact characterisation of each piece instead
+    rng = random.Random(149)
+    seen = {j: set() for j in range(1, 6)}
+    for i in range(24):
+        w1 = long_gamma_lasso(rng)
+        w2 = w1 if i % 4 == 0 else long_gamma_lasso(rng, rng.choice(("0", "01")), i % 8 != 1)
+        for j in range(1, 6):
+            out = accepts_lasso_pair(c_automaton(j), w1, w2)
+            verdict = out.verdict is Verdict.ACCEPTED
+            assert verdict == c_condition_holds(j, w1, w2), (j, str(w1), str(w2))
+            seen[j].add(verdict)
+            if verdict:
+                assert_replays(c_automaton(j), out, w1, w2)
+        out = accepts_lasso_pair(r_automaton(), w1, w2)
+        assert out.verdict is Verdict.ACCEPTED
+        assert_replays(r_automaton(), out, w1, w2)
+    assert all(seen[j] == {True, False} for j in range(1, 6)), seen
+
+
+def test_decision_deeper_than_recursion_limit():
+    # the product is a single chain of 3000 configurations closing into a cycle
+    rng = random.Random(151)
+    period = "".join(rng.choice("01A") for _ in range(3000))
+    assert len(period) > sys.getrecursionlimit()
+    w = LassoWord("", period)
+    loops = tuple(T("q", a, a, "q") for a in "01A")
+    for accepting in (frozenset({"q"}), frozenset()):
+        aut = TwoTapeAutomaton(("q",), GAMMA, GAMMA, loops, "q", accepting)
+        out = accepts_lasso_pair(aut, w, w)
+        assert (out.verdict is Verdict.ACCEPTED) == bool(accepting)
+        if accepting:
+            assert len(out.certificate.cycle) == 3000
+            assert_replays(aut, out, w, w)
+
+
 def test_r2_covers_lasso_pairs():
     rng = random.Random(107)
     r2 = r2_automaton()
@@ -394,6 +449,19 @@ def test_alpha_section_on_coded_words():
     assert in_alpha_section(alpha())
     assert not in_alpha_section(encode_h(grid(c2="|1")))
     assert in_alpha_section(encode_h(grid(c2="111|0")))
+
+
+def test_block_profile_needs_grid_tag():
+    # the first 8 blocks follow the 1,2,3,... layout, the 9th breaks it
+    untagged = BlockWord(
+        block_fn=lambda n: "0" * (2 if n == 9 else n),
+        block_len_fn=lambda n: 2 if n == 9 else n,
+    )
+    with pytest.raises(UndecidableCondition):
+        block_profile(untagged)
+    with pytest.raises(UndecidableCondition):
+        c_condition_holds(4, untagged, alpha())
+    assert block_profile(alpha()).kind == "layout"
 
 
 def test_alpha_section_rejects_untagged_block_words():

@@ -25,7 +25,7 @@ from ratrel.twotape import (
 from ratrel.words import BINARY, GAMMA, LassoWord
 
 from oracles import naive_accepts_pair
-from util import random_gamma_lasso, random_lasso, random_two_tape
+from util import all_binary_lassos, random_gamma_lasso, random_lasso, random_two_tape
 
 T = TwoTapeTransition
 
@@ -247,6 +247,15 @@ def test_universal_single_state():
         assert accepted(aut, random_gamma_lasso(rng), random_gamma_lasso(rng))
 
 
+def assert_fair_certificate(aut, out, w1, w2):
+    cert = out.certificate
+    assert cert.cycle.consumed1() and cert.cycle.consumed2()
+    assert any(t.dst in aut.accepting for t in cert.cycle.transitions)
+    for unroll in (1, 3):
+        replay = RunPrefix(cert.stem.transitions + cert.cycle.transitions * unroll)
+        assert run_prefix_valid(aut, replay, w1, w2).ok
+
+
 def test_certificate_structure_and_replay():
     rng = random.Random(61)
     found = 0
@@ -258,13 +267,7 @@ def test_certificate_structure_and_replay():
         if out.verdict is not Verdict.ACCEPTED:
             continue
         found += 1
-        cert = out.certificate
-        assert len(cert.cycle.consumed1()) >= 1
-        assert len(cert.cycle.consumed2()) >= 1
-        assert any(t.dst in aut.accepting or t.src in aut.accepting for t in cert.cycle.transitions)
-        for unroll in (1, 3):
-            replay = RunPrefix(cert.stem.transitions + cert.cycle.transitions * unroll)
-            assert run_prefix_valid(aut, replay, w1, w2).ok
+        assert_fair_certificate(aut, out, w1, w2)
 
 
 def test_decision_agrees_with_naive_oracle_random():
@@ -274,6 +277,24 @@ def test_decision_agrees_with_naive_oracle_random():
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
         assert accepted(aut, w1, w2) == naive_accepts_pair(aut, w1, w2)
+
+
+def test_decision_exhaustive_small_lassos():
+    # silent transitions and multi-letter labels, on every small lasso pair
+    rng = random.Random(229)
+    words = all_binary_lassos(1, 2)
+    accepted_total = 0
+    for _ in range(30):
+        aut = random_two_tape(rng, max_transitions=10, labels=("", "0", "1", "01", "10"))
+        for w1 in words:
+            for w2 in words:
+                out = accepts_lasso_pair(aut, w1, w2)
+                verdict = out.verdict is Verdict.ACCEPTED
+                assert verdict == naive_accepts_pair(aut, w1, w2), (aut, w1, w2)
+                if verdict:
+                    accepted_total += 1
+                    assert_fair_certificate(aut, out, w1, w2)
+    assert accepted_total > 500
 
 
 def test_decision_invariant_under_redescription():
