@@ -3,14 +3,16 @@
 Covers exactly what the reference constructions need: letter-labelled
 transitions, the two fixed machines for "infinitely many 1s" and its
 complement, and a sound and complete membership decision for ultimately
-periodic words.
+periodic words.  The decision has no machinery of its own: a one-tape
+automaton is embedded as a two-tape one that reads ``0`` on tape 2 with
+every letter, and is decided against ``0^ω`` by ``accepts_lasso_pair``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._scc import tarjan_scc
+from .twotape import TwoTapeAutomaton, Verdict, accepts_lasso_pair
 from .words import Alphabet, BINARY, LassoWord
 
 
@@ -69,68 +71,34 @@ def ones_automaton(complement: bool = False) -> BuchiAutomaton:
     )
 
 
-def _positions(w: LassoWord) -> tuple[str, str, int, int]:
-    w = w.normal()
-    return w.prefix, w.period, len(w.prefix), len(w.period)
-
-
 def buchi_accepts_lasso(aut: BuchiAutomaton, w: LassoWord) -> bool:
-    """Membership of an ultimately periodic word.
+    """Membership of an ultimately periodic word; sound and complete.
 
-    Works on the finite graph of (state, position) pairs, where a position
-    is absolute inside the lasso prefix and a phase inside the period.
-    The word is accepted iff some accepting pair reachable from the start
-    lies on a cycle; cycles can only live in the periodic region, since
-    prefix positions never repeat.
+    Decided by the two-tape core: each transition ``(src, ch, dst)``
+    becomes ``(src, ch, "0", dst)`` and the word is paired with ``0^ω``
+    on tape 2.  Every edge then consumes on both tapes, so the core's
+    fair cycle (one that enters an accepting state and consumes on
+    both tapes) is exactly a Büchi-accepting cycle.
     """
-    prefix, period, lp, pp = _positions(w)
-    aut.alphabet.check_word(prefix + period, "lasso")
+    aut.alphabet.check_word(w.prefix + w.period, "lasso")
+    return accepts_lasso_pair(_embedded(aut), w, LassoWord("", "0")).verdict is Verdict.ACCEPTED
 
-    by_src: dict[str, list[tuple[str, str]]] = {}
-    for src, ch, dst in sorted(aut.transitions):
-        by_src.setdefault(src, []).append((ch, dst))
 
-    def letter(pos: int) -> str:
-        return prefix[pos] if pos < lp else period[pos - lp]
-
-    def step(pos: int) -> int:
-        pos += 1
-        return pos if pos < lp + pp else lp + (pos - lp) % pp
-
-    start = (aut.initial, 0)
-    index: dict[tuple[str, int], int] = {start: 0}
-    adj: list[list[int]] = [[]]
-    frontier = [start]
-    nodes = [start]
-    while frontier:
-        nxt: list[tuple[str, int]] = []
-        for cfg in frontier:
-            q, pos = cfg
-            ch = letter(pos)
-            row = adj[index[cfg]]
-            for label, dst in by_src.get(q, ()):  # deterministic order
-                if label != ch:
-                    continue
-                target = (dst, step(pos))
-                if target not in index:
-                    index[target] = len(nodes)
-                    nodes.append(target)
-                    adj.append([])
-                    nxt.append(target)
-                row.append(index[target])
-        frontier = nxt
-
-    comp = tarjan_scc(len(nodes), adj)
-    members: dict[int, list[int]] = {}
-    for node, c in enumerate(comp):
-        members.setdefault(c, []).append(node)
-    for c, nodeset in members.items():
-        if not any(nodes[i][0] in aut.accepting for i in nodeset):
-            continue
-        inside = set(nodeset)
-        if len(nodeset) > 1 or any(t in inside for t in adj[nodeset[0]]):
-            return True
-    return False
+def _embedded(aut: BuchiAutomaton) -> TwoTapeAutomaton:
+    """The two-tape automaton that reads ``0`` on tape 2 with every letter,
+    cached on the frozen instance."""
+    cached = getattr(aut, "_embedded_cache", None)
+    if cached is None:
+        cached = TwoTapeAutomaton(
+            states=aut.states,
+            sigma1=aut.alphabet,
+            sigma2=Alphabet.of("0"),
+            transitions=tuple((src, ch, "0", dst) for src, ch, dst in aut.transitions),
+            initial=aut.initial,
+            accepting=aut.accepting,
+        )
+        object.__setattr__(aut, "_embedded_cache", cached)
+    return cached
 
 
 def to_json(aut: BuchiAutomaton) -> str:

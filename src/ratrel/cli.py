@@ -2,7 +2,8 @@
 
 Verdicts map to the exit status so shell pipelines can branch without
 parsing output: 0 accepted/true, 1 rejected/false, 3 inconclusive, 2 bad
-input.
+input, 4 internal error (a bug, reported in one line on stderr, so that it
+never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -192,7 +192,10 @@ def grid_to_json(x: GridWord) -> str:
 
 
 def grid_from_json(text: str) -> GridWord:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("grid document is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("default"), str):
         raise ValueError("grid document needs a 'default' lasso string")
     columns = doc.get("columns", {})

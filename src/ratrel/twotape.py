@@ -704,7 +704,10 @@ _DOC_FIELDS = (
 def from_json(text: str) -> TwoTapeAutomaton:
     """Parse and validate an automaton document; raise InvalidAutomaton
     naming every field of the wrong shape."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise InvalidAutomaton(["automaton document is nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise InvalidAutomaton(["automaton document must be a JSON object"])
     problems = []

@@ -4,11 +4,15 @@ Each check re-derives expected behaviour from an independent angle
 (closure matrices instead of component analysis, direct letter scans
 instead of the decision procedures) and runs on seeded random instances,
 so a single command can exercise the grid, two-tape and construction
-layers without the development test harness.
+layers without the development test harness.  The seeded generators
+(``random_lasso``, ``random_grid``, ``random_two_tape``) and the closure
+oracle (``closure_accepts_pair``) are public: the test suite draws its
+instances and checks the decision with these same functions.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -47,13 +51,18 @@ class CheckResult:
     detail: str = ""
 
 
-def random_lasso(rng: random.Random, letters: str, max_prefix: int = 3, max_period: int = 3) -> LassoWord:
+def random_lasso(rng: random.Random, letters: str = "01", max_prefix: int = 3, max_period: int = 3) -> LassoWord:
     prefix = "".join(rng.choice(letters) for _ in range(rng.randint(0, max_prefix)))
     period = "".join(rng.choice(letters) for _ in range(rng.randint(1, max_period)))
     return LassoWord(prefix, period)
 
 
-def random_grid(rng: random.Random, ensure_in_p: bool) -> GridWord:
+def random_grid(rng: random.Random, ensure_in_p: bool | None = None) -> GridWord:
+    """Random grid; ensure_in_p=True keeps every 1 in a column prefix, and
+    None first draws that choice by a fair coin."""
+    if ensure_in_p is None:
+        ensure_in_p = rng.random() < 0.5
+
     def col() -> LassoWord:
         prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
         if ensure_in_p:
@@ -67,23 +76,36 @@ def random_grid(rng: random.Random, ensure_in_p: bool) -> GridWord:
     return GridWord(col(), overrides)
 
 
-def random_small_automaton(rng: random.Random) -> TwoTapeAutomaton:
-    n = rng.randint(1, 3)
+def random_two_tape(
+    rng: random.Random,
+    max_states: int = 3,
+    max_transitions: int | None = None,
+    labels: tuple[str, ...] = ("", "0", "1"),
+) -> TwoTapeAutomaton:
+    """Random automaton on states s0..s(n-1), initial s0, with up to
+    max_transitions (default 2n+2) transitions drawn from labels."""
+    n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
-    labels = ["", "0", "1"]
-    transitions = []
-    for _ in range(rng.randint(1, 2 * n + 2)):
-        transitions.append(
+    limit = max_transitions if max_transitions is not None else 2 * n + 2
+    transitions = set()
+    for _ in range(rng.randint(1, limit)):
+        transitions.add(
             TwoTapeTransition(
                 rng.choice(states), rng.choice(labels), rng.choice(labels), rng.choice(states)
             )
         )
     accepting = frozenset(s for s in states if rng.random() < 0.5)
-    return TwoTapeAutomaton(states, BINARY, BINARY, tuple(set(transitions)), states[0], accepting)
+    return TwoTapeAutomaton(states, BINARY, BINARY, tuple(transitions), states[0], accepting)
 
 
-def _closure_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -> bool:
-    """Reachability-matrix reference for the lasso decision (no SCC machinery)."""
+def closure_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -> bool:
+    """Reachability-matrix reference for the lasso decision (no SCC machinery).
+
+    Builds the full configuration space up front and accepts iff some
+    reachable accepting configuration has a mutually-reachable set
+    containing an edge that consumes tape 1 and an edge that consumes
+    tape 2 (such a set always folds into one closed fair walk).
+    """
     w1 = w1.normal()
     w2 = w2.normal()
     lp1, pp1 = len(w1.prefix), len(w1.period)
@@ -121,7 +143,8 @@ def _closure_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -
             succ[a].add(b)
             edges.append((a, b, len(t.read1), len(t.read2)))
 
-    def reach_from(a: int) -> set[int]:
+    @functools.cache
+    def reach(a: int) -> set[int]:
         seen = {a}
         todo = [a]
         while todo:
@@ -131,16 +154,7 @@ def _closure_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -
                     todo.append(b)
         return seen
 
-    start = idx[(aut.initial, 0, 0)]
-    from_start = reach_from(start)
-    reach_cache: dict[int, set[int]] = {}
-
-    def reach(a: int) -> set[int]:
-        if a not in reach_cache:
-            reach_cache[a] = reach_from(a)
-        return reach_cache[a]
-
-    for c in from_start:
+    for c in reach(idx[(aut.initial, 0, 0)]):
         if nodes[c][0] not in aut.accepting:
             continue
         mutual = {b for b in reach(c) if c in reach(b)}
@@ -199,22 +213,22 @@ def _checks(seed: int, trials: int):
     def check_column_predicate():
         comp = ones_automaton(True)
         for _ in range(trials):
-            x = random_grid(rng, ensure_in_p=rng.random() < 0.5)
+            x = random_grid(rng)
             via_automaton = all(buchi_accepts_lasso(comp, col) for col in x.columns())
             assert in_P(x) == via_automaton
 
     def check_pair_decision_reference():
         for _ in range(trials):
-            aut = random_small_automaton(rng)
+            aut = random_two_tape(rng)
             w1 = random_lasso(rng, "01", 2, 2)
             w2 = random_lasso(rng, "01", 2, 2)
             got = accepts_lasso_pair(aut, w1, w2).verdict is Verdict.ACCEPTED
-            assert got == _closure_accepts_pair(aut, w1, w2)
+            assert got == closure_accepts_pair(aut, w1, w2)
 
     def check_union_law():
         for _ in range(trials):
-            a = random_small_automaton(rng)
-            b = random_small_automaton(rng)
+            a = random_two_tape(rng)
+            b = random_two_tape(rng)
             u = union(a, b)
             assert len(u.states) == len(a.states) + len(b.states) + 1
             w1 = random_lasso(rng, "01", 2, 2)
@@ -259,7 +273,7 @@ def _checks(seed: int, trials: int):
 
     def check_complement_structure():
         for _ in range(max(5, trials // 4)):
-            x = random_grid(rng, ensure_in_p=rng.random() < 0.5)
+            x = random_grid(rng)
             pair = grid_pair(x)
             assert all(not c_condition_holds(j, *pair) for j in range(1, 6))
 
@@ -282,7 +296,7 @@ def _checks(seed: int, trials: int):
 
     def check_certificates():
         for _ in range(trials):
-            aut = random_small_automaton(rng)
+            aut = random_two_tape(rng)
             w1 = random_lasso(rng, "01", 2, 2)
             w2 = random_lasso(rng, "01", 2, 2)
             out = accepts_lasso_pair(aut, w1, w2)

@@ -29,10 +29,10 @@ from ratrel.twotape import (
     bounded_run_search,
     run_prefix_valid,
 )
+from ratrel.verify import closure_accepts_pair, random_grid, random_two_tape
 from ratrel.words import BINARY, LassoWord
 
-from oracles import naive_accepts_pair
-from util import all_binary_lassos, random_gamma_lasso, random_grid, random_two_tape
+from util import all_binary_lassos, random_gamma_lasso
 
 T = TwoTapeTransition
 
@@ -124,7 +124,7 @@ def test_criterion_3_lasso_decision_soundness():
     ]
     for aut in _single_state_family():
         for w1, w2 in single_pairs:
-            assert accepted(aut, w1, w2) == naive_accepts_pair(aut, w1, w2)
+            assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
             checks += 1
 
     double_pairs = [
@@ -135,7 +135,7 @@ def test_criterion_3_lasso_decision_soundness():
     ]
     for aut in _two_state_family():
         for w1, w2 in double_pairs:
-            assert accepted(aut, w1, w2) == naive_accepts_pair(aut, w1, w2)
+            assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
             checks += 1
 
     rng = random.Random(2024)
@@ -149,7 +149,7 @@ def test_criterion_3_lasso_decision_soundness():
             "".join(rng.choice("01") for _ in range(rng.randint(0, 3))),
             "".join(rng.choice("01") for _ in range(rng.randint(1, 3))),
         )
-        assert accepted(aut, w1, w2) == naive_accepts_pair(aut, w1, w2)
+        assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
         checks += 1
 
     elapsed = time.monotonic() - start
@@ -160,7 +160,7 @@ def test_criterion_3_lasso_decision_soundness():
 def test_criterion_4_positive_direction():
     rng = random.Random(41)
     for _ in range(200):
-        x = random_grid(rng, in_p=True)
+        x = random_grid(rng, ensure_in_p=True)
         schema = build_run_schema(x)
         run = schema_to_run(schema, 100)
         rep = run_prefix_valid(automaton_T(), run, encode_h(x), alpha())
@@ -253,7 +253,7 @@ def test_criterion_10_fair_evidence_search():
     r = r_automaton()
     worst = 0.0
     for _ in range(10):
-        x = random_grid(rng, in_p=True)
+        x = random_grid(rng, ensure_in_p=True)
         assert in_P(x)
         start = time.monotonic()
         out = bounded_run_search(r, encode_h(x), alpha(), 10**5)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from ratrel.buchi import BuchiAutomaton, buchi_accepts_lasso, ones_automaton
-from ratrel.words import BINARY, LassoWord, lasso_equal
+from ratrel.verify import random_lasso
+from ratrel.words import Alphabet, BINARY, LassoWord, lasso_equal
 
-from util import all_binary_lassos, random_lasso
+from oracles import naive_buchi_accepts
+from util import all_binary_lassos
 
 
 def lasso(text: str) -> LassoWord:
@@ -47,10 +49,12 @@ def test_single_state_universal_and_empty():
         ("q",), BINARY, (("q", "0", "q"), ("q", "1", "q")), "q", frozenset()
     )
     rng = random.Random(4)
-    for _ in range(40):
-        w = random_lasso(rng)
+    # the 3,000-letter period runs deeper than the default recursion limit
+    long_period = LassoWord("", "0" * 2999 + "1")
+    for w in [random_lasso(rng) for _ in range(40)] + [long_period]:
         assert buchi_accepts_lasso(universal, w)
         assert not buchi_accepts_lasso(empty, w)
+    assert buchi_accepts_lasso(ones_automaton(), long_period)
 
 
 def random_buchi(rng: random.Random) -> BuchiAutomaton:
@@ -64,13 +68,12 @@ def random_buchi(rng: random.Random) -> BuchiAutomaton:
 
 
 def test_agreement_with_naive_oracle():
-    from oracles import naive_buchi_accepts
-
     rng = random.Random(8)
+    words = all_binary_lassos(2, 2)
     for _ in range(100):
         aut = random_buchi(rng)
-        w = random_lasso(rng, "01", 2, 2)
-        assert buchi_accepts_lasso(aut, w) == naive_buchi_accepts(aut, w)
+        for w in words:
+            assert buchi_accepts_lasso(aut, w) == naive_buchi_accepts(aut, w), (aut, w)
 
 
 def test_invariance_under_redescription():
@@ -95,3 +98,20 @@ def test_exhaustive_characterization_small_lassos():
         expected = "1" in w.normal().period
         assert buchi_accepts_lasso(aut, w) == expected
         assert buchi_accepts_lasso(comp, w) == (not expected)
+
+
+def test_alphabet_without_zero():
+    # tape 2 of the embedding reads "0" whatever the one-tape alphabet is
+    ab = Alphabet.of("ab")
+    infinitely_many_b = BuchiAutomaton(
+        ("p", "q"),
+        ab,
+        (("p", "a", "p"), ("p", "b", "q"), ("q", "a", "p"), ("q", "b", "q")),
+        "p",
+        frozenset({"q"}),
+    )
+    for text, expected in (("|b", True), ("bbb|a", False), ("a|ab", True), ("|a", False)):
+        w = LassoWord.parse(text, ab)
+        assert buchi_accepts_lasso(infinitely_many_b, w) == expected
+        assert naive_buchi_accepts(infinitely_many_b, w) == expected
+

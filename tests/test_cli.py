@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ratrel import cli
 from ratrel.cli import main
 from ratrel.grid import GridWord, grid_to_json
 from ratrel.words import LassoWord
@@ -168,6 +169,10 @@ GOOD_AUT = {
 }
 
 
+# nested deeper than the JSON decoder's recursion limit
+DEEP = "[" * 100000 + "]" * 100000
+
+
 @pytest.mark.parametrize(
     "verb, doc, field",
     [
@@ -179,11 +184,13 @@ GOOD_AUT = {
         ("inP", {"default": "|0", "columns": ["|1"]}, "columns"),
         ("inP", {"default": "|0", "columns": {"2": 1}}, "2"),
         ("inP", {"default": 0}, "default"),
+        pytest.param("member", DEEP, "nested", id="member-deep-nested"),
+        pytest.param("inP", DEEP, "nested", id="inP-deep-nested"),
     ],
 )
 def test_malformed_file_is_input_error(capsys, tmp_path, verb, doc, field):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if verb == "member":
         argv = ["member", "--aut-file", str(path), "--pair", "|0", "|0"]
     else:
@@ -192,3 +199,12 @@ def test_malformed_file_is_input_error(capsys, tmp_path, verb, doc, field):
     assert code == 2 and out == ""
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_alpha", broken)
+    code, out, err = run(capsys, "alpha", "--prefix", "3")
+    assert (code, out, err) == (4, "", "internal error: RuntimeError('boom')\n")

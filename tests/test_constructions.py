@@ -35,9 +35,10 @@ from ratrel.twotape import (
     run_prefix_valid,
     validate,
 )
+from ratrel.verify import random_grid
 from ratrel.words import BlockWord, GAMMA, LassoWord
 
-from util import random_gamma_lasso, random_grid
+from util import random_gamma_lasso
 
 T = TwoTapeTransition
 
@@ -172,8 +173,9 @@ def test_schema_respects_deep_prefix_ones():
 
 def test_schema_truncations_replay():
     rng = random.Random(89)
-    for _ in range(6):
-        x = random_grid(rng, in_p=True)
+    # fixed: a 5-letter column prefix, period "00" and an override at column 7
+    fixed = grid("10110|00", c3="1|0", c7="01101|00")
+    for x in [random_grid(rng, ensure_in_p=True) for _ in range(6)] + [fixed]:
         schema = build_run_schema(x)
         for blocks in (50, 100):
             run = schema_to_run(schema, blocks)

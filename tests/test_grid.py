@@ -17,9 +17,9 @@ from ratrel.grid import (
     grid_to_json,
     in_P,
 )
+from ratrel.verify import random_grid
 from ratrel.words import LassoWord, lasso_equal
 
-from util import random_grid
 
 
 def lasso(text: str) -> LassoWord:
@@ -61,8 +61,9 @@ def test_in_P_examples():
 def test_in_P_against_complement_automaton():
     few_ones = ones_automaton(complement=True)
     rng = random.Random(3)
-    for _ in range(60):
-        x = random_grid(rng)
+    # fixed: 5-letter column prefixes, period "00" and overrides at column 7
+    fixed = [grid("10110|00", c7="01101|00"), grid("10110|00", c7="01101|01")]
+    for x in [random_grid(rng) for _ in range(60)] + fixed:
         expected = all(buchi_accepts_lasso(few_ones, col) for col in x.columns())
         assert in_P(x) == expected
 

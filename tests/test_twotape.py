@@ -22,10 +22,10 @@ from ratrel.twotape import (
     union,
     validate,
 )
+from ratrel.verify import closure_accepts_pair, random_lasso, random_two_tape
 from ratrel.words import BINARY, GAMMA, LassoWord
 
-from oracles import naive_accepts_pair
-from util import all_binary_lassos, random_gamma_lasso, random_lasso, random_two_tape
+from util import all_binary_lassos, random_gamma_lasso
 
 T = TwoTapeTransition
 
@@ -276,7 +276,7 @@ def test_decision_agrees_with_naive_oracle_random():
         aut = random_two_tape(rng)
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
-        assert accepted(aut, w1, w2) == naive_accepts_pair(aut, w1, w2)
+        assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
 
 
 def test_decision_exhaustive_small_lassos():
@@ -290,7 +290,7 @@ def test_decision_exhaustive_small_lassos():
             for w2 in words:
                 out = accepts_lasso_pair(aut, w1, w2)
                 verdict = out.verdict is Verdict.ACCEPTED
-                assert verdict == naive_accepts_pair(aut, w1, w2), (aut, w1, w2)
+                assert verdict == closure_accepts_pair(aut, w1, w2), (aut, w1, w2)
                 if verdict:
                     accepted_total += 1
                     assert_fair_certificate(aut, out, w1, w2)
@@ -342,7 +342,7 @@ def test_multi_letter_labels():
     )
     assert accepted(aut, LassoWord("", "01"), LassoWord("", "01"))
     assert not accepted(aut, LassoWord("", "0"), LassoWord("", "01"))
-    assert naive_accepts_pair(aut, LassoWord("", "01"), LassoWord("", "01"))
+    assert closure_accepts_pair(aut, LassoWord("", "01"), LassoWord("", "01"))
     out = accepts_lasso_pair(aut, LassoWord("", "01"), LassoWord("", "01"))
     replay = RunPrefix(out.certificate.stem.transitions + out.certificate.cycle.transitions * 3)
     assert run_prefix_valid(aut, replay, LassoWord("", "01"), LassoWord("", "01")).ok
@@ -358,7 +358,7 @@ def test_multi_letter_labels_cross_period_boundary():
     assert accepted(aut, LassoWord("1", "101"), zeros)
     assert not accepted(aut, LassoWord("1", "10"), zeros)  # second chunk reads 101
     for w1 in (LassoWord("1", "101"), LassoWord("1", "10"), LassoWord("11", "011")):
-        assert accepted(aut, w1, zeros) == naive_accepts_pair(aut, w1, zeros)
+        assert accepted(aut, w1, zeros) == closure_accepts_pair(aut, w1, zeros)
 
 
 # -- bounded search ------------------------------------------------------------

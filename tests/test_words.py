@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ratrel.verify import random_lasso
 from ratrel.words import (
     Alphabet,
     AlphabetMismatch,
@@ -15,7 +16,7 @@ from ratrel.words import (
     prefix_of,
 )
 
-from util import random_gamma_lasso, random_lasso
+from util import random_gamma_lasso
 
 
 def lasso(text: str) -> LassoWord:

@@ -1,66 +1,15 @@
-"""Seeded random generators shared across the test modules."""
+"""Test-only generators; the shared ones live in ``ratrel.verify``."""
 
 from __future__ import annotations
 
 import random
 
-from ratrel.grid import GridWord
-from ratrel.twotape import TwoTapeAutomaton, TwoTapeTransition
-from ratrel.words import BINARY, GAMMA, LassoWord
-
-
-def random_lasso(rng: random.Random, letters: str = "01", max_prefix: int = 3, max_period: int = 3) -> LassoWord:
-    prefix = "".join(rng.choice(letters) for _ in range(rng.randint(0, max_prefix)))
-    period = "".join(rng.choice(letters) for _ in range(rng.randint(1, max_period)))
-    return LassoWord(prefix, period)
+from ratrel.verify import random_lasso
+from ratrel.words import LassoWord
 
 
 def random_gamma_lasso(rng: random.Random, max_prefix: int = 4, max_period: int = 4) -> LassoWord:
     return random_lasso(rng, "01A", max_prefix, max_period)
-
-
-def random_binary_column(rng: random.Random, finite_ones: bool) -> LassoWord:
-    prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
-    if finite_ones:
-        return LassoWord(prefix, rng.choice(("0", "00")))
-    period = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
-    return LassoWord(prefix, period)
-
-
-def random_grid(rng: random.Random, in_p: bool | None = None) -> GridWord:
-    """Random grid; in_p=True keeps all 1s in column prefixes."""
-    finite = in_p if in_p is not None else rng.random() < 0.5
-    overrides = {}
-    for _ in range(rng.randint(0, 3)):
-        overrides[rng.randint(1, 7)] = random_binary_column(rng, finite_ones=finite)
-    return GridWord(random_binary_column(rng, finite_ones=finite), overrides)
-
-
-def random_two_tape(
-    rng: random.Random,
-    max_states: int = 3,
-    max_transitions: int | None = None,
-    labels: tuple[str, ...] = ("", "0", "1"),
-    alphabet=BINARY,
-) -> TwoTapeAutomaton:
-    n = rng.randint(1, max_states)
-    states = tuple(f"s{i}" for i in range(n))
-    limit = max_transitions if max_transitions is not None else 2 * n + 3
-    transitions = set()
-    for _ in range(rng.randint(1, limit)):
-        transitions.add(
-            TwoTapeTransition(
-                rng.choice(states), rng.choice(labels), rng.choice(labels), rng.choice(states)
-            )
-        )
-    accepting = frozenset(s for s in states if rng.random() < 0.5)
-    return TwoTapeAutomaton(states, alphabet, alphabet, tuple(transitions), states[0], accepting)
-
-
-def random_gamma_two_tape(rng: random.Random, max_states: int = 4) -> TwoTapeAutomaton:
-    return random_two_tape(
-        rng, max_states=max_states, labels=("", "0", "1", "A"), alphabet=GAMMA
-    )
 
 
 def all_binary_lassos(max_prefix: int, max_period: int) -> list[LassoWord]:
