@@ -42,6 +42,9 @@ ONE_TAPE_NAMES = {
 }
 
 
+EXIT_STATUS = {Verdict.ACCEPTED: 0, Verdict.REJECTED: 1, Verdict.INCONCLUSIVE: 3}
+
+
 class InputError(Exception):
     pass
 
@@ -90,42 +93,36 @@ def cmd_decode(args) -> int:
 
 
 def cmd_member(args) -> int:
+    certificate = None
     if args.word is not None:
         if args.aut not in ONE_TAPE_NAMES:
             raise InputError("--word only applies to the one-tape automata A and Acomp")
         aut = ONE_TAPE_NAMES[args.aut]()
         accepted = buchi_accepts_lasso(aut, LassoWord.parse(args.word, aut.alphabet))
-        if args.json:
-            print(json.dumps({"verdict": "accepted" if accepted else "rejected"}))
-        else:
-            print("accepted" if accepted else "rejected")
-        return 0 if accepted else 1
-
-    if args.pair is None:
-        raise InputError("member needs --pair W1 W2 (or --word W for A/Acomp)")
-    aut = _load_two_tape(args)
-    w1 = _parse_lasso(args.pair[0])
-    w2 = _parse_lasso(args.pair[1])
-    outcome = accepts_lasso_pair(aut, w1, w2)
-    accepted = outcome.verdict is Verdict.ACCEPTED
+        verdict = Verdict.ACCEPTED if accepted else Verdict.REJECTED
+    else:
+        if args.pair is None:
+            raise InputError("member needs --pair W1 W2 (or --word W for A/Acomp)")
+        aut = _load_two_tape(args)
+        w1 = _parse_lasso(args.pair[0])
+        w2 = _parse_lasso(args.pair[1])
+        outcome = accepts_lasso_pair(aut, w1, w2)
+        verdict, certificate = outcome.verdict, outcome.certificate
+    runs = {"stem": certificate.stem, "cycle": certificate.cycle} if certificate else {}
     if args.json:
-        doc = {"verdict": outcome.verdict.value}
-        if outcome.certificate:
+        doc = {"verdict": verdict.value}
+        if runs:
             doc["certificate"] = {
-                "stem": [list(t) for t in outcome.certificate.stem.transitions],
-                "cycle": [list(t) for t in outcome.certificate.cycle.transitions],
+                part: [list(t) for t in run.transitions] for part, run in runs.items()
             }
         print(json.dumps(doc))
     else:
-        print(outcome.verdict.value)
-        if outcome.certificate:
-            print("stem:")
-            for t in outcome.certificate.stem.transitions:
+        print(verdict.value)
+        for part, run in runs.items():
+            print(f"{part}:")
+            for t in run.transitions:
                 print(f"  {t.src} --{t.read1 or 'ε'}/{t.read2 or 'ε'}--> {t.dst}")
-            print("cycle:")
-            for t in outcome.certificate.cycle.transitions:
-                print(f"  {t.src} --{t.read1 or 'ε'}/{t.read2 or 'ε'}--> {t.dst}")
-    return 0 if accepted else 1
+    return EXIT_STATUS[verdict]
 
 
 def cmd_search(args) -> int:
@@ -152,11 +149,7 @@ def cmd_search(args) -> int:
                 f"expansions={s.expansions} fair_visits={s.fair_visits} "
                 f"deepest={s.deepest} frontier={s.frontier} exhausted={s.exhausted}"
             )
-    if outcome.verdict is Verdict.ACCEPTED:
-        return 0
-    if outcome.verdict is Verdict.REJECTED:
-        return 1
-    return 3
+    return EXIT_STATUS[outcome.verdict]
 
 
 def cmd_in_p(args) -> int:

@@ -12,9 +12,12 @@ that witnesses membership for coded grids whose columns die out.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate
+from math import inf, lcm
+from typing import Callable
 
 from .grid import GridWord, antidiagonal, encode_h, in_P
 from .twotape import (
@@ -43,11 +46,7 @@ class UndecidableCondition(ValueError):
 
 def alpha() -> BlockWord:
     """The fixed word A.0.A.00.A.000..., i.e. the coded all-zero grid."""
-    return BlockWord(
-        block_fn=lambda n: "0" * n,
-        block_len_fn=lambda n: n,
-        h_source=GridWord.zero(),
-    )
+    return BlockWord(block_fn=lambda n: "0" * n, h_source=GridWord.zero())
 
 
 @lru_cache(maxsize=None)
@@ -86,28 +85,37 @@ def automaton_T() -> TwoTapeAutomaton:
 # Decompositions: the block ledger for pairs (coded grid, alpha).
 
 
-def _column_last_one(x: GridWord, j: int) -> int | None:
-    """Last row of column j carrying a 1; None when the period has 1s (infinitely many)."""
-    col = x.column(j).normal()
-    if "1" in col.period:
-        return None
-    idx = col.prefix.rfind("1")
-    return idx + 1 if idx >= 0 else 0
+def _last_one(col: LassoWord) -> float:
+    """Last row of a column carrying a 1: 0 for none, inf when its period has 1s."""
+    col = col.normal()
+    return inf if "1" in col.period else col.prefix.rfind("1") + 1
 
 
-def _safe_cap(x: GridWord, k: int, n: int) -> int:
-    """Largest zero-buffer length usable at block n and every later block.
+def _cap_profile(x: GridWord) -> Callable[[int, int], int]:
+    """The safe-cap function cap(k, n) of the ledgers for (coded x, alpha).
 
-    Length ell is safe iff every column j <= ell is permanently zero from
-    row k+n-j on; a buffer below this cap can be kept (or grown into the
-    cap) forever, and conversely any infinite ledger must stay below it.
+    cap(k, n) is the largest zero-buffer length usable at block n and every
+    later block.  Length ell is safe iff every column j <= ell is zero from
+    row k+n-j on, i.e. its death row last_one(j)+j is at most k+n-1; a
+    buffer below the cap can be kept (or grown into the cap) forever, and
+    conversely any infinite ledger must stay below it.  So cap(k, n) counts
+    the leading columns whose running maximum death row is at most k+n-1:
+    one bisect over the override columns 1..J, and past J every column is
+    the default, whose death row grows by one per column, which gives
+    max(J, k+n-1-last_one(default)).  A death row is at least its column
+    index, so cap(k, n) <= k+n-1, the block length, without a check.
     """
-    cap = 0
-    while cap + 1 <= k + n - 1:
-        last = _column_last_one(x, cap + 1)
-        if last is None or last + (cap + 1) >= k + n:
-            break
-        cap += 1
+    last_override = max(x.overrides, default=0)
+    running = list(
+        accumulate((_last_one(x.column(j)) + j for j in range(1, last_override + 1)), max)
+    )
+    tail = _last_one(x.default_column)
+
+    def cap(k: int, n: int) -> int:
+        row = k + n - 1
+        count = bisect_right(running, row)
+        return count if count < last_override else max(count, row - tail)
+
     return cap
 
 
@@ -168,9 +176,10 @@ def build_decompositions(x: GridWord, depth: int, k_max: int) -> DecompositionSe
     """
     if depth < 1 or k_max < 1:
         raise ValueError("depth and k_max must be >= 1")
+    cap = _cap_profile(x)
     branches: list[Decomposition] = []
     for k in range(1, k_max + 1):
-        caps = [_safe_cap(x, k, n) for n in range(1, depth + 1)]
+        caps = [cap(k, n) for n in range(1, depth + 1)]
         stack: list[tuple[int, tuple[int, ...]]] = []
         for v1 in range(min(k, caps[0]) + 1):
             stack.append((1, (v1,)))
@@ -224,11 +233,15 @@ class RunSchema:
     grid: GridWord
     k: int = 1
     _v: list[int] = field(default_factory=list, repr=False)
+    _cap: Callable[[int, int], int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._cap = _cap_profile(self.grid)
 
     def v_len(self, n: int) -> int:
         while len(self._v) < n:
             m = len(self._v) + 1
-            cap = _safe_cap(self.grid, self.k, m)
+            cap = self._cap(self.k, m)
             prev = self._v[-1] if self._v else min(self.k, cap)
             self._v.append(prev if m == 1 else min(prev + 1, cap))
         return self._v[n - 1]
@@ -485,6 +498,14 @@ class BlockProfile:
 def block_profile(w: OmegaWord) -> BlockProfile:
     """Block structure of a lasso, or of a block word tagged as a coded grid.
 
+    Block n of a lasso runs from its n-th A to the next one, so all block
+    lengths are gaps between the A positions of prefix.period.period in
+    normal form.  Blocks after an A inside the prefix are the transient;
+    blocks after the As of the first period copy repeat forever and form
+    the cycle.  That split is exact because a normal prefix never ends in
+    the period's last letter, so no prefix A recurs with the period.  A
+    period without A leaves finitely many complete blocks, the prefix gaps.
+
     Only the grid tag fixes the 1,2,3,... layout of a block word: any
     finite look at an untagged word's block lengths says nothing about the
     rest, so untagged block words raise UndecidableCondition.
@@ -495,38 +516,20 @@ def block_profile(w: OmegaWord) -> BlockProfile:
         return BlockProfile(leading_a=True, kind="layout")
     w = w.normal()
     lp, pp = len(w.prefix), len(w.period)
-    leading_a = w.letter_at(1) == "A"
+    text = w.prefix + w.period * 2
+    seps = [i + 1 for i, ch in enumerate(text) if ch == "A"]
+    gaps = tuple(b - a - 1 for a, b in zip(seps, seps[1:]))
+    leading_a = text[0] == "A"
     if "A" not in w.period:
-        a_positions = [i + 1 for i, ch in enumerate(w.prefix) if ch == "A"]
-        lengths = tuple(
-            a_positions[i + 1] - a_positions[i] - 1 for i in range(len(a_positions) - 1)
-        )
-        return BlockProfile(leading_a=leading_a, kind="finite", lengths=lengths)
-
-    def next_a(pos: int) -> int:
-        while w.letter_at(pos) != "A":
-            pos += 1
-        return pos
-
-    lengths: list[int] = []
-    seen_phase: dict[int, int] = {}
-    prev = next_a(1)
-    while True:
-        start = prev + 1
-        if start > lp:
-            phase = (start - lp - 1) % pp
-            if phase in seen_phase:
-                i = seen_phase[phase]
-                return BlockProfile(
-                    leading_a=leading_a,
-                    kind="cyclic",
-                    lengths=tuple(lengths[:i]),
-                    cycle=tuple(lengths[i:]),
-                )
-            seen_phase[phase] = len(lengths)
-        nxt = next_a(start)
-        lengths.append(nxt - start)
-        prev = nxt
+        return BlockProfile(leading_a=leading_a, kind="finite", lengths=gaps)
+    transient = bisect_right(seps, lp)
+    cycle_end = bisect_right(seps, lp + pp)
+    return BlockProfile(
+        leading_a=leading_a,
+        kind="cyclic",
+        lengths=gaps[:transient],
+        cycle=gaps[transient:cycle_end],
+    )
 
 
 def _finitely_many_a(w: OmegaWord) -> bool:

@@ -116,11 +116,7 @@ def antidiagonal(x: GridWord, q: int) -> str:
 
 def encode_h(x: GridWord) -> BlockWord:
     """Code a grid as the block word whose n-th block is antidiagonal n+1."""
-    return BlockWord(
-        block_fn=lambda n: antidiagonal(x, n + 1),
-        block_len_fn=lambda n: n,
-        h_source=x,
-    )
+    return BlockWord(block_fn=lambda n: antidiagonal(x, n + 1), h_source=x)
 
 
 def decode_h_prefix(w: str) -> PartialGrid:

@@ -610,6 +610,11 @@ def bounded_run_search(
     evidence the statistics report.  Never returns Rejected; returns
     Accepted only when both inputs are lassos and the exact decision finds
     a certificate.
+
+    The statistics measure progress only.  On (coded grid, alpha) pairs
+    they do not separate grids in P from grids outside P: both can give
+    identical counts at the same budget.  Membership of such pairs is
+    decided by ``grid_pair_in_r1`` or ``in_P``, not by this search.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -327,6 +327,8 @@ def _checks(seed: int, trials: int):
 
 
 def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     results = []
     for name, fn in _checks(seed, trials):
         try:

@@ -9,9 +9,7 @@ A.B1.A.B2.A... given by a computable block function.  Positions are
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
@@ -135,63 +133,44 @@ class LassoWord:
 
 @dataclass(frozen=True, eq=False)
 class BlockWord:
-    """Word A.B1.A.B2.A... with Bn computed on demand.
+    """Word A.B1.A.B2.A... with Bn = block_fn(n) computed on demand.
 
-    ``block_len_fn`` must agree with ``len(block_fn(n))``; it exists so
-    structural checks can reason about the layout without materialising
-    blocks.  ``h_source`` tags words that encode a grid (see ratrel.grid);
-    it is what makes membership predicates on coded words decidable.
+    Letters are read from one cached prefix text "A"+B1+"A"+B2+... kept
+    together with the index of the next block.  A read past the text
+    builds a text at least twice as long and swaps the new pair in whole,
+    so the pair is never changed in place and every pair a reader sees is
+    a prefix of the same word: concurrent readers need no lock.
+    ``h_source`` tags words that encode a grid (see ratrel.grid); it is
+    what makes membership predicates on coded words decidable.
     """
 
     block_fn: Callable[[int], str]
-    block_len_fn: Callable[[int], int]
     h_source: object | None = None
-    _seps: list[int] = field(default_factory=lambda: [1], repr=False)
-    _blocks: dict[int, str] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def block(self, n: int) -> str:
-        b = self._blocks.get(n)
-        if b is None:
-            b = self.block_fn(n)
-            self._blocks[n] = b  # idempotent, so a racing writer is harmless
-        return b
-
-    def _extend_seps(self, upto: int) -> None:
-        if self._seps[-1] >= upto:
-            return
-        with self._lock:
-            seps = self._seps
-            while seps[-1] < upto:
-                n = len(seps)  # separator n already placed; block n follows it
-                seps.append(seps[-1] + 1 + self.block_len_fn(n))
+    def _text(self, n: int) -> str:
+        """The cached prefix text, first grown to at least n letters."""
+        text, b = getattr(self, "_text_cache", ("", 1))
+        if len(text) < n:
+            parts = [text]
+            size, goal = len(text), max(n, 2 * len(text))
+            while size < goal:
+                block = self.block_fn(b)
+                parts += ("A", block)
+                size += 1 + len(block)
+                b += 1
+            text = "".join(parts)
+            object.__setattr__(self, "_text_cache", (text, b))
+        return text
 
     def letter_at(self, n: int) -> str:
         if n < 1:
             raise ValueError("positions are 1-based")
-        self._extend_seps(n)
-        seps = self._seps
-        i = bisect_right(seps, n) - 1
-        if seps[i] == n:
-            return "A"
-        return self.block(i + 1)[n - seps[i] - 1]
+        return self._text(n)[n - 1]
 
     def prefix_of(self, n: int) -> str:
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        parts: list[str] = []
-        total = 0
-        b = 1
-        while total < n:
-            parts.append("A")
-            total += 1
-            if total >= n:
-                break
-            blk = self.block(b)
-            parts.append(blk)
-            total += len(blk)
-            b += 1
-        return "".join(parts)[:n]
+        return self._text(n)[:n]
 
 
 OmegaWord = Union[LassoWord, BlockWord]

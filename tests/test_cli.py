@@ -148,6 +148,14 @@ def test_verify_small(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_without_trials_is_input_error(capsys, trials):
+    # with no trials most checks would run nothing and still pass
+    code, out, err = run(capsys, "verify", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
 def test_missing_grid_file(capsys):
     code, _, err = run(capsys, "encode", "--grid", "/nonexistent.json", "--prefix", "5")
     assert code == 2 and "error" in err

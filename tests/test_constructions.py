@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from ratrel.constructions import (
     Decomposition,
+    _cap_profile,
     NotInP,
     UndecidableCondition,
     UnknownShape,
@@ -35,7 +37,7 @@ from ratrel.twotape import (
     run_prefix_valid,
     validate,
 )
-from ratrel.verify import random_grid
+from ratrel.verify import random_grid, random_lasso
 from ratrel.words import BlockWord, GAMMA, LassoWord
 
 from util import random_gamma_lasso
@@ -61,7 +63,8 @@ def accepted(aut, w1, w2) -> bool:
 
 def test_alpha_prefix():
     assert alpha().prefix_of(10) == "A0A00A000A"
-    assert [alpha().block_len_fn(n) for n in range(1, 6)] == [1, 2, 3, 4, 5]
+    w = alpha()
+    assert [n for n in range(1, 56) if w.letter_at(n) == "A"] == [n * (n + 1) // 2 for n in range(1, 11)]
 
 
 def test_alpha_equals_coded_zero_grid():
@@ -136,6 +139,30 @@ def test_blocking_law():
             n = r + j - dec.k
             if 1 <= n <= dec.depth:
                 assert dec.v_len(n) < j
+
+
+def zero_from(col: LassoWord, row: int) -> bool:
+    """Whether a column has no 1 at any row >= row (one period past the prefix suffices)."""
+    end = max(row - 1, len(col.prefix)) + len(col.period)
+    return "1" not in col.prefix_of(end)[row - 1 :]
+
+
+def test_cap_profile_is_longest_run_of_safe_columns():
+    # cap(k, n) is the buffer length ell such that every column j <= ell is
+    # zero from row k+n-j on, and column ell+1 is not (or ell fills the block)
+    rng = random.Random(97)
+    for _ in range(300):
+        default = random_lasso(rng, "01", 4, 2)
+        picks = rng.sample(range(1, 13), rng.randint(0, 5))
+        x = GridWord(default, {j: random_lasso(rng, "01", 5, 2) for j in picks})
+        cap = _cap_profile(x)
+        for k in (1, 2, 3):
+            for n in range(1, 25):
+                c = cap(k, n)
+                assert 0 <= c <= k + n - 1
+                assert all(zero_from(x.column(j), k + n - j) for j in range(1, c + 1))
+                if c < k + n - 1:
+                    assert not zero_from(x.column(c + 1), k + n - c - 1)
 
 
 def test_decomposition_replay_rejects_corruption():
@@ -439,6 +466,21 @@ def coded_shape_possible(w: LassoWord) -> bool:
     return all(profile.block_len(n) == n for n in range(1, horizon + 1))
 
 
+def test_block_profile_matches_separator_gaps():
+    # block n of a lasso is the gap after its n-th A; check every block
+    # that ends inside a long prefix, on every small lasso over {0,1,A}
+    for lp, pp in itertools.product(range(4), range(1, 4)):
+        for prefix in map("".join, itertools.product("01A", repeat=lp)):
+            for period in map("".join, itertools.product("01A", repeat=pp)):
+                w = LassoWord(prefix, period)
+                profile = block_profile(w)
+                gaps = w.prefix_of(40).split("A")
+                assert profile.leading_a == (gaps[0] == "")
+                assert (profile.kind == "finite") == ("A" not in period)
+                for n in range(1, len(gaps) - 1):
+                    assert profile.block_len(n) == len(gaps[n]), (w, n)
+
+
 def test_lassos_always_in_alpha_section():
     rng = random.Random(113)
     for _ in range(80):
@@ -455,10 +497,7 @@ def test_alpha_section_on_coded_words():
 
 def test_block_profile_needs_grid_tag():
     # the first 8 blocks follow the 1,2,3,... layout, the 9th breaks it
-    untagged = BlockWord(
-        block_fn=lambda n: "0" * (2 if n == 9 else n),
-        block_len_fn=lambda n: 2 if n == 9 else n,
-    )
+    untagged = BlockWord(block_fn=lambda n: "0" * (2 if n == 9 else n))
     with pytest.raises(UndecidableCondition):
         block_profile(untagged)
     with pytest.raises(UndecidableCondition):
@@ -467,7 +506,7 @@ def test_block_profile_needs_grid_tag():
 
 
 def test_alpha_section_rejects_untagged_block_words():
-    anonymous = BlockWord(block_fn=lambda n: "0" * n, block_len_fn=lambda n: n)
+    anonymous = BlockWord(block_fn=lambda n: "0" * n)
     with pytest.raises(UnknownShape):
         in_alpha_section(anonymous)
 

@@ -83,8 +83,8 @@ def test_encode_examples():
     assert encode_h(GridWord.zero()).prefix_of(10) == alpha().prefix_of(10)
     w = encode_h(grid(c1="1|0"))  # entry (1,1) = 1
     assert w.prefix_of(3) == "A1A"
-    for n in range(1, 20):
-        assert w.block_len_fn(n) == n
+    seps = [n for n in range(1, 191) if w.letter_at(n) == "A"]
+    assert seps == [n * (n + 1) // 2 for n in range(1, 20)]
 
 
 def test_decode_examples():

@@ -1,8 +1,11 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 
+from ratrel.grid import GridWord, encode_h
 from ratrel.verify import random_lasso
 from ratrel.words import (
     Alphabet,
@@ -57,14 +60,14 @@ def test_letter_at_lasso():
 
 def test_letter_at_block_word():
     # layout A.B1.A.B2... with growing all-zero blocks puts A at 1, 3, 6, 10
-    w = BlockWord(block_fn=lambda n: "0" * n, block_len_fn=lambda n: n)
+    w = BlockWord(block_fn=lambda n: "0" * n)
     assert w.letter_at(6) == "A"
     assert [n for n in range(1, 16) if w.letter_at(n) == "A"] == [1, 3, 6, 10, 15]
     assert w.letter_at(7) == "0"
 
 
 def test_prefix_of():
-    w = BlockWord(block_fn=lambda n: "0" * n, block_len_fn=lambda n: n)
+    w = BlockWord(block_fn=lambda n: "0" * n)
     assert w.prefix_of(8) == "A0A00A00"
     assert w.prefix_of(0) == ""
     assert lasso("|01").prefix_of(5) == "01010"
@@ -81,9 +84,53 @@ def test_prefix_extension_law():
 
 def test_block_word_prefix_matches_letters():
     blocks = {1: "10", 2: "0", 3: "111"}
-    w = BlockWord(block_fn=lambda n: blocks.get(n, "0" * n), block_len_fn=lambda n: len(blocks.get(n, "0" * n)))
+    w = BlockWord(block_fn=lambda n: blocks.get(n, "0" * n))
     text = w.prefix_of(30)
     assert all(text[n - 1] == w.letter_at(n) for n in range(1, 31))
+
+
+@pytest.mark.parametrize(
+    "block_fn",
+    [lambda n: ("10", "", "111", "0")[n % 4], lambda n: "", lambda n: "01" * (n % 3)],
+)
+def test_block_word_equals_concatenation(block_fn):
+    # blocks of uneven length and of length 0, read in order, out of order
+    # and as prefixes, each on a fresh word so every read may grow the text
+    text = "".join("A" + block_fn(n) for n in range(1, 300))
+    w = BlockWord(block_fn=block_fn)
+    assert [w.letter_at(n) for n in range(1, 200)] == list(text[:199])
+    w = BlockWord(block_fn=block_fn)
+    order = list(range(1, 200))
+    random.Random(11).shuffle(order)
+    assert all(w.letter_at(n) == text[n - 1] for n in order)
+    for m in (0, 1, 2, 7, 64, 199):
+        assert BlockWord(block_fn=block_fn).prefix_of(m) == text[:m]
+
+
+def test_block_word_concurrent_reads():
+    # four threads read interleaved positions of one fresh coded word while
+    # its text grows; many fresh words give the swaps many chances to race
+    x = GridWord(LassoWord("0110", "0"), {2: LassoWord("1", "01"), 5: LassoWord("", "1")})
+    n = 500
+    expected = encode_h(x).prefix_of(n)
+
+    def read(w: BlockWord, i: int, seen: list) -> None:
+        seen[i] = "".join(w.letter_at(p) for p in range(i + 1, n + 1, 4))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            w, seen = encode_h(x), [None] * 4
+            threads = [threading.Thread(target=read, args=(w, i, seen)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [expected[i::4] for i in range(4)]
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_lasso_equal_examples():
@@ -118,7 +165,7 @@ def test_lasso_equal_iff_bounded_prefix_agreement():
 
 def test_module_level_dispatch():
     w = lasso("A|0A")
-    b = BlockWord(block_fn=lambda n: "0" * n, block_len_fn=lambda n: n)
+    b = BlockWord(block_fn=lambda n: "0" * n)
     assert letter_at(w, 1) == "A"
     assert letter_at(b, 2) == "0"
     assert prefix_of(b, 3) == "A0A"
