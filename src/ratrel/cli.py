@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import buchi, twotape, verify
+from . import buchi, twotape
 from .buchi import BuchiAutomaton, buchi_accepts_lasso, ones_automaton
 from .constructions import (
     alpha,
@@ -186,6 +186,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # imported here: the other verbs do not need to compile it
+
     results = verify.run_all(seed=args.seed, trials=args.trials)
     failed = 0
     for res in results:

@@ -10,14 +10,21 @@ labels do not count as accepting behaviour.
 For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
-period.  The graph is explored on the fly, never stored: each tape is
+period.  Two analyses of the automaton, cached with its compiled form,
+come first: a letter-coverage test rejects when no reachable component
+can carry an accepting tail over the words' letters, and a configuration
+in a final state (accepting, with single-letter self-loops for every
+letter of both periods and of the rest of each lasso prefix) accepts.
+Otherwise the graph is explored on the fly, never stored: each tape is
 compiled into next-position tables per transition label, configurations
 are packed into ints, and one Couvreur-style SCC search with three edge
 marks (accepting state entered, tape-1 letter consumed, tape-2 letter
-consumed) stops at the first component that carries all three.  The
-certificate is rebuilt afterwards by breadth-first search over the
-configurations that search visited.  For block-pattern inputs a budgeted
-best-first search reports evidence instead of a verdict.
+consumed), trying transitions towards final states first, stops at the
+first component that carries all three or at a final configuration.  The
+certificate is the search stack plus a cycle on the final state's
+self-loops, or a cycle rebuilt inside the component from the visited
+configurations.  For block-pattern inputs a budgeted best-first search
+reports evidence instead of a verdict.
 """
 
 from __future__ import annotations
@@ -134,8 +141,8 @@ def validate(aut: TwoTapeAutomaton) -> Diagnostics:
     co_accepting = _closure(set(aut.accepting), back)
     return Diagnostics(
         state_count=len(aut.states),
-        unreachable=frozenset(states - reachable),
-        cannot_reach_accepting=frozenset(states - co_accepting),
+        unreachable=frozenset(states - reachable.keys()),
+        cannot_reach_accepting=frozenset(states - co_accepting.keys()),
     )
 
 
@@ -146,14 +153,16 @@ def _targets(transitions) -> dict[str, list[str]]:
     return fwd
 
 
-def _closure(seeds: set[str], edges: dict[str, list[str]]) -> set[str]:
-    """Everything reachable from seeds, seeds included, along edges."""
-    seen = set(seeds)
-    todo = deque(seeds)
-    while todo:
-        for nxt in edges.get(todo.popleft(), ()):
+def _closure(seeds, edges: dict) -> dict:
+    """Everything reachable from seeds, seeds included, along edges, with
+    its breadth-first distance from the seeds."""
+    seen = dict.fromkeys(seeds, 0)
+    todo = list(seen)
+    for here in todo:  # grows while it is walked: breadth-first order
+        depth = seen[here] + 1
+        for nxt in edges.get(here, ()):
             if nxt not in seen:
-                seen.add(nxt)
+                seen[nxt] = depth
                 todo.append(nxt)
     return seen
 
@@ -256,10 +265,10 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
     keep = _closure({aut.initial}, _targets(transitions))
     kept_trans = tuple(t for t in transitions if t.src in keep and t.dst in keep)
     kept_states = tuple(s for s in aut.states if s in keep) + tuple(
-        sorted(plus_names & keep)
+        sorted(plus_names & keep.keys())
     )
     accepting = frozenset(
-        {s for s in aut.accepting if s in keep} | (plus_names & keep)
+        {s for s in aut.accepting if s in keep} | (plus_names & keep.keys())
     )
     return TwoTapeAutomaton(
         states=kept_states,
@@ -292,7 +301,7 @@ def _reject_degenerate(aut: TwoTapeAutomaton, eps_edges: dict[str, list[str]]) -
             continue
         if not any(s in reachable for s in cyc):
             continue
-        if not _closure(set(cyc), eps_edges) & has_consuming:
+        if not _closure(set(cyc), eps_edges).keys() & has_consuming:
             raise DegenerateAutomaton(
                 f"accepting silent cycle through {sorted(set(cyc))} cannot consume input"
             )
@@ -408,12 +417,25 @@ _ALL = ACC | T1 | T2
 
 
 def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
-    """Integer form: initial state id, the distinct labels of each tape, and
+    """Integer form: the initial state id; the distinct labels of each tape;
     per state id its rows (label-1 index, label-2 index, target id, marks,
-    transition)."""
-    ids: dict[str, int] = {}
-    for s in (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst))):
-        ids.setdefault(s, len(ids))
+    transition); per component with a cycle through an accepting state, its
+    state ids and the letters its internal edges read on each tape; per
+    looping state id the letters its single-letter self-loops read on each
+    tape; and a memo for ``_search_order``.
+
+    A looping state is accepting and has self-loops (a, "") and ("", b) for
+    at least one letter of each tape.  Looping states are numbered last.
+    """
+    loops: dict[str, tuple[set, set]] = {}
+    for t in aut.transitions:
+        if t.src == t.dst and len(t.read1) + len(t.read2) == 1 and t.src in aut.accepting:
+            loops.setdefault(t.src, (set(), set()))[0 if t.read1 else 1].add(t.read1 + t.read2)
+    loops = {q: sets for q, sets in loops.items() if all(sets)}
+    names = dict.fromkeys(
+        (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
+    )
+    ids = {s: i for i, s in enumerate(sorted(names, key=loops.__contains__) if loops else names)}
     labels1 = sorted({t.read1 for t in aut.transitions})
     labels2 = sorted({t.read2 for t in aut.transitions})
     rows: list[list] = [[] for _ in ids]
@@ -422,14 +444,70 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
         marks |= T2 if t.read2 else 0
         row = (labels1.index(t.read1), labels2.index(t.read2), ids[t.dst], marks, t)
         rows[ids[t.src]].append(row)
-    return ids[aut.initial], labels1, labels2, rows
+    comp = tarjan_scc(len(ids), [[row[2] for row in rs] for rs in rows])
+    accepting = {comp[ids[q]] for q in aut.accepting if q in ids}
+    # per component with a cycle through an accepting state: its states, each
+    # the source of an edge inside it, and the letters those edges read
+    tails: dict[int, tuple[set, set, set]] = {}
+    for src, rs in enumerate(rows):
+        c = comp[src]
+        if c in accepting:
+            for _, _, dst, _, t in rs:
+                if comp[dst] == c:
+                    tail = tails.setdefault(c, (set(), set(), set()))
+                    tail[0].add(src)
+                    tail[1].update(t.read1)
+                    tail[2].update(t.read2)
+    loops = {ids[q]: sets for q, sets in loops.items()}
+    return ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, {}
+
+
+def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
+    """Letter-coverage test, false only for pairs the automaton rejects.
+
+    The tail of an accepting run stays inside one component, enters an
+    accepting state and reads every letter of both periods, along edges
+    whose labels use only letters of the words.  So some component that
+    covers the periods' letters must be reachable along such edges.
+    """
+    initial, labels1, labels2, rows, tails = compiled[:5]
+    need1, need2 = set(w1.period), set(w2.period)
+    covering = [comp for comp, read1, read2 in tails if need1 <= read1 and need2 <= read2]
+    if not covering:
+        return False
+    word1, word2 = set(w1.prefix) | need1, set(w2.prefix) | need2
+    fits1 = [set(label) <= word1 for label in labels1]
+    fits2 = [set(label) <= word2 for label in labels2]
+    edges = {q: [d for a, b, d, _, _ in rs if fits1[a] and fits2[b]] for q, rs in enumerate(rows)}
+    reach = _closure({initial}, edges)
+    return any(not comp.isdisjoint(reach) for comp in covering)
+
+
+def _search_order(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple:
+    """The final states for the words' periods, looping states whose loops
+    read every letter of both periods, with those letters; and the rows,
+    each state's sorted so that those whose target is nearer a final state
+    come first.  Memoised per set of final states."""
+    _, _, _, rows, _, loops, memo = compiled
+    need1, need2 = set(w1.period), set(w2.period)
+    final = {q: sets for q, sets in loops.items() if need1 <= sets[0] and need2 <= sets[1]}
+    if not final:
+        return final, rows
+    key = frozenset(final)
+    if key not in memo:  # stable sorts: nearest a final state first
+        back: dict[int, list[int]] = {}
+        for src, rs in enumerate(rows):
+            for row in rs:
+                back.setdefault(row[2], []).append(src)
+        distance = _closure(final, back)
+        memo[key] = [sorted(rs, key=lambda row: distance.get(row[2], len(rows))) for rs in rows]
+    return final, memo[key]
 
 
 def _compile_tape(w: LassoWord, labels: list[str]) -> tuple[int, list[list[int]]]:
-    """Positions of the normal form of w (absolute in the prefix, phase in
-    the period) and, per label, the table of next positions, -1 where the
-    label does not match."""
-    w = w.normal()
+    """Positions of the normal form w (absolute in the prefix, phase in the
+    period) and, per label, the table of next positions, -1 where the label
+    does not match."""
     text = w.prefix + w.period
     n = len(text)
     step = list(range(1, n)) + [len(w.prefix)]
@@ -454,20 +532,38 @@ def accepts_lasso_pair(
     Inside one component those edges always compose into a single fair
     cycle, and conversely any accepting run yields such a component.
 
+    Two shortcuts come first, both sound, both from analyses cached once
+    per automaton: the letter-coverage test ``_may_accept`` rejects
+    without touching the product, and a configuration in a state final
+    for the periods' letters (``_search_order``: accepting, with a
+    single-letter self-loop for every letter of both periods) accepts as
+    soon as the rest of each lasso prefix reads on those loops too.
+
     The graph is never built.  Each tape is compiled into next-position
     tables, one per distinct label, and configurations are packed into
     ints.  One iterative Couvreur-style DFS explores the product on the
-    fly and keeps, for every root of a partial component, the marks of
-    the edges merged into it; the search stops as soon as a root holds
-    all three.  The certificate is then rebuilt from the visited
-    configurations only: the stem follows the DFS stack to that root,
-    and the cycle is stitched from breadth-first paths inside the
-    component that pick up each mark in turn and return to the root.
-    Accepted verdicts carry this replayable stem-plus-cycle certificate.
+    fly, trying first the transitions nearest a final state, and keeps,
+    for every root of a partial component, the marks of the edges merged
+    into it; it stops as soon as a root holds all three or a final
+    configuration is reached.  It is the complete fallback, whatever the
+    order.
+
+    Accepted verdicts carry a replayable stem-plus-cycle certificate whose
+    stem follows the DFS stack.  After a final configuration the stem
+    reads the rest of each lasso prefix on the self-loops, and the cycle
+    is one turn of the tape-1 period, then of the tape-2 period, on them.
+    Otherwise the cycle is stitched from breadth-first paths inside the
+    component, over visited configurations only, that pick up each mark
+    in turn and return to the root.
     """
     aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
-    initial, labels1, labels2, rows = aut._compiled()
+    w1, w2 = w1.normal(), w2.normal()
+    compiled = aut._compiled()
+    if not _may_accept(compiled, w1, w2):
+        return SearchOutcome(verdict=Verdict.REJECTED)
+    initial, labels1, labels2 = compiled[:3]
+    final, rows = _search_order(compiled, w1, w2)
     n1, tabs1 = _compile_tape(w1, labels1)
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
@@ -496,7 +592,25 @@ def accepts_lasso_pair(
                 out.append(base + y)
         return out
 
+    # A configuration in a final state accepts once the rest of each lasso
+    # prefix reads on that state's loops: gate[head] is the least tape-2
+    # position from which it does (n2: never).
+    gate = [n2] * len(heads)
+    for q, (l1, l2) in final.items():
+        p1 = _loop_start(w1, l1)
+        gate[q * n1 + p1 : (q + 1) * n1] = [_loop_start(w2, l2)] * (n1 - p1)
+    limit = min(final, default=len(rows)) * n1 * n2  # no final state below
+
+    def reached_final(path: list[int]) -> SearchOutcome:
+        stem = _stem(successors, heads, n2, path)
+        head, p2 = divmod(path[-1], n2)
+        q = stem[-1].dst if stem else aut.initial
+        cert = _loop_certificate(q, stem, w1, head % n1, w2, p2)
+        return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=cert)
+
     start = initial * n1 * n2
+    if gate[initial * n1] == 0:
+        return reached_final([start])
     number = {start: 1}  # DFS number per visited configuration; 0 once its component closed
     lookup = number.get
     # per open partial component: root number, marks inside, marks of the edge into the root
@@ -510,6 +624,8 @@ def accepts_lasso_pair(
             d = code >> 3
             h = lookup(d)
             if h is None:
+                if d >= limit and d % n2 >= gate[d // n2]:
+                    return reached_final([f[0] for f in todo] + [d])
                 count += 1
                 number[d] = count
                 roots.append(count)
@@ -543,15 +659,55 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
+def _loop_start(w: LassoWord, letters: set) -> int:
+    """The first position from which the rest of w's prefix reads on letters."""
+    i = len(w.prefix)
+    while i and w.prefix[i - 1] in letters:
+        i -= 1
+    return i
+
+
+def _transition(heads, n2, c: int, code: int) -> TwoTapeTransition:
+    """The transition behind successor code ``code`` of configuration c."""
+    head, p2 = divmod(c, n2)
+    return next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
+
+
+def _stem(successors, heads, n2, path: list[int]) -> list[TwoTapeTransition]:
+    """Transitions along a path of configurations, each a successor of the last."""
+    return [
+        _transition(heads, n2, a, next(x for x in successors(a) if x >> 3 == b))
+        for a, b in zip(path, path[1:])
+    ]
+
+
+def _loop_certificate(q: str, stem: list, w1: LassoWord, p1: int, w2: LassoWord, p2: int):
+    """Certificate for a stem that ends in final state q at positions
+    p1, p2 of the normal forms: the stem goes on through the rest of each
+    lasso prefix, and the cycle is one turn of each period from there, all
+    on the self-loops of q."""
+
+    def split(w: LassoWord, p: int) -> tuple[str, str]:
+        lp, text = len(w.prefix), w.prefix + w.period
+        turn = max(p, lp)
+        return text[p:lp], text[turn:] + text[lp:turn]
+
+    def on1(letters: str) -> list:
+        return [TwoTapeTransition(q, ch, "", q) for ch in letters]
+
+    def on2(letters: str) -> list:
+        return [TwoTapeTransition(q, "", ch, q) for ch in letters]
+
+    (rest1, turn1), (rest2, turn2) = split(w1, p1), split(w2, p2)
+    stem = stem + on1(rest1) + on2(rest2)
+    return Certificate(stem=RunPrefix(tuple(stem)), cycle=RunPrefix(tuple(on1(turn1) + on2(turn2))))
+
+
 def _certificate(successors, heads, n2, number, path, root) -> Certificate:
     """Stem along the DFS path to the root numbered ``root``, and a cycle
     through that root inside its component (the open configurations
     numbered from ``root`` on) carrying all three marks.  Only visited
     configurations are expanded."""
-
-    def transition(c: int, code: int) -> TwoTapeTransition:
-        head, p2 = divmod(c, n2)
-        return next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
 
     def bfs(src: int, need: int, target: int = -1) -> tuple[list, int, int]:
         """Shortest path inside the component from src through the first
@@ -566,11 +722,11 @@ def _certificate(successors, heads, n2, number, path, root) -> Certificate:
                 if number.get(d, 0) < root:
                     continue
                 if code & need or d == target:
-                    steps = [transition(a, code)]
+                    steps = [_transition(heads, n2, a, code)]
                     marks = code & _ALL
                     while a != src:
                         a, code = parent[a]
-                        steps.append(transition(a, code))
+                        steps.append(_transition(heads, n2, a, code))
                         marks |= code & _ALL
                     steps.reverse()
                     return steps, d, marks
@@ -580,10 +736,7 @@ def _certificate(successors, heads, n2, number, path, root) -> Certificate:
         raise RuntimeError("component lacks a mark its root accumulated")
 
     k = next(i for i, c in enumerate(path) if number[c] == root)
-    stem = [
-        transition(a, next(x for x in successors(a) if x >> 3 == b))
-        for a, b in zip(path, path[1 : k + 1])
-    ]
+    stem = _stem(successors, heads, n2, path[: k + 1])
     anchor = here = path[k]
     cycle: list[TwoTapeTransition] = []
     need = _ALL

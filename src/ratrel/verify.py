@@ -5,9 +5,10 @@ Each check re-derives expected behaviour from an independent angle
 instead of the decision procedures) and runs on seeded random instances,
 so a single command can exercise the grid, two-tape and construction
 layers without the development test harness.  The seeded generators
-(``random_lasso``, ``random_grid``, ``random_two_tape``) and the closure
-oracle (``closure_accepts_pair``) are public: the test suite draws its
-instances and checks the decision with these same functions.
+(``random_lasso``, ``random_grid``, ``random_two_tape``) and the two
+oracles (``closure_accepts_pair``, ``nested_dfs_accepts_pair``) are
+public: the test suite draws its instances and checks the decision with
+these same functions.
 """
 
 from __future__ import annotations
@@ -162,6 +163,82 @@ def closure_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) ->
         has2 = any(a in mutual and b in mutual and k2 > 0 for a, b, _, k2 in edges)
         if has1 and has2:
             return True
+    return False
+
+
+def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -> bool:
+    """Nested depth-first reference for the lasso decision (Courcoubetis,
+    Vardi, Wolper and Yannakakis), sharing no code with the fair-cycle search.
+
+    Nodes are (state, tape-1 position, tape-2 position, k) over the normal
+    forms, positions absolute in the prefix and a phase in the period.  The
+    counter k waits for an edge entering an accepting state (k = 0), then
+    one consuming tape 1 (k = 1), then one consuming tape 2 (k = 2); an edge
+    meeting the wait moves k on, and one meeting it at k = 2 closes a round
+    and is accepting.  A pair is accepted iff some reachable accepting edge
+    lies on a cycle.  The outer search finishes each accepting edge u -> v
+    in post-order and then runs an inner search from v for u; inner
+    searches share one visited set, so every node is expanded at most
+    twice.  Both searches keep explicit stacks.
+    """
+    tapes = [(w.prefix + w.period, len(w.prefix)) for w in (w1.normal(), w2.normal())]
+
+    def step(tape: int, pos: int, label: str) -> int | None:
+        text, lp = tapes[tape]
+        for ch in label:
+            if text[pos] != ch:
+                return None
+            pos = pos + 1 if pos + 1 < len(text) else lp
+        return pos
+
+    def successors(node):
+        q, p1, p2, k = node
+        for t in aut.transitions_from(q):
+            n1 = step(0, p1, t.read1)
+            n2 = None if n1 is None else step(1, p2, t.read2)
+            if n2 is None:
+                continue
+            met = (t.dst in aut.accepting, t.read1 != "", t.read2 != "")[k]
+            yield (t.dst, n1, n2, (k + 1) % 3 if met else k), met and k == 2
+
+    inner: set = set()
+
+    def reaches(src, seed) -> bool:
+        if src == seed:
+            return True
+        if src in inner:
+            return False
+        inner.add(src)
+        todo = [src]
+        while todo:
+            for nxt, _ in successors(todo.pop()):
+                if nxt == seed:
+                    return True
+                if nxt not in inner:
+                    inner.add(nxt)
+                    todo.append(nxt)
+        return False
+
+    start = (aut.initial, 0, 0, 0)
+    outer = {start}
+    stack = [[start, successors(start), None]]  # node, successors left, child via accepting edge
+    while stack:
+        frame = stack[-1]
+        node, succ, child = frame
+        if child is not None:  # that child is finished: its accepting edge is now in post-order
+            frame[2] = None
+            if reaches(child, node):
+                return True
+        for nxt, accepting in succ:
+            if nxt not in outer:
+                outer.add(nxt)
+                frame[2] = nxt if accepting else None
+                stack.append([nxt, successors(nxt), None])
+                break
+            if accepting and reaches(nxt, node):
+                return True
+        else:
+            stack.pop()
     return False
 
 

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from ratrel.constructions import alpha, automaton_T
+from ratrel.buchi import BuchiAutomaton, _embedded
+from ratrel.constructions import alpha, automaton_T, c_automaton, r_automaton
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
+    _may_accept,
+    _search_order,
     AlphabetMismatch,
     DegenerateAutomaton,
     InvalidAutomaton,
@@ -22,7 +25,12 @@ from ratrel.twotape import (
     union,
     validate,
 )
-from ratrel.verify import closure_accepts_pair, random_lasso, random_two_tape
+from ratrel.verify import (
+    closure_accepts_pair,
+    nested_dfs_accepts_pair,
+    random_lasso,
+    random_two_tape,
+)
 from ratrel.words import BINARY, GAMMA, LassoWord
 
 from util import all_binary_lassos, random_gamma_lasso
@@ -195,6 +203,19 @@ def test_normalize_rejects_degenerate_cycle():
         epsilon_normalize(aut)
 
 
+def test_degenerate_message_names_the_first_cycle_in_state_order():
+    # eight reachable accepting silent cycles, none can consume: the message
+    # names the one the state order meets first, whatever the hash seed
+    cycles = [f"c{i}" for i in range(8)]
+    aut = TwoTapeAutomaton(
+        ("i", *cycles), BINARY, BINARY,
+        tuple(T("i", "", "", c) for c in cycles) + tuple(T(c, "", "", c) for c in cycles),
+        "i", frozenset(cycles),
+    )
+    with pytest.raises(DegenerateAutomaton, match=r"through \['c0'\] cannot consume input"):
+        epsilon_normalize(aut)
+
+
 # -- run prefixes -------------------------------------------------------------
 
 
@@ -276,7 +297,9 @@ def test_decision_agrees_with_naive_oracle_random():
         aut = random_two_tape(rng)
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
-        assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
+        expected = closure_accepts_pair(aut, w1, w2)
+        assert nested_dfs_accepts_pair(aut, w1, w2) == expected
+        assert accepted(aut, w1, w2) == expected
 
 
 def test_decision_exhaustive_small_lassos():
@@ -290,7 +313,9 @@ def test_decision_exhaustive_small_lassos():
             for w2 in words:
                 out = accepts_lasso_pair(aut, w1, w2)
                 verdict = out.verdict is Verdict.ACCEPTED
-                assert verdict == closure_accepts_pair(aut, w1, w2), (aut, w1, w2)
+                expected = closure_accepts_pair(aut, w1, w2)
+                assert nested_dfs_accepts_pair(aut, w1, w2) == expected, (aut, w1, w2)
+                assert verdict == expected, (aut, w1, w2)
                 if verdict:
                     accepted_total += 1
                     assert_fair_certificate(aut, out, w1, w2)
@@ -359,6 +384,234 @@ def test_multi_letter_labels_cross_period_boundary():
     assert not accepted(aut, LassoWord("1", "10"), zeros)  # second chunk reads 101
     for w1 in (LassoWord("1", "101"), LassoWord("1", "10"), LassoWord("11", "011")):
         assert accepted(aut, w1, zeros) == closure_accepts_pair(aut, w1, zeros)
+
+
+# -- shortcuts ahead of the product search ---------------------------------------
+
+
+def final_states(aut, w1, w2) -> set:
+    """Names of the states that are final for the periods of w1 and w2."""
+    compiled = aut._compiled()
+    final, _ = _search_order(compiled, w1.normal(), w2.normal())
+    return {
+        row[4].src for rs in compiled[3] for row in rs
+        if row[4].src == row[4].dst and row[2] in final
+    }
+
+
+def plant_terminal(rng, aut, drop_one: bool = False):
+    """aut with one random state made accepting and looping on every single
+    letter of each tape, or on all but one of those letters."""
+    q = rng.choice(aut.states)
+    loops = [T(q, a, "", q) for a in "01"] + [T(q, "", b, q) for b in "01"]
+    if drop_one:
+        loops.pop(rng.randrange(len(loops)))
+    return TwoTapeAutomaton(
+        aut.states, aut.sigma1, aut.sigma2, aut.transitions + tuple(loops),
+        aut.initial, aut.accepting | {q},
+    )
+
+
+def ends_on_terminal_loops(out) -> bool:
+    """The cycle loops on one state, and the stem ends on its loops too."""
+    stem, cycle = out.certificate.stem.transitions, out.certificate.cycle.transitions
+    q = cycle[0].src
+    return all(t.src == t.dst == q for t in cycle + stem[-1:]) and bool(stem)
+
+
+def test_planted_terminal_sweep_matches_both_oracles():
+    rng = random.Random(233)
+    accepted_total = in_prefix = 0
+    for i in range(700):
+        aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "01"))
+        aut = plant_terminal(rng, aut, drop_one=i % 5 == 0)
+        w1 = random_lasso(rng, "01", 4, 3)
+        w2 = random_lasso(rng, "01", 4, 3)
+        out = accepts_lasso_pair(aut, w1, w2)
+        expected = closure_accepts_pair(aut, w1, w2)
+        assert nested_dfs_accepts_pair(aut, w1, w2) == expected, (aut, w1, w2)
+        assert (out.verdict is Verdict.ACCEPTED) == expected, (aut, w1, w2)
+        if expected:
+            accepted_total += 1
+            assert_fair_certificate(aut, out, w1, w2)
+            in_prefix += ends_on_terminal_loops(out)
+    assert accepted_total > 200 and in_prefix > 20
+
+
+def test_terminal_state_reached_inside_prefixes():
+    # C3 reaches hot after one tape-2 letter, with all of "A01" still ahead on tape 1
+    w1, w2 = lasso("A01|0"), lasso("10|A")
+    out = accepts_lasso_pair(c_automaton(3), w1, w2)
+    assert out.verdict is Verdict.ACCEPTED
+    stem, cycle = out.certificate.stem, out.certificate.cycle
+    assert stem.transitions == (
+        T("scan", "", "1", "hot"), T("hot", "A", "", "hot"), T("hot", "0", "", "hot"),
+        T("hot", "1", "", "hot"), T("hot", "", "0", "hot"),
+    )
+    assert cycle.transitions == (T("hot", "0", "", "hot"), T("hot", "", "A", "hot"))
+    assert_fair_certificate(c_automaton(3), out, w1, w2)
+
+
+def test_initial_terminal_state_accepts_at_once():
+    loops = tuple(T("q", a, "", "q") for a in "01") + tuple(T("q", "", b, "q") for b in "01")
+    aut = TwoTapeAutomaton(("q",), BINARY, BINARY, loops, "q", frozenset({"q"}))
+    w1, w2 = LassoWord("011", "10"), LassoWord("", "0")
+    out = accepts_lasso_pair(aut, w1, w2)
+    assert out.certificate.stem.consumed1() == "011"
+    assert out.certificate.cycle.consumed1() == "10"
+    assert out.certificate.cycle.consumed2() == "0"
+    assert_fair_certificate(aut, out, w1, w2)
+
+
+def test_complement_pieces_accept_through_their_terminal_state():
+    cases = {
+        2: (lasso("0|A"), lasso("A0A|00A")),
+        3: (lasso("|A0"), lasso("0|1")),
+        4: (lasso("A0A|0A"), lasso("A0A|00A")),
+        5: (lasso("A0A|0A"), lasso("A0A|000A")),
+    }
+    sinks = {2: "sink", 3: "hot", 4: "tail", 5: "tail"}
+    for j, (w1, w2) in cases.items():
+        aut = c_automaton(j)
+        assert final_states(aut, w1, w2) == {sinks[j]}
+        out = accepts_lasso_pair(aut, w1, w2)
+        assert out.verdict is Verdict.ACCEPTED, j
+        assert {(t.src, t.dst) for t in out.certificate.cycle.transitions} == {(sinks[j],) * 2}
+        assert_fair_certificate(aut, out, w1, w2)
+    assert not automaton_T()._compiled()[5]  # no accepting state loops on single letters
+
+
+def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
+    # drop1 loops on 0 and 1 of tape 1 and on every letter of tape 2, so it
+    # is final exactly when period 1 has no A; drop2 likewise for tape 2
+    c1 = c_automaton(1)
+    assert final_states(c1, lasso("A|01"), lasso("A|10")) == {"drop1", "drop2"}
+    assert final_states(c1, lasso("A|01"), lasso("|A0")) == {"drop1"}
+    assert final_states(c1, lasso("|A0"), lasso("A1|0")) == {"drop2"}
+    assert final_states(c1, lasso("|A0"), lasso("|A1")) == set()
+    w1, w2 = lasso("A0A00A000A1|10"), lasso("A0A00A000A|0A00")
+    for aut in (c1, r_automaton()):
+        out = accepts_lasso_pair(aut, w1, w2)
+        assert out.verdict is Verdict.ACCEPTED
+        assert {t.src for t in out.certificate.cycle.transitions} <= {"drop1", "R.L.L.L.L.drop1"}
+        assert_fair_certificate(aut, out, w1, w2)
+    # the FOUND pair of period 640, decided by the loops of drop1
+    rng = random.Random(257)
+    w1 = LassoWord("AA", "".join(rng.choice("01") for _ in range(640)))
+    w2 = LassoWord("", "".join(rng.choice("000000000A") for _ in range(641)))
+    out = accepts_lasso_pair(c1, w1, w2)
+    assert out.verdict is Verdict.ACCEPTED
+    assert_fair_certificate(c1, out, w1, w2)
+
+
+def test_search_order_leads_to_the_final_states_of_the_pair():
+    compiled = r_automaton()._compiled()
+
+    def targets(w1: str, w2: str) -> list[str]:
+        """Target states of R's initial rows, without the union prefixes."""
+        _, rows = _search_order(compiled, lasso(w1), lasso(w2))
+        return [row[4].dst.split(".")[-1] for row in rows[compiled[0]]]
+
+    # As in both periods: no C1 state is final, so C1 waits behind T (its
+    # original order) and behind the sinks of C2 and C3
+    order = targets("A0|0A", "A|0A")
+    assert order.index("hot") < order.index("q0") < order.index("pick")
+    # no A in period 1: drop1 is final, so C1 comes before T
+    order = targets("A0|01", "A|0A")
+    assert order.index("drop1") < order.index("pick") < order.index("q0")
+
+
+def test_states_missing_a_loop_letter_are_final_only_without_it():
+    # q loops on 0 and 1 of tape 2 but only on 0 of tape 1
+    aut = TwoTapeAutomaton(
+        ("p", "q"), BINARY, BINARY,
+        (T("p", "1", "", "q"), T("q", "0", "", "q"), T("q", "", "0", "q"), T("q", "", "1", "q")),
+        "p", frozenset({"q"}),
+    )
+    assert final_states(aut, LassoWord("1", "0"), LassoWord("", "01")) == {"q"}
+    assert final_states(aut, LassoWord("1", "01"), LassoWord("", "01")) == set()
+    assert accepted(aut, LassoWord("10", "0"), LassoWord("", "01"))
+    assert not accepted(aut, LassoWord("1", "01"), LassoWord("", "01"))
+    assert not accepted(aut, LassoWord("11", "0"), LassoWord("", "0"))  # a 1 left in the prefix
+    rng = random.Random(239)
+    for _ in range(40):
+        aut = plant_terminal(rng, random_two_tape(rng, labels=("0", "1")), drop_one=True)
+        w1 = random_lasso(rng, "01", 2, 2)
+        w2 = random_lasso(rng, "01", 2, 2)
+        assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
+    # the one-tape embedding reads (ch, "0") on every edge, never a single-tape loop
+    universal = BuchiAutomaton(
+        ("s",), BINARY, (("s", "0", "s"), ("s", "1", "s")), "s", frozenset({"s"})
+    )
+    assert not _embedded(universal)._compiled()[5]
+    out = accepts_lasso_pair(_embedded(universal), LassoWord("1", "01"), LassoWord("", "0"))
+    assert_fair_certificate(_embedded(universal), out, LassoWord("1", "01"), LassoWord("", "0"))
+
+
+def test_coverage_test_never_rejects_an_accepted_pair():
+    rng = random.Random(241)
+    cut = 0
+    for i in range(600):
+        aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "01"))
+        if i % 3 == 0:
+            aut = plant_terminal(rng, aut)
+        w1 = random_lasso(rng, "01", 3, 3).normal()
+        w2 = random_lasso(rng, "01", 3, 3).normal()
+        if not _may_accept(aut._compiled(), w1, w2):
+            cut += 1
+            assert not closure_accepts_pair(aut, w1, w2), (aut, w1, w2)
+    assert cut > 100
+
+
+def test_coverage_test_rejects_before_the_product():
+    rejected = [
+        (automaton_T(), lasso("01|A0A00"), lasso("A|0A01")),  # T reads only 0 and A on tape 2
+        (c_automaton(1), lasso("|A0A1"), lasso("0|1A")),  # As on both periods
+        (c_automaton(3), lasso("1|A01"), lasso("A|0A")),  # no 1 on tape 2
+    ]
+    for aut, w1, w2 in rejected:
+        assert not _may_accept(aut._compiled(), w1.normal(), w2.normal())
+        assert not accepted(aut, w1, w2)
+        assert not nested_dfs_accepts_pair(aut, w1, w2)
+    # equal words pass the test for C4, and the search rejects them
+    w = lasso("A0|A01A0")
+    assert _may_accept(c_automaton(4)._compiled(), w.normal(), w.normal())
+    assert not accepted(c_automaton(4), w, w)
+    assert not nested_dfs_accepts_pair(c_automaton(4), w, w)
+
+
+def test_shortcuts_against_nested_dfs_on_reference_automata():
+    rng = random.Random(251)
+
+    def word(n: int, k: int, fill: str = "01") -> str:
+        places = set(rng.sample(range(n), k))
+        return "".join("A" if i in places else rng.choice(fill) for i in range(n))
+
+    pairs = [
+        (r_automaton(), LassoWord("A0A", word(47, 6)), LassoWord("A1A", word(50, 7))),
+        (r_automaton(), LassoWord("0", word(44, 6)), LassoWord("A1A01A", word(45, 7))),
+        (r_automaton(), LassoWord("AAA", "0" * 40 + "A"), LassoWord("A", "0" * 41 + "A")),
+        (automaton_T(), LassoWord("01", word(52, 5)), LassoWord("10", "1" + word(55, 6, "0"))),
+        (automaton_T(), LassoWord("A0A", word(48, 5)), LassoWord("A0A", word(49, 5, "0"))),
+        (c_automaton(1), LassoWord("", word(60, 9)), LassoWord("", word(58, 8))),
+        (c_automaton(1), LassoWord("AA", word(50, 0)), LassoWord("", word(53, 8))),
+    ]
+    verdicts = []
+    for aut, w1, w2 in pairs:
+        out = accepts_lasso_pair(aut, w1, w2)
+        verdicts.append(out.verdict is Verdict.ACCEPTED)
+        assert verdicts[-1] == nested_dfs_accepts_pair(aut, w1, w2), (w1, w2)
+        if verdicts[-1]:
+            assert_fair_certificate(aut, out, w1, w2)
+    assert verdicts == [True, True, True, False, False, False, True]
+
+
+def test_r_at_period_640_accepts_with_certificate():
+    w1 = LassoWord("AAA", "0" * 640 + "A")
+    w2 = LassoWord("A", "0" * 641 + "A")
+    out = accepts_lasso_pair(r_automaton(), w1, w2)
+    assert out.verdict is Verdict.ACCEPTED
+    assert_fair_certificate(r_automaton(), out, w1, w2)
 
 
 # -- bounded search ------------------------------------------------------------
