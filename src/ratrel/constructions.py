@@ -279,11 +279,10 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     if blocks == 0:
         return RunPrefix(tuple(run))
 
-    u1 = antidiagonal(x, k + 1)[: schema.split(1)]
-    run.extend(T("q1", ch, "", "q1") for ch in u1)
+    block = antidiagonal(x, k + 1)  # each antidiagonal is built once
+    run.extend(T("q1", ch, "", "q1") for ch in block[: schema.split(1)])
     run.append(T("q1", "", "", "q2"))
     for n in range(1, blocks + 1):
-        block = antidiagonal(x, k + n)
         s = schema.split(n)
         v = block[s:]
         if "1" in v:
@@ -298,6 +297,7 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
         else:
             run.append(T("q3", nxt[s], "", "q5"))
             run.append(T("q5", "", "A", "q2"))
+        block = nxt
     return RunPrefix(tuple(run))
 
 

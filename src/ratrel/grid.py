@@ -106,12 +106,16 @@ def in_P(x: GridWord) -> bool:
 
 
 def antidiagonal(x: GridWord, q: int) -> str:
-    """The antidiagonal word x(q-1,1).x(q-2,2)...x(1,q-1), length q-1."""
+    """The antidiagonal word x(q-1,1).x(q-2,2)...x(1,q-1), length q-1, in
+    closed form: the default column's first q-1 letters, with letter q-m of
+    each overridden column m < q written over index q-m-1."""
     if q < 2:
         raise ValueError("antidiagonals are indexed from 2")
-    ov = x.overrides
-    d = x.default_column
-    return "".join(ov.get(q - n, d).letter_at(n) for n in range(1, q))
+    letters = list(x.default_column.prefix_of(q - 1))
+    for m, col in x.overrides.items():
+        if m < q:
+            letters[q - m - 1] = col.letter_at(q - m)
+    return "".join(letters)
 
 
 def encode_h(x: GridWord) -> BlockWord:

@@ -24,7 +24,8 @@ first component that carries all three or at a final configuration.  The
 certificate is the search stack plus a cycle on the final state's
 self-loops, or a cycle rebuilt inside the component from the visited
 configurations.  For block-pattern inputs a budgeted best-first search
-reports evidence instead of a verdict.
+reports evidence instead of a verdict, over the same compiled rows indexed
+by the next letter on each tape and one text slice per word.
 """
 
 from __future__ import annotations
@@ -768,6 +769,12 @@ def bounded_run_search(
     they do not separate grids in P from grids outside P: both can give
     identical counts at the same budget.  Membership of such pairs is
     decided by ``grid_pair_in_r1`` or ``in_P``, not by this search.
+
+    One expansion is one heap step.  The compiled rows, in the order of
+    ``transitions_from`` (which breaks ties), come from a per-call index
+    by state and next letter on each tape; only labels longer than one
+    letter are compared, by ``str.startswith`` on one ``prefix_of`` text
+    per word, doubled whenever a position nears the end by a label length.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -776,46 +783,55 @@ def bounded_run_search(
         if outcome.verdict is Verdict.ACCEPTED:
             return outcome
 
-    # per-configuration best label: (fair visits, anchor sum), more visits
-    # first, smaller anchors (earlier counted visit) on ties
-    best: dict[tuple[str, int, int], tuple[int, int]] = {}
-    heap: list[tuple[int, int, int, tuple[str, int, int], tuple[int, int, int]]] = []
-    seq = 0
-    start = (aut.initial, 0, 0)
-    best[start] = (0, 0)
-    heapq.heappush(heap, (0, 0, seq, start, (0, 0, 0)))
-
-    fair_visits = 0
-    deepest = 0
-    expansions = 0
+    initial, labels1, labels2, rows = aut._compiled()[:4]
+    reach1, reach2 = (max(map(len, labels), default=0) + 1 for labels in (labels1, labels2))
+    text1, text2 = w1.prefix_of(reach1), w2.prefix_of(reach2)
+    # (state, letter, letter) -> rows as (label 1 if longer than one letter
+    # else "", its length, the same for label 2, target, accepting)
+    index: dict[tuple[int, str, str], list[tuple]] = {}
+    # per configuration (state, consumed, consumed): (fair visits, -anchor
+    # sum) of its best label, more visits first, then an earlier counted visit
+    best = {(initial, 0, 0): (0, 0)}
+    # (-balanced progress, total progress, unique seq, configuration, label)
+    heap = [(0, 0, 0, initial, 0, 0, 0, 0, 0)]
+    seq = fair_visits = deepest = expansions = 0
     while heap and expansions < budget:
-        _, _, _, cfg, label = heapq.heappop(heap)
-        visits, a1, a2 = label
-        cur = best.get(cfg)
-        if cur is not None and (cur[0], -cur[1]) > (visits, -(a1 + a2)):
+        _, _, _, q, c1, c2, visits, a1, a2 = heapq.heappop(heap)
+        if best[q, c1, c2] > (visits, -a1 - a2):
             continue  # a better label for this configuration was processed
         expansions += 1
-        q, c1, c2 = cfg
-        for t in aut.transitions_from(q):
-            nc1 = _match_absolute(w1, c1, t.read1)
-            if nc1 is None:
+        if c1 + reach1 > len(text1):
+            text1 = w1.prefix_of(2 * (c1 + reach1))
+        if c2 + reach2 > len(text2):
+            text2 = w2.prefix_of(2 * (c2 + reach2))
+        key = (q, text1[c1], text2[c2])
+        matches = index.get(key)
+        if matches is None:
+            matches = index[key] = [
+                (l1 if len(l1) > 1 else "", len(l1), l2 if len(l2) > 1 else "", len(l2), d, m & ACC)
+                for a, b, d, m, _ in rows[q]
+                for l1, l2 in [(labels1[a], labels2[b])]
+                if l1[:1] in ("", key[1]) and l2[:1] in ("", key[2])
+            ]
+        for long1, n1, long2, n2, d, accepting in matches:
+            if long1 and not text1.startswith(long1, c1) or long2 and not text2.startswith(long2, c2):
                 continue
-            nc2 = _match_absolute(w2, c2, t.read2)
-            if nc2 is None:
-                continue
-            if t.dst in aut.accepting and nc1 > a1 and nc2 > a2:
-                nlabel = (visits + 1, nc1, nc2)
+            nc1, nc2 = c1 + n1, c2 + n2
+            if accepting and nc1 > a1 and nc2 > a2:
+                nv, na1, na2 = visits + 1, nc1, nc2
             else:
-                nlabel = (visits, a1, a2)
-            dst = (t.dst, nc1, nc2)
-            prev = best.get(dst)
-            if prev is not None and (prev[0], -prev[1]) >= (nlabel[0], -(nlabel[1] + nlabel[2])):
+                nv, na1, na2 = visits, a1, a2
+            cfg, mark = (d, nc1, nc2), (nv, -na1 - na2)
+            if best.get(cfg, (-1, 0)) >= mark:
                 continue
-            best[dst] = (nlabel[0], nlabel[1] + nlabel[2])
-            fair_visits = max(fair_visits, nlabel[0])
-            deepest = max(deepest, min(nc1, nc2))
+            best[cfg] = mark
+            low = nc1 if nc1 < nc2 else nc2
+            if low > deepest:
+                deepest = low
+            if nv > fair_visits:
+                fair_visits = nv
             seq += 1
-            heapq.heappush(heap, (-min(nc1, nc2), nc1 + nc2, seq, dst, nlabel))
+            heapq.heappush(heap, (-low, nc1 + nc2, seq, d, nc1, nc2, nv, na1, na2))
 
     return SearchOutcome(
         verdict=Verdict.INCONCLUSIVE,
@@ -827,14 +843,6 @@ def bounded_run_search(
             exhausted=not heap,
         ),
     )
-
-
-def _match_absolute(w: OmegaWord, consumed: int, label: str) -> int | None:
-    for ch in label:
-        if w.letter_at(consumed + 1) != ch:
-            return None
-        consumed += 1
-    return consumed
 
 
 def to_json(aut: TwoTapeAutomaton) -> str:

@@ -171,7 +171,8 @@ def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord)
     Vardi, Wolper and Yannakakis), sharing no code with the fair-cycle search.
 
     Nodes are (state, tape-1 position, tape-2 position, k) over the normal
-    forms, positions absolute in the prefix and a phase in the period.  The
+    forms, positions absolute in the prefix and a phase in the period,
+    packed into ints that index two bytearrays of visited marks.  The
     counter k waits for an edge entering an accepting state (k = 0), then
     one consuming tape 1 (k = 1), then one consuming tape 2 (k = 2); an edge
     meeting the wait moves k on, and one meeting it at k = 2 closes a round
@@ -182,6 +183,9 @@ def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord)
     twice.  Both searches keep explicit stacks.
     """
     tapes = [(w.prefix + w.period, len(w.prefix)) for w in (w1.normal(), w2.normal())]
+    size1, size2 = len(tapes[0][0]), len(tapes[1][0])
+    names = list(dict.fromkeys((aut.initial, *aut.states)))  # the initial state is 0
+    ids = {s: i for i, s in enumerate(names)}
 
     def step(tape: int, pos: int, label: str) -> int | None:
         text, lp = tapes[tape]
@@ -191,37 +195,42 @@ def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord)
             pos = pos + 1 if pos + 1 < len(text) else lp
         return pos
 
-    def successors(node):
-        q, p1, p2, k = node
-        for t in aut.transitions_from(q):
+    def successors(node: int):
+        """Node (q, p1, p2, k) is the int ((q * size1 + p1) * size2 + p2) * 3 + k."""
+        rest, k = divmod(node, 3)
+        rest, p2 = divmod(rest, size2)
+        q, p1 = divmod(rest, size1)
+        for t in aut.transitions_from(names[q]):
             n1 = step(0, p1, t.read1)
             n2 = None if n1 is None else step(1, p2, t.read2)
             if n2 is None:
                 continue
             met = (t.dst in aut.accepting, t.read1 != "", t.read2 != "")[k]
-            yield (t.dst, n1, n2, (k + 1) % 3 if met else k), met and k == 2
+            nxt = ((ids[t.dst] * size1 + n1) * size2 + n2) * 3 + ((k + 1) % 3 if met else k)
+            yield nxt, met and k == 2
 
-    inner: set = set()
+    # visited marks of the outer and the inner searches, indexed by node
+    outer = bytearray(len(names) * size1 * size2 * 3)
+    inner = bytearray(len(outer))
 
     def reaches(src, seed) -> bool:
         if src == seed:
             return True
-        if src in inner:
+        if inner[src]:
             return False
-        inner.add(src)
+        inner[src] = 1
         todo = [src]
         while todo:
             for nxt, _ in successors(todo.pop()):
                 if nxt == seed:
                     return True
-                if nxt not in inner:
-                    inner.add(nxt)
+                if not inner[nxt]:
+                    inner[nxt] = 1
                     todo.append(nxt)
         return False
 
-    start = (aut.initial, 0, 0, 0)
-    outer = {start}
-    stack = [[start, successors(start), None]]  # node, successors left, child via accepting edge
+    outer[0] = 1
+    stack = [[0, successors(0), None]]  # node, successors left, child via accepting edge
     while stack:
         frame = stack[-1]
         node, succ, child = frame
@@ -230,8 +239,8 @@ def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord)
             if reaches(child, node):
                 return True
         for nxt, accepting in succ:
-            if nxt not in outer:
-                outer.add(nxt)
+            if not outer[nxt]:
+                outer[nxt] = 1
                 frame[2] = nxt if accepting else None
                 stack.append([nxt, successors(nxt), None])
                 break

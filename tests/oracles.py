@@ -3,14 +3,25 @@
 Deliberately written with different machinery than the library's
 fair-cycle search: path enumeration with recurrence detection for the
 one-tape case, and for the two-tape case full configuration matrices with
-reachability closures (``ratrel.verify.closure_accepts_pair``).
+reachability closures (``ratrel.verify.closure_accepts_pair``).  The
+budgeted search has a letter-by-letter reference that reads transitions
+by state name and each word one ``letter_at`` call per letter.
 """
 
 from __future__ import annotations
 
+import heapq
+
 from ratrel.buchi import BuchiAutomaton
+from ratrel.twotape import (
+    SearchOutcome,
+    SearchStats,
+    TwoTapeAutomaton,
+    Verdict,
+    accepts_lasso_pair,
+)
 from ratrel.verify import closure_accepts_pair
-from ratrel.words import LassoWord
+from ratrel.words import LassoWord, OmegaWord
 
 
 def naive_buchi_accepts(aut: BuchiAutomaton, w: LassoWord) -> bool:
@@ -52,3 +63,70 @@ def naive_buchi_accepts(aut: BuchiAutomaton, w: LassoWord) -> bool:
 # The two-tape oracle is the one the ``verify`` suite runs; this name stays
 # because ``bench/make_reference.py`` imports it.
 naive_accepts_pair = closure_accepts_pair
+
+
+def reference_bounded_search(
+    aut: TwoTapeAutomaton, w1: OmegaWord, w2: OmegaWord, budget: int
+) -> SearchOutcome:
+    """``bounded_run_search`` as first written: the same best-first order,
+    labels and statistics, one ``letter_at`` call per letter matched."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if isinstance(w1, LassoWord) and isinstance(w2, LassoWord):
+        outcome = accepts_lasso_pair(aut, w1, w2)
+        if outcome.verdict is Verdict.ACCEPTED:
+            return outcome
+
+    def match(w: OmegaWord, consumed: int, label: str) -> int | None:
+        for ch in label:
+            if w.letter_at(consumed + 1) != ch:
+                return None
+            consumed += 1
+        return consumed
+
+    best: dict[tuple[str, int, int], tuple[int, int]] = {}
+    heap: list = []
+    seq = 0
+    start = (aut.initial, 0, 0)
+    best[start] = (0, 0)
+    heapq.heappush(heap, (0, 0, seq, start, (0, 0, 0)))
+    fair_visits = deepest = expansions = 0
+    while heap and expansions < budget:
+        _, _, _, cfg, label = heapq.heappop(heap)
+        visits, a1, a2 = label
+        cur = best.get(cfg)
+        if cur is not None and (cur[0], -cur[1]) > (visits, -(a1 + a2)):
+            continue
+        expansions += 1
+        q, c1, c2 = cfg
+        for t in aut.transitions_from(q):
+            nc1 = match(w1, c1, t.read1)
+            if nc1 is None:
+                continue
+            nc2 = match(w2, c2, t.read2)
+            if nc2 is None:
+                continue
+            if t.dst in aut.accepting and nc1 > a1 and nc2 > a2:
+                nlabel = (visits + 1, nc1, nc2)
+            else:
+                nlabel = (visits, a1, a2)
+            dst = (t.dst, nc1, nc2)
+            prev = best.get(dst)
+            if prev is not None and (prev[0], -prev[1]) >= (nlabel[0], -(nlabel[1] + nlabel[2])):
+                continue
+            best[dst] = (nlabel[0], nlabel[1] + nlabel[2])
+            fair_visits = max(fair_visits, nlabel[0])
+            deepest = max(deepest, min(nc1, nc2))
+            seq += 1
+            heapq.heappush(heap, (-min(nc1, nc2), nc1 + nc2, seq, dst, nlabel))
+
+    return SearchOutcome(
+        verdict=Verdict.INCONCLUSIVE,
+        stats=SearchStats(
+            expansions=expansions,
+            fair_visits=fair_visits,
+            deepest=deepest,
+            frontier=len(heap),
+            exhausted=not heap,
+        ),
+    )

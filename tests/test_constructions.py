@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 import sys
 
 import pytest
 
+from ratrel import constructions
 from ratrel.constructions import (
     Decomposition,
     _cap_profile,
@@ -26,7 +28,7 @@ from ratrel.constructions import (
     schema_to_run,
     section_member,
 )
-from ratrel.grid import GridWord, encode_h, in_P
+from ratrel.grid import GridWord, antidiagonal, encode_h, in_P
 from ratrel.twotape import (
     RunPrefix,
     TwoTapeAutomaton,
@@ -209,6 +211,30 @@ def test_schema_truncations_replay():
             report = run_prefix_valid(automaton_T(), run, encode_h(x), alpha())
             assert report.ok
             assert report.accepting_visits == schema.growth_steps(blocks)
+
+
+def test_schema_runs_are_unchanged_and_build_each_antidiagonal_once(monkeypatch):
+    # digest of the runs as first written, which built each antidiagonal twice
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        x = random_grid(rng, ensure_in_p=True)
+        run = schema_to_run(build_run_schema(x), rng.randint(0, 60))
+        digest.update(repr(run.transitions).encode())
+    assert digest.hexdigest() == "5da81cdd093bf2f4335f952371cc07eea7ae1bcd57c6bf2b08011d9e93294b7b"
+
+    built = []
+
+    def counted(x, q):
+        built.append(q)
+        return antidiagonal(x, q)
+
+    monkeypatch.setattr(constructions, "antidiagonal", counted)
+    schema = build_run_schema(grid("10110|00", c3="1|0"))
+    for blocks in (0, 1, 7, 60):
+        built.clear()
+        schema_to_run(schema, blocks)
+        assert built == (list(range(2, blocks + 3)) if blocks else [])
 
 
 def test_schema_visit_count_example():

@@ -78,6 +78,21 @@ def test_antidiagonal_examples():
         antidiagonal(GridWord.zero(), 1)
 
 
+def test_antidiagonal_equals_letter_by_letter_definition():
+    fixed = [
+        grid(),
+        grid("1011001|01"),  # default prefix longer than the early antidiagonals
+        grid("|01", c1="0110110|1", c5="|1"),  # override prefix longer than q; column q-1 at q=6
+        grid("|1", c2="|0", c9="1|0", c30="|1"),  # overrides at columns >= q for q <= 30
+        grid("01|0", c1="1|0", c6="1101|10", c7="|1", c8="0|1"),  # adjacent overrides
+    ]
+    rng = random.Random(43)
+    for x in fixed + [random_grid(rng) for _ in range(200)]:
+        for q in range(2, 40):
+            expected = "".join(x.column(q - n).letter_at(n) for n in range(1, q))
+            assert antidiagonal(x, q) == expected, (x, q)
+
+
 def test_encode_examples():
     assert encode_h(GridWord.zero()).prefix_of(10) == "A0A00A000A"
     assert encode_h(GridWord.zero()).prefix_of(10) == alpha().prefix_of(10)

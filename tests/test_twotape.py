@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -28,11 +29,13 @@ from ratrel.twotape import (
 from ratrel.verify import (
     closure_accepts_pair,
     nested_dfs_accepts_pair,
+    random_grid,
     random_lasso,
     random_two_tape,
 )
 from ratrel.words import BINARY, GAMMA, LassoWord
 
+from oracles import reference_bounded_search
 from util import all_binary_lassos, random_gamma_lasso
 
 T = TwoTapeTransition
@@ -617,10 +620,52 @@ def test_r_at_period_640_accepts_with_certificate():
 # -- bounded search ------------------------------------------------------------
 
 
+def stats_tuple(out) -> tuple:
+    s = out.stats
+    return (s.expansions, s.fair_visits, s.deepest, s.frontier, s.exhausted)
+
+
 def test_bounded_search_reference_pair():
     out = bounded_run_search(automaton_T(), encode_h(GridWord.zero()), alpha(), 10**5)
     assert out.verdict is Verdict.INCONCLUSIVE
-    assert out.stats.fair_visits >= 20
+    assert stats_tuple(out) == (100000, 443, 99112, 447, False)
+
+
+@pytest.mark.parametrize(
+    "columns, budget, expected",
+    [
+        ({1: "11|0", 3: "1|0"}, 10**5, (100000, 443, 99110, 459, False)),
+        ({}, 24000, (24000, 215, 23566, 231, False)),
+        ({1: "11|0", 3: "|1"}, 24000, (24000, 215, 23566, 231, False)),  # outside P
+    ],
+)
+def test_bounded_search_exact_stats_on_r(columns, budget, expected):
+    # exact figures pin the heap order: a change of tie-breaks moves them
+    x = GridWord(lasso("|0"), {m: lasso(c) for m, c in columns.items()})
+    out = bounded_run_search(r_automaton(), encode_h(x), alpha(), budget)
+    assert out.verdict is Verdict.INCONCLUSIVE
+    assert stats_tuple(out) == expected
+
+
+def test_bounded_search_matches_letter_by_letter_reference():
+    rng = random.Random(707)
+    labels = ("", "", "0", "0", "1", "1", "A", "01", "10", "11", "0A")  # repeats weigh the draw
+    cases = []
+    for i in range(1200):
+        aut = random_two_tape(rng, max_states=3, max_transitions=16, labels=labels)
+        aut = dataclasses.replace(aut, sigma1=GAMMA, sigma2=GAMMA)
+        if i % 4:
+            letters = "01A" if i % 3 == 0 else "01"
+            w1, w2 = random_lasso(rng, letters), random_lasso(rng, letters)
+        else:
+            w1, w2 = encode_h(random_grid(rng)), alpha()
+        cases.append((aut, w1, w2))
+    for i in range(40):
+        cases.append((r_automaton() if i % 2 else automaton_T(), encode_h(random_grid(rng)), alpha()))
+    for i, (aut, w1, w2) in enumerate(cases):
+        budget = 1 if i % 10 == 0 else rng.randint(1, 400)
+        out = bounded_run_search(aut, w1, w2, budget)
+        assert out == reference_bounded_search(aut, w1, w2, budget), (aut, w1, w2, budget)
 
 
 def test_bounded_search_no_transitions():
