@@ -224,44 +224,29 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
         if t.read1 or t.read2:
             consuming.setdefault(t.src, []).append(t)
 
-    folded: dict[str, list[tuple[str, str, str, bool]]] = {}
-    for q in aut.states:
-        rows: list[tuple[str, str, str, bool]] = []
-        seen = {(q, False)}
-        todo = deque([(q, False)])
-        while todo:
-            x, flagged = todo.popleft()
-            for y in eps_edges.get(x, ()):  # states strictly after q get folded away
-                item = (y, flagged or y in aut.accepting)
-                if item not in seen:
-                    seen.add(item)
-                    todo.append(item)
-        for r, flagged in sorted(seen):
-            for t in consuming.get(r, ()):  # ignore silent rows; they were expanded above
-                rows.append((t.read1, t.read2, t.dst, flagged))
-        folded[q] = rows
+    # silent steps over (state, accepting-passed); states strictly after q get folded away
+    flag_edges = {
+        (x, flagged): [(y, flagged or y in aut.accepting) for y in ys]
+        for x, ys in eps_edges.items()
+        for flagged in (False, True)
+    }
+    folded = {
+        q: [
+            (t.read1, t.read2, t.dst, flagged)
+            for r, flagged in sorted(_closure([(q, False)], flag_edges))
+            for t in consuming.get(r, ())
+        ]
+        for q in aut.states
+    }
 
-    transitions: set[TwoTapeTransition] = set()
-    marked: set[str] = set()
-    worklist: deque[str] = deque()
-
-    def add_rows(src_name: str, base: str) -> None:
-        for read1, read2, dst, flagged in folded[base]:
-            if flagged:
-                target = dst + suffix
-                if dst not in marked:
-                    marked.add(dst)
-                    worklist.append(dst)
-            else:
-                target = dst
-            transitions.add(TwoTapeTransition(src_name, read1, read2, target))
-
-    for q in aut.states:
-        add_rows(q, q)
-    while worklist:
-        base = worklist.popleft()
-        add_rows(base + suffix, base)
-    plus_names = {base + suffix for base in marked}
+    # a folded row that passed an accepting state enters the accepting copy of its target
+    plus = dict.fromkeys(dst for rows in folded.values() for _, _, dst, flagged in rows if flagged)
+    transitions = {
+        TwoTapeTransition(src, read1, read2, dst + suffix if flagged else dst)
+        for src, base in [(q, q) for q in aut.states] + [(b + suffix, b) for b in plus]
+        for read1, read2, dst, flagged in folded[base]
+    }
+    plus_names = {base + suffix for base in plus}
 
     keep = _closure({aut.initial}, _targets(transitions))
     kept_trans = tuple(t for t in transitions if t.src in keep and t.dst in keep)

@@ -1,19 +1,18 @@
 """Embedded property suite behind the CLI ``verify`` verb.
 
 Each check re-derives expected behaviour from an independent angle
-(closure matrices instead of component analysis, direct letter scans
-instead of the decision procedures) and runs on seeded random instances,
-so a single command can exercise the grid, two-tape and construction
-layers without the development test harness.  The seeded generators
-(``random_lasso``, ``random_grid``, ``random_two_tape``) and the two
-oracles (``closure_accepts_pair``, ``nested_dfs_accepts_pair``) are
-public: the test suite draws its instances and checks the decision with
-these same functions.
+(a nested depth-first search instead of component analysis, direct
+letter scans instead of the decision procedures) and runs on seeded
+random instances, so a single command can exercise the grid, two-tape
+and construction layers without the development test harness.  The
+seeded generators (``random_lasso``, ``random_grid``,
+``random_two_tape``) and the lasso oracle (``nested_dfs_accepts_pair``)
+are public: the test suite draws its instances and checks the decision
+with these same functions.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -97,73 +96,6 @@ def random_two_tape(
         )
     accepting = frozenset(s for s in states if rng.random() < 0.5)
     return TwoTapeAutomaton(states, BINARY, BINARY, tuple(transitions), states[0], accepting)
-
-
-def closure_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -> bool:
-    """Reachability-matrix reference for the lasso decision (no SCC machinery).
-
-    Builds the full configuration space up front and accepts iff some
-    reachable accepting configuration has a mutually-reachable set
-    containing an edge that consumes tape 1 and an edge that consumes
-    tape 2 (such a set always folds into one closed fair walk).
-    """
-    w1 = w1.normal()
-    w2 = w2.normal()
-    lp1, pp1 = len(w1.prefix), len(w1.period)
-    lp2, pp2 = len(w2.prefix), len(w2.period)
-
-    def letter(w, lp, pos):
-        return w.prefix[pos] if pos < lp else w.period[pos - lp]
-
-    def consume(w, lp, pp, pos, label):
-        for ch in label:
-            if letter(w, lp, pos) != ch:
-                return None
-            pos += 1
-            if pos >= lp + pp:
-                pos = lp + (pos - lp) % pp
-        return pos
-
-    nodes = [
-        (q, p1, p2)
-        for q in aut.states
-        for p1 in range(lp1 + pp1)
-        for p2 in range(lp2 + pp2)
-    ]
-    idx = {n: i for i, n in enumerate(nodes)}
-    edges = []
-    succ: list[set[int]] = [set() for _ in nodes]
-    for q, p1, p2 in nodes:
-        for t in aut.transitions_from(q):
-            n1 = consume(w1, lp1, pp1, p1, t.read1)
-            n2 = consume(w2, lp2, pp2, p2, t.read2)
-            if n1 is None or n2 is None:
-                continue
-            a = idx[(q, p1, p2)]
-            b = idx[(t.dst, n1, n2)]
-            succ[a].add(b)
-            edges.append((a, b, len(t.read1), len(t.read2)))
-
-    @functools.cache
-    def reach(a: int) -> set[int]:
-        seen = {a}
-        todo = [a]
-        while todo:
-            for b in succ[todo.pop()]:
-                if b not in seen:
-                    seen.add(b)
-                    todo.append(b)
-        return seen
-
-    for c in reach(idx[(aut.initial, 0, 0)]):
-        if nodes[c][0] not in aut.accepting:
-            continue
-        mutual = {b for b in reach(c) if c in reach(b)}
-        has1 = any(a in mutual and b in mutual and k1 > 0 for a, b, k1, _ in edges)
-        has2 = any(a in mutual and b in mutual and k2 > 0 for a, b, _, k2 in edges)
-        if has1 and has2:
-            return True
-    return False
 
 
 def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord) -> bool:
@@ -309,7 +241,7 @@ def _checks(seed: int, trials: int):
             w1 = random_lasso(rng, "01", 2, 2)
             w2 = random_lasso(rng, "01", 2, 2)
             got = accepts_lasso_pair(aut, w1, w2).verdict is Verdict.ACCEPTED
-            assert got == closure_accepts_pair(aut, w1, w2)
+            assert got == nested_dfs_accepts_pair(aut, w1, w2)
 
     def check_union_law():
         for _ in range(trials):
@@ -400,7 +332,7 @@ def _checks(seed: int, trials: int):
         ("coding-identity", check_coding_identity),
         ("metric-continuity-injectivity", check_metric_bounds),
         ("column-predicate-cross-check", check_column_predicate),
-        ("pair-decision-vs-closure-reference", check_pair_decision_reference),
+        ("pair-decision-vs-nested-dfs-reference", check_pair_decision_reference),
         ("union-law", check_union_law),
         ("silent-transition-normalization", check_silent_normalization),
         ("schema-replay", check_schema_replay),

@@ -2,8 +2,8 @@
 
 Deliberately written with different machinery than the library's
 fair-cycle search: path enumeration with recurrence detection for the
-one-tape case, and for the two-tape case full configuration matrices with
-reachability closures (``ratrel.verify.closure_accepts_pair``).  The
+one-tape case, and for the two-tape case a nested depth-first search over
+the degeneralized product (``ratrel.verify.nested_dfs_accepts_pair``).  The
 budgeted search has a letter-by-letter reference that reads transitions
 by state name and each word one ``letter_at`` call per letter.
 """
@@ -20,7 +20,7 @@ from ratrel.twotape import (
     Verdict,
     accepts_lasso_pair,
 )
-from ratrel.verify import closure_accepts_pair
+from ratrel.verify import nested_dfs_accepts_pair
 from ratrel.words import LassoWord, OmegaWord
 
 
@@ -60,9 +60,9 @@ def naive_buchi_accepts(aut: BuchiAutomaton, w: LassoWord) -> bool:
     return False
 
 
-# The two-tape oracle is the one the ``verify`` suite runs; this name stays
-# because ``bench/make_reference.py`` imports it.
-naive_accepts_pair = closure_accepts_pair
+# The two-tape oracle is the nested depth-first search the ``verify`` suite
+# runs; this name stays because ``bench/make_reference.py`` imports it.
+naive_accepts_pair = nested_dfs_accepts_pair
 
 
 def reference_bounded_search(

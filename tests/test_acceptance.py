@@ -29,7 +29,7 @@ from ratrel.twotape import (
     bounded_run_search,
     run_prefix_valid,
 )
-from ratrel.verify import closure_accepts_pair, random_grid, random_two_tape
+from ratrel.verify import nested_dfs_accepts_pair, random_grid, random_two_tape
 from ratrel.words import BINARY, LassoWord
 
 from util import all_binary_lassos, random_gamma_lasso
@@ -124,7 +124,7 @@ def test_criterion_3_lasso_decision_soundness():
     ]
     for aut in _single_state_family():
         for w1, w2 in single_pairs:
-            assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
+            assert accepted(aut, w1, w2) == nested_dfs_accepts_pair(aut, w1, w2)
             checks += 1
 
     double_pairs = [
@@ -135,7 +135,7 @@ def test_criterion_3_lasso_decision_soundness():
     ]
     for aut in _two_state_family():
         for w1, w2 in double_pairs:
-            assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
+            assert accepted(aut, w1, w2) == nested_dfs_accepts_pair(aut, w1, w2)
             checks += 1
 
     rng = random.Random(2024)
@@ -149,7 +149,7 @@ def test_criterion_3_lasso_decision_soundness():
             "".join(rng.choice("01") for _ in range(rng.randint(0, 3))),
             "".join(rng.choice("01") for _ in range(rng.randint(1, 3))),
         )
-        assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
+        assert accepted(aut, w1, w2) == nested_dfs_accepts_pair(aut, w1, w2)
         checks += 1
 
     elapsed = time.monotonic() - start

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from ratrel import cli
+from ratrel import cli, verify
 from ratrel.cli import main
 from ratrel.grid import GridWord, grid_to_json
+from ratrel.twotape import Verdict
 from ratrel.words import LassoWord
 
 
@@ -146,6 +148,19 @@ def test_verify_small(capsys):
     lines = [line for line in out.splitlines() if line.startswith("ok")]
     assert len(lines) >= 10
     assert "checks passed" in out
+
+
+def test_verify_oracle_check_can_fail(monkeypatch):
+    real = verify.accepts_lasso_pair
+
+    def flipped(aut, w1, w2):
+        out = real(aut, w1, w2)
+        wrong = Verdict.REJECTED if out.verdict is Verdict.ACCEPTED else Verdict.ACCEPTED
+        return dataclasses.replace(out, verdict=wrong)
+
+    monkeypatch.setattr(verify, "accepts_lasso_pair", flipped)
+    results = {r.name: r for r in verify.run_all(seed=0, trials=10)}
+    assert not results["pair-decision-vs-nested-dfs-reference"].passed
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,6 @@ from ratrel.twotape import (
     validate,
 )
 from ratrel.verify import (
-    closure_accepts_pair,
     nested_dfs_accepts_pair,
     random_grid,
     random_lasso,
@@ -300,8 +301,7 @@ def test_decision_agrees_with_naive_oracle_random():
         aut = random_two_tape(rng)
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
-        expected = closure_accepts_pair(aut, w1, w2)
-        assert nested_dfs_accepts_pair(aut, w1, w2) == expected
+        expected = nested_dfs_accepts_pair(aut, w1, w2)
         assert accepted(aut, w1, w2) == expected
 
 
@@ -316,8 +316,7 @@ def test_decision_exhaustive_small_lassos():
             for w2 in words:
                 out = accepts_lasso_pair(aut, w1, w2)
                 verdict = out.verdict is Verdict.ACCEPTED
-                expected = closure_accepts_pair(aut, w1, w2)
-                assert nested_dfs_accepts_pair(aut, w1, w2) == expected, (aut, w1, w2)
+                expected = nested_dfs_accepts_pair(aut, w1, w2)
                 assert verdict == expected, (aut, w1, w2)
                 if verdict:
                     accepted_total += 1
@@ -370,7 +369,7 @@ def test_multi_letter_labels():
     )
     assert accepted(aut, LassoWord("", "01"), LassoWord("", "01"))
     assert not accepted(aut, LassoWord("", "0"), LassoWord("", "01"))
-    assert closure_accepts_pair(aut, LassoWord("", "01"), LassoWord("", "01"))
+    assert nested_dfs_accepts_pair(aut, LassoWord("", "01"), LassoWord("", "01"))
     out = accepts_lasso_pair(aut, LassoWord("", "01"), LassoWord("", "01"))
     replay = RunPrefix(out.certificate.stem.transitions + out.certificate.cycle.transitions * 3)
     assert run_prefix_valid(aut, replay, LassoWord("", "01"), LassoWord("", "01")).ok
@@ -386,7 +385,7 @@ def test_multi_letter_labels_cross_period_boundary():
     assert accepted(aut, LassoWord("1", "101"), zeros)
     assert not accepted(aut, LassoWord("1", "10"), zeros)  # second chunk reads 101
     for w1 in (LassoWord("1", "101"), LassoWord("1", "10"), LassoWord("11", "011")):
-        assert accepted(aut, w1, zeros) == closure_accepts_pair(aut, w1, zeros)
+        assert accepted(aut, w1, zeros) == nested_dfs_accepts_pair(aut, w1, zeros)
 
 
 # -- shortcuts ahead of the product search ---------------------------------------
@@ -422,7 +421,7 @@ def ends_on_terminal_loops(out) -> bool:
     return all(t.src == t.dst == q for t in cycle + stem[-1:]) and bool(stem)
 
 
-def test_planted_terminal_sweep_matches_both_oracles():
+def test_planted_terminal_sweep_matches_nested_dfs():
     rng = random.Random(233)
     accepted_total = in_prefix = 0
     for i in range(700):
@@ -431,8 +430,7 @@ def test_planted_terminal_sweep_matches_both_oracles():
         w1 = random_lasso(rng, "01", 4, 3)
         w2 = random_lasso(rng, "01", 4, 3)
         out = accepts_lasso_pair(aut, w1, w2)
-        expected = closure_accepts_pair(aut, w1, w2)
-        assert nested_dfs_accepts_pair(aut, w1, w2) == expected, (aut, w1, w2)
+        expected = nested_dfs_accepts_pair(aut, w1, w2)
         assert (out.verdict is Verdict.ACCEPTED) == expected, (aut, w1, w2)
         if expected:
             accepted_total += 1
@@ -541,7 +539,7 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
         aut = plant_terminal(rng, random_two_tape(rng, labels=("0", "1")), drop_one=True)
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
-        assert accepted(aut, w1, w2) == closure_accepts_pair(aut, w1, w2)
+        assert accepted(aut, w1, w2) == nested_dfs_accepts_pair(aut, w1, w2)
     # the one-tape embedding reads (ch, "0") on every edge, never a single-tape loop
     universal = BuchiAutomaton(
         ("s",), BINARY, (("s", "0", "s"), ("s", "1", "s")), "s", frozenset({"s"})
@@ -562,7 +560,7 @@ def test_coverage_test_never_rejects_an_accepted_pair():
         w2 = random_lasso(rng, "01", 3, 3).normal()
         if not _may_accept(aut._compiled(), w1, w2):
             cut += 1
-            assert not closure_accepts_pair(aut, w1, w2), (aut, w1, w2)
+            assert not nested_dfs_accepts_pair(aut, w1, w2), (aut, w1, w2)
     assert cut > 100
 
 
@@ -607,6 +605,21 @@ def test_shortcuts_against_nested_dfs_on_reference_automata():
         if verdicts[-1]:
             assert_fair_certificate(aut, out, w1, w2)
     assert verdicts == [True, True, True, False, False, False, True]
+
+
+def test_nested_dfs_matches_stored_reference_verdicts():
+    # the C1 verdicts come from C1's characterisation, not from any oracle,
+    # so this checks the oracle against an independent source at periods 81-158
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference_reject.json"
+    operands = json.loads(path.read_text())["operands"]
+    automata = {"T": automaton_T(), "C1": c_automaton(1), "C3": c_automaton(3), "C4": c_automaton(4)}
+    assert operands.keys() == automata.keys()
+    for op, entries in operands.items():
+        for entry in entries[:2]:
+            w1, w2 = lasso(entry["w1"]), lasso(entry["w2"])
+            stored = entry["verdict"] == "accepted"
+            assert nested_dfs_accepts_pair(automata[op], w1, w2) == stored, (op, entry)
+            assert accepted(automata[op], w1, w2) == stored, (op, entry)
 
 
 def test_r_at_period_640_accepts_with_certificate():
