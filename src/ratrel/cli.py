@@ -4,11 +4,18 @@ Verdicts map to the exit status so shell pipelines can branch without
 parsing output: 0 accepted/true, 1 rejected/false, 3 inconclusive, 2 bad
 input, 4 internal error (a bug, reported in one line on stderr, so that it
 never reads as a verdict).
+
+``main(argv)`` returns that status and can be called again and again in one
+process.  The argument parser is built on the first call, never at import,
+and kept; each verb's handler is looked up when a call runs.  A usage error
+prints argparse's usage text on stderr and returns 2, as every other bad
+input does, instead of raising ``SystemExit``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -209,25 +216,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="print a prefix of the fixed word alpha")
     p.add_argument("--prefix", type=int, required=True, metavar="N")
-    p.set_defaults(fn=cmd_alpha)
+    p.set_defaults(fn="cmd_alpha")
 
     p = sub.add_parser("encode", help="code a grid file and print a prefix")
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--prefix", type=int, required=True, metavar="N")
-    p.set_defaults(fn=cmd_encode)
+    p.set_defaults(fn="cmd_encode")
 
     p = sub.add_parser("decode", help="decode a coded prefix into grid entries")
     p.add_argument("--word", required=True, metavar="STRING")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_decode)
+    p.set_defaults(fn="cmd_decode")
 
     p = sub.add_parser("member", help="decide lasso membership for an automaton")
     p.add_argument("--aut", metavar="NAME", help="built-in automaton name")
     p.add_argument("--aut-file", metavar="FILE", help="two-tape automaton JSON file")
-    p.add_argument("--pair", nargs=2, metavar=("LASSO1", "LASSO2"))
-    p.add_argument("--word", metavar="LASSO", help="single word for the one-tape automata")
+    words = p.add_mutually_exclusive_group()
+    words.add_argument("--pair", nargs=2, metavar=("LASSO1", "LASSO2"))
+    words.add_argument("--word", metavar="LASSO", help="single word for the one-tape automata")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_member)
+    p.set_defaults(fn="cmd_member")
 
     p = sub.add_parser("search", help="bounded run search on (coded grid, alpha)")
     p.add_argument("--aut", metavar="NAME", default="R")
@@ -235,37 +243,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--budget", type=int, required=True, metavar="N")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_search)
+    p.set_defaults(fn="cmd_search")
 
     p = sub.add_parser("inP", help="column predicate of a grid file")
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_in_p)
+    p.set_defaults(fn="cmd_in_p")
 
     p = sub.add_parser("sections", help="membership of a lasso pair in the reference relation")
     p.add_argument("--sigma", required=True, metavar="LASSO")
     p.add_argument("--u", required=True, metavar="LASSO")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sections)
+    p.set_defaults(fn="cmd_sections")
 
     p = sub.add_parser("export", help="emit a built-in automaton as JSON or DOT")
     p.add_argument("--aut", required=True, metavar="NAME")
     p.add_argument("--format", choices=("dot", "json"), required=True)
-    p.set_defaults(fn=cmd_export)
+    p.set_defaults(fn="cmd_export")
 
     p = sub.add_parser("verify", help="run the embedded property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn="cmd_verify")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or the help (0)
+        return exc.code
+    try:
+        # looked up by name at call time, so the cached parser runs the
+        # module's current handler
+        return globals()[args.fn](args)
     except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

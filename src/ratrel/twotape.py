@@ -408,7 +408,8 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     transition); per component with a cycle through an accepting state, its
     state ids and the letters its internal edges read on each tape; per
     looping state id the letters its single-letter self-loops read on each
-    tape; and a memo for ``_search_order``.
+    tape; and a memo shared by ``_may_accept`` (keyed by a tuple of two
+    strings) and ``_search_order`` (keyed by a frozenset of state ids).
 
     A looping state is accepting and has self-loops (a, "") and ("", b) for
     at least one letter of each tape.  Looping states are numbered last.
@@ -454,19 +455,29 @@ def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
     The tail of an accepting run stays inside one component, enters an
     accepting state and reads every letter of both periods, along edges
     whose labels use only letters of the words.  So some component that
-    covers the periods' letters must be reachable along such edges.
+    covers the periods' letters must be reachable along such edges.  Which
+    components are reachable depends only on the letters of each word,
+    prefix and period together.  It is memoised under those letters,
+    sorted, one string per tape, as an int bitmask over the components
+    (bit i for ``tails[i]``), which allocates less than a set or a tuple
+    per entry.
     """
-    initial, labels1, labels2, rows, tails = compiled[:5]
+    initial, labels1, labels2, rows, tails, _, memo = compiled
+    word1, word2 = set(w1.prefix + w1.period), set(w2.prefix + w2.period)
+    key = ("".join(sorted(word1)), "".join(sorted(word2)))
+    reached = memo.get(key)
+    if reached is None:
+        fits1 = [set(label) <= word1 for label in labels1]
+        fits2 = [set(label) <= word2 for label in labels2]
+        edges = {q: [d for a, b, d, _, _ in rs if fits1[a] and fits2[b]]
+                 for q, rs in enumerate(rows)}
+        reach = _closure({initial}, edges)
+        reached = memo[key] = sum(
+            1 << i for i, (comp, _, _) in enumerate(tails) if not comp.isdisjoint(reach)
+        )
     need1, need2 = set(w1.period), set(w2.period)
-    covering = [comp for comp, read1, read2 in tails if need1 <= read1 and need2 <= read2]
-    if not covering:
-        return False
-    word1, word2 = set(w1.prefix) | need1, set(w2.prefix) | need2
-    fits1 = [set(label) <= word1 for label in labels1]
-    fits2 = [set(label) <= word2 for label in labels2]
-    edges = {q: [d for a, b, d, _, _ in rs if fits1[a] and fits2[b]] for q, rs in enumerate(rows)}
-    reach = _closure({initial}, edges)
-    return any(not comp.isdisjoint(reach) for comp in covering)
+    return any(reached >> i & 1 and need1 <= read1 and need2 <= read2
+               for i, (_, read1, read2) in enumerate(tails))
 
 
 def _search_order(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple:

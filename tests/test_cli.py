@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ratrel
 from ratrel import cli, verify
 from ratrel.cli import main
 from ratrel.grid import GridWord, grid_to_json
@@ -82,6 +86,52 @@ def test_member_arity_errors(capsys):
     assert code == 2 and "word" in err
     code, _, err = run(capsys, "member", "--aut", "T")
     assert code == 2
+
+
+def test_member_pair_and_word_are_exclusive(capsys):
+    code, out, err = run(capsys, "member", "--aut", "A", "--word", "|1", "--pair", "|0", "|0")
+    assert (code, out) == (2, "")
+    assert "argument --pair: not allowed with argument --word" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "--aut"], ["search", "--grid", "g", "--budget", "abc"], ["frobnicate"]],
+)
+def test_usage_error_returns_2_as_in_a_fresh_process(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("usage: ratrel")
+    src = os.path.dirname(os.path.dirname(ratrel.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratrel", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path, zero_grid_file):
+    from ratrel import twotape
+    from ratrel.constructions import automaton_T
+
+    path = tmp_path / "aut.json"
+    path.write_text(twotape.to_json(automaton_T()))
+    calls = [
+        ["member", "--aut", "R", "--pair", "A0|1A", "0|A01", "--json"],
+        ["member", "--aut", "R", "--pair", "A0|1A", "0|A01"],
+        ["member", "--aut-file", str(path), "--pair", "A|0A", "A|0A"],
+        ["search", "--grid", zero_grid_file, "--budget", "300"],
+        ["member", "--aut"],
+        ["verify", "--trials", "2"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 3, 2, 0]
 
 
 def test_member_aut_file(capsys, tmp_path, zero_grid_file):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from pathlib import Path
@@ -579,6 +580,38 @@ def test_coverage_test_rejects_before_the_product():
     assert _may_accept(c_automaton(4)._compiled(), w.normal(), w.normal())
     assert not accepted(c_automaton(4), w, w)
     assert not nested_dfs_accepts_pair(c_automaton(4), w, w)
+
+
+def test_coverage_memo_keys_on_prefix_letters():
+    # hot covers the periods' letters but is reached only by reading a 1,
+    # which these words have in a prefix at most
+    def gated():
+        return TwoTapeAutomaton(
+            ("s", "hot"), BINARY, BINARY,
+            (T("s", "1", "", "hot"), T("s", "", "1", "hot"), T("hot", "0", "0", "hot")),
+            "s", frozenset({"hot"}),
+        )
+
+    pairs = [(lasso("1|0"), lasso("|0"), True), (lasso("|0"), lasso("1|0"), True),
+             (lasso("|0"), lasso("|0"), False)]
+    for order in itertools.permutations(pairs):
+        aut = gated()  # one instance, so one memo, per order
+        for w1, w2, expected in order:
+            assert accepted(aut, w1, w2) == expected == nested_dfs_accepts_pair(aut, w1, w2)
+
+
+def test_coverage_memo_across_prefix_letters_matches_nested_dfs():
+    rng = random.Random(263)
+    prefixes = ["", "0", "1", "01", "10", "11"]
+    for i in range(300):
+        aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "01"))
+        if i % 3 == 0:
+            aut = plant_terminal(rng, aut)
+        period1, period2 = random_lasso(rng, "01", 0, 2).period, rng.choice(["0", "00", "01"])
+        for _ in range(6):  # same period letters, prefix letters vary
+            w1 = LassoWord(rng.choice(prefixes), period1)
+            w2 = LassoWord(rng.choice(prefixes), period2)
+            assert accepted(aut, w1, w2) == nested_dfs_accepts_pair(aut, w1, w2), (aut, w1, w2)
 
 
 def test_shortcuts_against_nested_dfs_on_reference_automata():
