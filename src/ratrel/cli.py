@@ -56,11 +56,11 @@ class InputError(Exception):
     pass
 
 
-def _load_two_tape(args) -> twotape.TwoTapeAutomaton:
-    if getattr(args, "aut_file", None):
+def _load_two_tape(args, default: str | None = None) -> twotape.TwoTapeAutomaton:
+    if args.aut_file:
         with open(args.aut_file) as fh:
             return twotape.from_json(fh.read())
-    name = args.aut
+    name = args.aut or default
     if name in TWO_TAPE_NAMES:
         return TWO_TAPE_NAMES[name]()
     if name in ONE_TAPE_NAMES:
@@ -133,7 +133,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_search(args) -> int:
-    aut = _load_two_tape(args)
+    aut = _load_two_tape(args, default="R")
     x = _load_grid(args.grid)
     outcome = bounded_run_search(aut, encode_h(x), alpha(), args.budget)
     if args.json:
@@ -229,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn="cmd_decode")
 
     p = sub.add_parser("member", help="decide lasso membership for an automaton")
-    p.add_argument("--aut", metavar="NAME", help="built-in automaton name")
-    p.add_argument("--aut-file", metavar="FILE", help="two-tape automaton JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--aut", metavar="NAME", help="built-in automaton name")
+    source.add_argument("--aut-file", metavar="FILE", help="two-tape automaton JSON file")
     words = p.add_mutually_exclusive_group()
     words.add_argument("--pair", nargs=2, metavar=("LASSO1", "LASSO2"))
     words.add_argument("--word", metavar="LASSO", help="single word for the one-tape automata")
@@ -238,8 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn="cmd_member")
 
     p = sub.add_parser("search", help="bounded run search on (coded grid, alpha)")
-    p.add_argument("--aut", metavar="NAME", default="R")
-    p.add_argument("--aut-file", metavar="FILE")
+    source = p.add_mutually_exclusive_group()
+    # R is applied in cmd_search, not as the default: argparse skips the
+    # conflict check for a value that is the default object itself
+    source.add_argument("--aut", metavar="NAME")
+    source.add_argument("--aut-file", metavar="FILE")
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--budget", type=int, required=True, metavar="N")
     p.add_argument("--json", action="store_true")

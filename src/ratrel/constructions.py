@@ -30,6 +30,8 @@ from .twotape import (
 from .words import BlockWord, GAMMA, LassoWord, OmegaWord
 
 SIGMA = "01"
+# the opening A.s.A.ss.A of every coded word, one allowed-letter string per position
+OPENING = ("A", SIGMA, "A", SIGMA, SIGMA, "A")
 
 
 class NotInP(ValueError):
@@ -49,13 +51,33 @@ def alpha() -> BlockWord:
     return BlockWord(block_fn=lambda n: "0" * n, h_source=GridWord.zero())
 
 
+def _loops(q: str, letters1=GAMMA.letters, letters2=GAMMA.letters) -> list[TwoTapeTransition]:
+    """The one-letter self-loops (a, "") and ("", b) of q, for a in letters1 and b in letters2."""
+    return [TwoTapeTransition(q, a, "", q) for a in letters1] + [
+        TwoTapeTransition(q, "", b, q) for b in letters2
+    ]
+
+
+def _gamma_automaton(states, transitions, initial, accepting) -> TwoTapeAutomaton:
+    return TwoTapeAutomaton(
+        states=tuple(states),
+        sigma1=GAMMA,
+        sigma2=GAMMA,
+        transitions=tuple(transitions),
+        initial=initial,
+        accepting=frozenset(accepting),
+    )
+
+
 @lru_cache(maxsize=None)
 def automaton_T() -> TwoTapeAutomaton:
     """The six-state reference automaton; accepting state q4 marks growth steps."""
     T = TwoTapeTransition
     transitions = [
+        *_loops("q0", SIGMA, SIGMA),
         T("q0", "A", "A", "q0"),
         T("q0", "A", "A", "q1"),
+        *_loops("q1", SIGMA, ""),
         T("q1", "", "", "q2"),
         T("q2", "A", "", "q3"),
         T("q3", "", "", "q4"),
@@ -63,22 +85,8 @@ def automaton_T() -> TwoTapeAutomaton:
         T("q5", "", "A", "q2"),
     ]
     for a in SIGMA:
-        transitions += [
-            T("q0", a, "", "q0"),
-            T("q0", "", a, "q0"),
-            T("q1", a, "", "q1"),
-            T("q2", a, "0", "q2"),
-            T("q3", a, "0", "q3"),
-            T("q3", a, "", "q5"),
-        ]
-    return TwoTapeAutomaton(
-        states=("q0", "q1", "q2", "q3", "q4", "q5"),
-        sigma1=GAMMA,
-        sigma2=GAMMA,
-        transitions=tuple(transitions),
-        initial="q0",
-        accepting=frozenset({"q4"}),
-    )
+        transitions += [T("q2", a, "0", "q2"), T("q3", a, "0", "q3"), T("q3", a, "", "q5")]
+    return _gamma_automaton(("q0", "q1", "q2", "q3", "q4", "q5"), transitions, "q0", {"q4"})
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +152,6 @@ class Decomposition:
             1 for i in range(len(self.splits) - 1) if self.splits[i + 1] == self.splits[i]
         )
 
-    @property
-    def final_v(self) -> int:
-        return self.v_len(self.depth)
-
 
 @dataclass(frozen=True)
 class DecompositionSearch:
@@ -160,10 +164,6 @@ class DecompositionSearch:
     @property
     def max_growth_steps(self) -> int:
         return max((b.growth_steps for b in self.branches), default=0)
-
-    @property
-    def max_final_v(self) -> int:
-        return max((b.final_v for b in self.branches), default=0)
 
 
 def build_decompositions(x: GridWord, depth: int, k_max: int) -> DecompositionSearch:
@@ -231,8 +231,8 @@ class RunSchema:
     """
 
     grid: GridWord
-    k: int = 1
-    _v: list[int] = field(default_factory=list, repr=False)
+    k: int = field(default=1, init=False)
+    _v: list[int] = field(default_factory=list, init=False, repr=False)
     _cap: Callable[[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -270,8 +270,6 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     """
     if blocks < 0:
         raise ValueError("block count must be >= 0")
-    if schema.k != 1:
-        raise ValueError("run generation expects the builder's ledger offset k = 1")
     x = schema.grid
     k = schema.k
     T = TwoTapeTransition
@@ -332,119 +330,73 @@ def c_automaton(j: int) -> TwoTapeAutomaton:
     common count of blocks, the next blocks differ in length.  C5: after a
     common count of blocks and one extra block on tape 1, the compared
     block lengths break the +1 ladder.
+
+    Every accepting state loops on single letters of both tapes: on every
+    letter, except that C1's drop1 and drop2 read no A on the tape they drop.
     """
     T = TwoTapeTransition
     if j == 1:
-        transitions = []
+        transitions = [*_loops("pick"), *_loops("drop1", SIGMA), *_loops("drop2", letters2=SIGMA)]
         for a in GAMMA.letters:
-            transitions += [
-                T("pick", a, "", "pick"),
-                T("pick", "", a, "pick"),
-                T("pick", a, "", "drop1"),
-                T("pick", "", a, "drop2"),
-                T("drop1", "", a, "drop1"),
-                T("drop2", a, "", "drop2"),
-            ]
-        for a in SIGMA:
-            transitions += [T("drop1", a, "", "drop1"), T("drop2", "", a, "drop2")]
-        return _gamma_automaton(
-            ("pick", "drop1", "drop2"), transitions, "pick", {"drop1", "drop2"}
-        )
+            transitions += [T("pick", a, "", "drop1"), T("pick", "", a, "drop2")]
+        states = ("pick", "drop1", "drop2")
+        return _gamma_automaton(states, transitions, "pick", states[1:])
     if j == 2:
-        expected = ["A", "01", "A", "01", "01", "A"]
-        transitions = []
-        chain1 = ["root", "t1", "t2", "t3", "t4", "t5"]
-        chain2 = ["root", "s1", "s2", "s3", "s4", "s5"]
-        for chain, tape in ((chain1, 1), (chain2, 2)):
-            for i, state in enumerate(chain):
+        # each tape reads OPENING along a chain; any other letter goes to the sink
+        transitions = _loops("sink")
+        for tape, name in ((1, "t"), (2, "s")):
+            chain = ("root", *(f"{name}{i}" for i in range(1, 6)), None)
+            for src, dst, allowed in zip(chain, chain[1:], OPENING):
                 for a in GAMMA.letters:
-                    if a in expected[i]:
-                        if i + 1 < 6:
-                            dst = chain[i + 1]
-                        else:
-                            continue  # a fully conforming prefix never reaches the sink
-                    else:
-                        dst = "sink"
-                    if tape == 1:
-                        transitions.append(T(state, a, "", dst))
-                    else:
-                        transitions.append(T(state, "", a, dst))
-        for a in GAMMA.letters:
-            transitions += [T("sink", a, "", "sink"), T("sink", "", a, "sink")]
+                    target = dst if a in allowed else "sink"
+                    if target:  # a conforming opening stops at its last A
+                        transitions.append(T(src, *((a, "") if tape == 1 else ("", a)), target))
         states = ("root", "t1", "t2", "t3", "t4", "t5", "s1", "s2", "s3", "s4", "s5", "sink")
         return _gamma_automaton(states, transitions, "root", {"sink"})
     if j == 3:
-        transitions = [T("scan", "", "1", "hot")]
-        for a in GAMMA.letters:
-            transitions += [
-                T("scan", a, "", "scan"),
-                T("scan", "", a, "scan"),
-                T("hot", a, "", "hot"),
-                T("hot", "", a, "hot"),
-            ]
+        transitions = [*_loops("scan"), T("scan", "", "1", "hot"), *_loops("hot")]
         return _gamma_automaton(("scan", "hot"), transitions, "scan", {"hot"})
     if j == 4:
-        transitions = [
-            T("start", "A", "A", "blocks"),
-            T("blocks", "A", "A", "blocks"),
+        return _block_comparison(
+            ("start", "blocks", "cmp", "more1", "more2", "tail"),
             T("blocks", "A", "A", "cmp"),
-            T("more2", "", "A", "tail"),
+            *(T("cmp", a, "A", "more1") for a in SIGMA),
+            *(T("cmp", "A", a, "more2") for a in SIGMA),
+            *_loops("more1", SIGMA, ""),
+            *_loops("more2", "", SIGMA),
             T("more1", "A", "", "tail"),
-        ]
-        for a in SIGMA:
-            transitions += [
-                T("blocks", a, "", "blocks"),
-                T("blocks", "", a, "blocks"),
-                T("cmp", "A", a, "more2"),
-                T("cmp", a, "A", "more1"),
-                T("more2", "", a, "more2"),
-                T("more1", a, "", "more1"),
-            ]
-            for b in SIGMA:
-                transitions.append(T("cmp", a, b, "cmp"))
-        for a in GAMMA.letters:
-            transitions += [T("tail", a, "", "tail"), T("tail", "", a, "tail")]
-        states = ("start", "blocks", "cmp", "more1", "more2", "tail")
-        return _gamma_automaton(states, transitions, "start", {"tail"})
+            T("more2", "", "A", "tail"),
+        )
     if j == 5:
-        transitions = [
-            T("start", "A", "A", "blocks"),
-            T("blocks", "A", "A", "blocks"),
+        return _block_comparison(
+            ("start", "blocks", "skip", "cmp", "lag2", "lead1", "lead1b", "tail"),
             T("blocks", "A", "A", "skip"),
+            *_loops("skip", SIGMA, ""),
             T("skip", "A", "", "cmp"),
             T("cmp", "A", "A", "tail"),
+            *(T("cmp", "A", a, "lag2") for a in SIGMA),
+            *(T("cmp", a, "A", "lead1") for a in SIGMA),
+            *_loops("lag2", "", SIGMA),
+            *(T("lead1", a, "", "lead1b") for a in SIGMA),
+            *_loops("lead1b", SIGMA, ""),
             T("lag2", "", "A", "tail"),
             T("lead1b", "A", "", "tail"),
-        ]
-        for a in SIGMA:
-            transitions += [
-                T("blocks", a, "", "blocks"),
-                T("blocks", "", a, "blocks"),
-                T("skip", a, "", "skip"),
-                T("cmp", "A", a, "lag2"),
-                T("cmp", a, "A", "lead1"),
-                T("lag2", "", a, "lag2"),
-                T("lead1", a, "", "lead1b"),
-                T("lead1b", a, "", "lead1b"),
-            ]
-            for b in SIGMA:
-                transitions.append(T("cmp", a, b, "cmp"))
-        for a in GAMMA.letters:
-            transitions += [T("tail", a, "", "tail"), T("tail", "", a, "tail")]
-        states = ("start", "blocks", "skip", "cmp", "lag2", "lead1", "lead1b", "tail")
-        return _gamma_automaton(states, transitions, "start", {"tail"})
+        )
     raise ValueError("complement pieces are numbered 1..5")
 
 
-def _gamma_automaton(states, transitions, initial, accepting) -> TwoTapeAutomaton:
-    return TwoTapeAutomaton(
-        states=tuple(states),
-        sigma1=GAMMA,
-        sigma2=GAMMA,
-        transitions=tuple(transitions),
-        initial=initial,
-        accepting=frozenset(accepting),
-    )
+def _block_comparison(states, *exits: TwoTapeTransition) -> TwoTapeAutomaton:
+    """C4 or C5: blocks skips common blocks, cmp reads the compared blocks side by
+    side, tail accepts anything; exits are the piece's ways into and out of cmp."""
+    T = TwoTapeTransition
+    skeleton = [
+        T("start", "A", "A", "blocks"),
+        T("blocks", "A", "A", "blocks"),
+        *_loops("blocks", SIGMA, SIGMA),
+        *(T("cmp", a, b, "cmp") for a in SIGMA for b in SIGMA),
+        *_loops("tail"),
+    ]
+    return _gamma_automaton(states, skeleton + list(exits), "start", {"tail"})
 
 
 @lru_cache(maxsize=None)
@@ -539,15 +491,7 @@ def _finitely_many_a(w: OmegaWord) -> bool:
 
 
 def _conforming_opening(w: OmegaWord) -> bool:
-    p = w.prefix_of(6)
-    return (
-        p[0] == "A"
-        and p[1] in SIGMA
-        and p[2] == "A"
-        and p[3] in SIGMA
-        and p[4] in SIGMA
-        and p[5] == "A"
-    )
+    return all(ch in allowed for ch, allowed in zip(w.prefix_of(len(OPENING)), OPENING))
 
 
 def _contains_one(w: OmegaWord) -> bool:

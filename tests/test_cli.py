@@ -144,6 +144,42 @@ def test_member_aut_file(capsys, tmp_path, zero_grid_file):
     assert code == 0 and "accepted" in out
 
 
+@pytest.mark.parametrize("verb", ["member", "search"])
+@pytest.mark.parametrize("name", ["R", "C3"])
+def test_aut_and_aut_file_exclude_each_other(capsys, tmp_path, zero_grid_file, verb, name):
+    from ratrel import twotape
+    from ratrel.constructions import automaton_T
+
+    path = tmp_path / "aut.json"
+    path.write_text(twotape.to_json(automaton_T()))
+    if verb == "member":
+        rest = ["--pair", "A|0A", "A|0A"]
+    else:
+        rest = ["--grid", zero_grid_file, "--budget", "100"]
+    code, out, err = run(capsys, verb, "--aut", name, "--aut-file", str(path), *rest)
+    assert code == 2 and out == ""
+    assert "not allowed with argument --aut" in err
+
+
+def test_search_automaton_source(capsys, tmp_path, zero_grid_file):
+    from ratrel import twotape
+    from ratrel.constructions import automaton_T
+
+    path = tmp_path / "aut.json"
+    path.write_text(twotape.to_json(automaton_T()))
+    grid = ["--grid", zero_grid_file, "--budget", "100", "--json"]
+
+    def stats(*source):
+        code, out, _ = run(capsys, "search", *source, *grid)
+        assert code == 3
+        return json.loads(out)["stats"]
+
+    assert stats() == stats("--aut", "R")  # no flag runs R
+    assert stats("--aut-file", str(path)) == stats("--aut", "T")
+    assert stats("--aut", "T")["fair_visits"] == 10
+    assert stats("--aut", "C3")["fair_visits"] == 0
+
+
 def test_member_unknown_name(capsys):
     code, _, err = run(capsys, "member", "--aut", "nope", "--pair", "|0", "|0")
     assert code == 2 and "unknown automaton" in err

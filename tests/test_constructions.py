@@ -37,6 +37,7 @@ from ratrel.twotape import (
     accepts_lasso_pair,
     bounded_run_search,
     run_prefix_valid,
+    to_json,
     validate,
 )
 from ratrel.verify import random_grid, random_lasso
@@ -86,6 +87,30 @@ def test_reference_automaton_shape():
     assert T("q2", "A", "", "q3") in aut.transitions
     assert T("q4", "", "A", "q2") in aut.transitions
     validate(aut)
+
+
+FAMILY_DIGESTS = {
+    "T": "82b26e09bc5e22bc318a16227ac848d5f1cb924444fb584f40f939ba1e7f573f",
+    "C1": "5c0526408220ff93565a04fa86dc619da06c2cb6b67e3a6473ec95a50d06d252",
+    "C2": "8b8a61d124227a5feb5fb1bc692f36fdf95de645d0e8b636a41cc379616b8641",
+    "C3": "f660f60ef4041bbf155c770052ed1e62537ef693163660d7752eadab36cb90ee",
+    "C4": "ad0a308eb417d4db1f48886e1aba591baa527d2e37ec4e51f1720fedd9d91a10",
+    "C5": "f7450af3700571b57e7b3a38a20fb9ff6eeb59839d62c0076d58db1e608797b0",
+    "R2": "a2ec18ee9fa3c8f2e3a00d5af41240824c32083c42b911bb00d81f4140aa719f",
+    "R": "114db2d7b96c64263551b61a0caed4c819adf4bcad8f1153f056a31643ff84da",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_built_in_family_is_pinned(name):
+    # the JSON export fixes states, state order, transitions and acceptance;
+    # state order fixes the DFS order and so the certificates
+    if name.startswith("C"):
+        aut = c_automaton(int(name[1:]))
+    else:
+        aut = {"T": automaton_T, "R2": r2_automaton, "R": r_automaton}[name]()
+    digest = hashlib.sha256(to_json(aut).encode()).hexdigest()
+    assert digest == FAMILY_DIGESTS[name]
 
 
 # -- decompositions ---------------------------------------------------------------
