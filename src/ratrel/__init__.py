@@ -14,7 +14,6 @@ from .words import (
 from .grid import (
     GridWord,
     MalformedPrefix,
-    PartialGrid,
     antidiagonal,
     column,
     decode_h_prefix,
@@ -28,8 +27,6 @@ from .grid import (
 from .buchi import BuchiAutomaton, buchi_accepts_lasso, ones_automaton
 from .twotape import (
     Certificate,
-    DegenerateAutomaton,
-    Diagnostics,
     InvalidAutomaton,
     RunPrefix,
     RunReport,

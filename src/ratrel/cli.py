@@ -15,6 +15,7 @@ input does, instead of raising ``SystemExit``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -35,11 +36,7 @@ from .words import GAMMA, LassoWord
 
 TWO_TAPE_NAMES = {
     "T": automaton_T,
-    "C1": lambda: c_automaton(1),
-    "C2": lambda: c_automaton(2),
-    "C3": lambda: c_automaton(3),
-    "C4": lambda: c_automaton(4),
-    "C5": lambda: c_automaton(5),
+    **{f"C{j}": functools.partial(c_automaton, j) for j in range(1, 6)},
     "R2": r2_automaton,
     "R": r_automaton,
 }
@@ -56,17 +53,26 @@ class InputError(Exception):
     pass
 
 
+def _builtin(name: str, aside: str = ""):
+    """The built-in automaton called name, two-tape or one-tape."""
+    build = TWO_TAPE_NAMES.get(name) or ONE_TAPE_NAMES.get(name)
+    if build is None:
+        raise InputError(f"unknown automaton {name!r}; choose from "
+                         f"{sorted(TWO_TAPE_NAMES) + sorted(ONE_TAPE_NAMES)}{aside}")
+    return build()
+
+
 def _load_two_tape(args, default: str | None = None) -> twotape.TwoTapeAutomaton:
     if args.aut_file:
         with open(args.aut_file) as fh:
             return twotape.from_json(fh.read())
     name = args.aut or default
-    if name in TWO_TAPE_NAMES:
-        return TWO_TAPE_NAMES[name]()
-    if name in ONE_TAPE_NAMES:
+    if name is None:
+        raise InputError("an automaton is required: --aut NAME or --aut-file FILE")
+    aut = _builtin(name, " or use --aut-file")
+    if isinstance(aut, BuchiAutomaton):
         raise InputError(f"{name} is a one-tape automaton; pass --word instead of --pair")
-    raise InputError(f"unknown automaton {name!r}; choose from "
-                     f"{sorted(TWO_TAPE_NAMES) + sorted(ONE_TAPE_NAMES)} or use --aut-file")
+    return aut
 
 
 def _load_grid(path: str):
@@ -104,7 +110,7 @@ def cmd_member(args) -> int:
     if args.word is not None:
         if args.aut not in ONE_TAPE_NAMES:
             raise InputError("--word only applies to the one-tape automata A and Acomp")
-        aut = ONE_TAPE_NAMES[args.aut]()
+        aut = _builtin(args.aut)
         accepted = buchi_accepts_lasso(aut, LassoWord.parse(args.word, aut.alphabet))
         verdict = Verdict.ACCEPTED if accepted else Verdict.REJECTED
     else:
@@ -136,60 +142,40 @@ def cmd_search(args) -> int:
     aut = _load_two_tape(args, default="R")
     x = _load_grid(args.grid)
     outcome = bounded_run_search(aut, encode_h(x), alpha(), args.budget)
+    stats = dataclasses.asdict(outcome.stats) if outcome.stats else None
     if args.json:
         doc = {"verdict": outcome.verdict.value}
-        if outcome.stats:
-            s = outcome.stats
-            doc["stats"] = {
-                "expansions": s.expansions,
-                "fair_visits": s.fair_visits,
-                "deepest": s.deepest,
-                "frontier": s.frontier,
-                "exhausted": s.exhausted,
-            }
+        if stats:
+            doc["stats"] = stats
         print(json.dumps(doc))
     else:
         print(outcome.verdict.value)
-        if outcome.stats:
-            s = outcome.stats
-            print(
-                f"expansions={s.expansions} fair_visits={s.fair_visits} "
-                f"deepest={s.deepest} frontier={s.frontier} exhausted={s.exhausted}"
-            )
+        if stats:
+            print(" ".join(f"{key}={value}" for key, value in stats.items()))
     return EXIT_STATUS[outcome.verdict]
+
+
+def _print_truth(args, key: str, verdict: bool) -> int:
+    """Print a yes/no answer as {key: verdict} or true/false; 0 if true, 1 if not."""
+    print(json.dumps({key: verdict}) if args.json else "true" if verdict else "false")
+    return 0 if verdict else 1
 
 
 def cmd_in_p(args) -> int:
     from .grid import in_P
 
-    verdict = in_P(_load_grid(args.grid))
-    if args.json:
-        print(json.dumps({"in_P": verdict}))
-    else:
-        print("true" if verdict else "false")
-    return 0 if verdict else 1
+    return _print_truth(args, "in_P", in_P(_load_grid(args.grid)))
 
 
 def cmd_sections(args) -> int:
-    verdict = section_member(_parse_lasso(args.sigma), _parse_lasso(args.u))
-    if args.json:
-        print(json.dumps({"member": verdict}))
-    else:
-        print("true" if verdict else "false")
-    return 0 if verdict else 1
+    return _print_truth(args, "member", section_member(_parse_lasso(args.sigma), _parse_lasso(args.u)))
 
 
 def cmd_export(args) -> int:
-    name = args.aut
-    if name in TWO_TAPE_NAMES:
-        aut = TWO_TAPE_NAMES[name]()
-        print(twotape.to_json(aut) if args.format == "json" else twotape.to_dot(aut), end="")
-        return 0
-    if name in ONE_TAPE_NAMES:
-        aut: BuchiAutomaton = ONE_TAPE_NAMES[name]()
-        print(buchi.to_json(aut) if args.format == "json" else buchi.to_dot(aut), end="")
-        return 0
-    raise InputError(f"unknown automaton {name!r}")
+    aut = _builtin(args.aut)
+    form = buchi if isinstance(aut, BuchiAutomaton) else twotape
+    print(form.to_json(aut) if args.format == "json" else form.to_dot(aut), end="")
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -69,25 +69,6 @@ class GridWord:
         return all(lasso_equal(mine[m], theirs[m]) for m in mine)
 
 
-@dataclass(frozen=True)
-class PartialGrid:
-    """Finite map (column, row) -> letter recovered from a decoded prefix."""
-
-    entries: dict[tuple[int, int], str]
-
-    def get(self, m: int, n: int) -> str | None:
-        return self.entries.get((m, n))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self.entries
-
-    def items(self):
-        return self.entries.items()
-
-
 def entry(x: GridWord, m: int, n: int) -> str:
     return x.entry(m, n)
 
@@ -123,8 +104,9 @@ def encode_h(x: GridWord) -> BlockWord:
     return BlockWord(block_fn=lambda n: antidiagonal(x, n + 1), h_source=x)
 
 
-def decode_h_prefix(w: str) -> PartialGrid:
-    """Recover grid entries from a prefix of a coded word.
+def decode_h_prefix(w: str) -> dict[tuple[int, int], str]:
+    """Recover grid entries, a map (column, row) -> letter, from a prefix of
+    a coded word.
 
     Only complete antidiagonal blocks contribute entries.  Raises
     MalformedPrefix when the A separators do not sit at the triangular
@@ -133,14 +115,14 @@ def decode_h_prefix(w: str) -> PartialGrid:
     GAMMA.check_word(w, "coded prefix")
     entries: dict[tuple[int, int], str] = {}
     if not w:
-        return PartialGrid(entries)
+        return entries
     if w[0] != "A":
         raise MalformedPrefix("coded words start with the separator A")
     b = 1
     while True:
         base = _tri(b)
         if base + b > len(w):
-            return PartialGrid(entries)  # block b incomplete: discard it
+            return entries  # block b incomplete: discard it
         block: list[tuple[tuple[int, int], str]] = []
         for i in range(1, b + 1):
             ch = w[base + i - 1]
@@ -152,7 +134,7 @@ def decode_h_prefix(w: str) -> PartialGrid:
         entries.update(block)
         sep = _tri(b + 1)
         if sep > len(w):
-            return PartialGrid(entries)
+            return entries
         if w[sep - 1] != "A":
             raise MalformedPrefix(f"expected separator A at position {sep}")
         b += 1

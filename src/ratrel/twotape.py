@@ -25,7 +25,7 @@ certificate is the search stack plus a cycle on the final state's
 self-loops, or a cycle rebuilt inside the component from the visited
 configurations.  For block-pattern inputs a budgeted best-first search
 reports evidence instead of a verdict, over the same compiled rows indexed
-by the next letter on each tape and one text slice per word.
+by the next letter on each tape and one text per word.
 """
 
 from __future__ import annotations
@@ -38,17 +38,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._scc import tarjan_scc
-from .words import Alphabet, AlphabetMismatch, LassoWord, OmegaWord
+from .words import Alphabet, AlphabetMismatch, BlockWord, LassoWord, OmegaWord
 
 
 class InvalidAutomaton(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
-
-
-class DegenerateAutomaton(ValueError):
-    """An accepting cycle of (empty, empty) transitions with no consuming way out."""
 
 
 class TwoTapeTransition(NamedTuple):
@@ -98,19 +94,8 @@ class TwoTapeAutomaton:
         return cached
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    state_count: int
-    unreachable: frozenset[str]
-    cannot_reach_accepting: frozenset[str]
-
-
-def validate(aut: TwoTapeAutomaton) -> Diagnostics:
-    """Check the structural invariants; raise InvalidAutomaton listing violations.
-
-    On success, reports unreachable states and states from which the
-    accepting set is unreachable (informational, not errors).
-    """
+def validate(aut: TwoTapeAutomaton) -> None:
+    """Check the structural invariants; raise InvalidAutomaton listing violations."""
     problems: list[str] = []
     states = set(aut.states)
     if len(states) != len(aut.states):
@@ -134,24 +119,6 @@ def validate(aut: TwoTapeAutomaton) -> Diagnostics:
             problems.append(str(exc))
     if problems:
         raise InvalidAutomaton(problems)
-
-    back: dict[str, list[str]] = {}
-    for t in aut.transitions:
-        back.setdefault(t.dst, []).append(t.src)
-    reachable = _closure({aut.initial}, _targets(aut.transitions))
-    co_accepting = _closure(set(aut.accepting), back)
-    return Diagnostics(
-        state_count=len(aut.states),
-        unreachable=frozenset(states - reachable.keys()),
-        cannot_reach_accepting=frozenset(states - co_accepting.keys()),
-    )
-
-
-def _targets(transitions) -> dict[str, list[str]]:
-    fwd: dict[str, list[str]] = {}
-    for t in transitions:
-        fwd.setdefault(t.src, []).append(t.dst)
-    return fwd
 
 
 def _closure(seeds, edges: dict) -> dict:
@@ -203,7 +170,10 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
     Silent segments are folded into their predecessors; a silent path that
     passes through an accepting state is remembered by routing the folded
     transition into an accepting copy of its target, so accepting visits
-    that happened mid-segment still recur in the folded run.
+    that happened mid-segment still recur in the folded run.  Every
+    automaton folds: a state whose silent closure holds no consuming
+    transition (an accepting silent cycle with no way out, say) becomes a
+    dead end, which accepts nothing, as the silent cycle never did.
     """
     eps_edges: dict[str, list[str]] = {}
     for t in aut.transitions:
@@ -211,8 +181,6 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
             eps_edges.setdefault(t.src, []).append(t.dst)
     if not eps_edges:
         return aut
-
-    _reject_degenerate(aut, eps_edges)
 
     suffix = "+"
     names = set(aut.states)
@@ -248,7 +216,10 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
     }
     plus_names = {base + suffix for base in plus}
 
-    keep = _closure({aut.initial}, _targets(transitions))
+    edges: dict[str, list[str]] = {}
+    for t in transitions:
+        edges.setdefault(t.src, []).append(t.dst)
+    keep = _closure({aut.initial}, edges)
     kept_trans = tuple(t for t in transitions if t.src in keep and t.dst in keep)
     kept_states = tuple(s for s in aut.states if s in keep) + tuple(
         sorted(plus_names & keep.keys())
@@ -264,33 +235,6 @@ def epsilon_normalize(aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
         initial=aut.initial,
         accepting=accepting,
     )
-
-
-def _reject_degenerate(aut: TwoTapeAutomaton, eps_edges: dict[str, list[str]]) -> None:
-    """Raise if a reachable accepting silent cycle has no consuming continuation."""
-    states = list(aut.states)
-    idx = {s: i for i, s in enumerate(states)}
-    adj = [[idx[d] for d in eps_edges.get(s, ())] for s in states]
-    comp = tarjan_scc(len(states), adj)
-    members: dict[int, list[int]] = {}
-    for i, c in enumerate(comp):
-        members.setdefault(c, []).append(i)
-
-    reachable = _closure({aut.initial}, _targets(aut.transitions))
-
-    has_consuming = {t.src for t in aut.transitions if t.read1 or t.read2}
-    for nodes in members.values():
-        cyc = [states[i] for i in nodes]
-        if len(nodes) == 1 and idx[cyc[0]] not in adj[nodes[0]]:
-            continue  # trivial component, no silent self-loop
-        if not any(s in aut.accepting for s in cyc):
-            continue
-        if not any(s in reachable for s in cyc):
-            continue
-        if not _closure(set(cyc), eps_edges).keys() & has_consuming:
-            raise DegenerateAutomaton(
-                f"accepting silent cycle through {sorted(set(cyc))} cannot consume input"
-            )
 
 
 @dataclass(frozen=True)
@@ -769,8 +713,9 @@ def bounded_run_search(
     One expansion is one heap step.  The compiled rows, in the order of
     ``transitions_from`` (which breaks ties), come from a per-call index
     by state and next letter on each tape; only labels longer than one
-    letter are compared, by ``str.startswith`` on one ``prefix_of`` text
-    per word, doubled whenever a position nears the end by a label length.
+    letter are compared, by ``str.startswith`` on one text per word,
+    reread by ``_text_reader`` whenever a position nears its end by a
+    label length.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -781,7 +726,8 @@ def bounded_run_search(
 
     initial, labels1, labels2, rows = aut._compiled()[:4]
     reach1, reach2 = (max(map(len, labels), default=0) + 1 for labels in (labels1, labels2))
-    text1, text2 = w1.prefix_of(reach1), w2.prefix_of(reach2)
+    read1, read2 = map(_text_reader, (w1, w2))
+    text1, text2 = read1(reach1), read2(reach2)
     # (state, letter, letter) -> rows as (label 1 if longer than one letter
     # else "", its length, the same for label 2, target, accepting)
     index: dict[tuple[int, str, str], list[tuple]] = {}
@@ -797,9 +743,9 @@ def bounded_run_search(
             continue  # a better label for this configuration was processed
         expansions += 1
         if c1 + reach1 > len(text1):
-            text1 = w1.prefix_of(2 * (c1 + reach1))
+            text1 = read1(c1 + reach1)
         if c2 + reach2 > len(text2):
-            text2 = w2.prefix_of(2 * (c2 + reach2))
+            text2 = read2(c2 + reach2)
         key = (q, text1[c1], text2[c2])
         matches = index.get(key)
         if matches is None:
@@ -839,6 +785,15 @@ def bounded_run_search(
             exhausted=not heap,
         ),
     )
+
+
+def _text_reader(w: OmegaWord):
+    """A function n -> a text of at least n letters of w: a block word's
+    cached text, unsliced, as its cache already doubles, or a lasso's
+    prefix of length 2n, so that rereads stay few."""
+    if isinstance(w, BlockWord):
+        return w._text
+    return lambda n: w.prefix_of(2 * n)
 
 
 def to_json(aut: TwoTapeAutomaton) -> str:

@@ -58,12 +58,9 @@ GAMMA = Alphabet.of("01A")
 
 
 def _primitive_root(s: str) -> str:
-    """Shortest word whose repetition yields s."""
-    n = len(s)
-    for d in range(1, n + 1):
-        if n % d == 0 and s[:d] * (n // d) == s:
-            return s[:d]
-    return s
+    """Shortest word whose repetition yields s: s recurs inside s + s first
+    at the length of that word (at len(s) when s is primitive)."""
+    return s[:(s + s).find(s, 1)]
 
 
 @lru_cache(maxsize=4096)

@@ -185,6 +185,18 @@ def test_member_unknown_name(capsys):
     assert code == 2 and "unknown automaton" in err
 
 
+def test_member_needs_an_automaton(capsys):
+    code, out, err = run(capsys, "member", "--pair", "A|0A", "A|0A")
+    assert (code, out) == (2, "")
+    assert err == "error: an automaton is required: --aut NAME or --aut-file FILE\n"
+
+
+def test_export_unknown_name_lists_the_choices(capsys):
+    code, out, err = run(capsys, "export", "--aut", "nope", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "unknown automaton 'nope'; choose from ['C1'" in err and "'Acomp']" in err
+
+
 def test_search(capsys, zero_grid_file):
     code, out, _ = run(
         capsys, "search", "--aut", "T", "--grid", zero_grid_file, "--budget", "3000", "--json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -14,6 +15,7 @@ from ratrel.words import (
     BlockWord,
     GAMMA,
     LassoWord,
+    _primitive_root,
     lasso_equal,
     letter_at,
     prefix_of,
@@ -143,6 +145,19 @@ def test_normal_form_minimality():
     assert LassoWord("00", "1010").normal() == LassoWord("0", "01")
     assert LassoWord("A1", "11").normal() == LassoWord("A", "1")
     assert LassoWord("010", "10").normal() == LassoWord("", "01")
+
+
+def test_primitive_root_matches_divisor_scan():
+    # every word over 01A up to length 6 and over 01 up to length 10
+    def by_divisors(s: str) -> str:
+        n = len(s)
+        return next(s[:d] for d in range(1, n + 1) if n % d == 0 and s[:d] * (n // d) == s)
+
+    for letters, longest in (("01A", 6), ("01", 10)):
+        for n in range(1, longest + 1):
+            for t in itertools.product(letters, repeat=n):
+                s = "".join(t)
+                assert _primitive_root(s) == by_divisors(s), s
 
 
 def test_period_recurrence_after_prefix():
