@@ -10,22 +10,33 @@ labels do not count as accepting behaviour.
 For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
-period.  Two analyses of the automaton, cached with its compiled form,
-come first: a letter-coverage test rejects when no reachable component
-can carry an accepting tail over the words' letters, and a configuration
-in a final state (accepting, with single-letter self-loops for every
-letter of both periods and of the rest of each lasso prefix) accepts.
-Otherwise the graph is explored on the fly, never stored: each tape is
-compiled into next-position tables per transition label, configurations
-are packed into ints, and one Couvreur-style SCC search with three edge
-marks (accepting state entered, tape-1 letter consumed, tape-2 letter
+period.  Analyses of the automaton, cached with its compiled form, come
+first: a letter-coverage test rejects when no reachable component can
+carry an accepting tail over the words' letters, and a configuration in a
+final state (accepting, with single-letter self-loops for every letter of
+both periods and of the rest of each lasso prefix) accepts.  Otherwise
+the graph is explored on the fly, never stored: each tape is compiled
+into next-position tables per transition label, configurations are packed
+into ints, and one Couvreur-style SCC search with three edge marks
+(accepting state entered, tape-1 letter consumed, tape-2 letter
 consumed), trying transitions towards final states first, stops at the
-first component that carries all three or at a final configuration.  The
-certificate is the search stack plus a cycle on the final state's
+first component that carries all three or at a final configuration.
+
+A corner-only state loops on letters L1 of tape 1 and L2 of tape 2 and
+has no other transition that can fire before both tapes reach a letter
+outside its loops.  Its loops sweep a rectangle of configurations, and
+the search crosses it in one macro edge to the rectangle's corner, the
+first positions whose letters are outside L1 and L2, so a pair of long
+blocks costs one edge instead of the product of their lengths: a
+meta-transition in the sense of Boigelot (1998), sound because the loops
+on the two tapes commute, as in Godefroid's partial-order methods (1996).
+
+The certificate is the search stack plus a cycle on the final state's
 self-loops, or a cycle rebuilt inside the component from the visited
-configurations.  For block-pattern inputs a budgeted best-first search
-reports evidence instead of a verdict, over the same compiled rows indexed
-by the next letter on each tape and one text per word.
+configurations, with every macro edge expanded into its loop letters.
+For block-pattern inputs a budgeted best-first search reports evidence
+instead of a verdict, over the same compiled rows indexed by the next
+letter on each tape and one text per word.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from ._scc import tarjan_scc
@@ -350,23 +362,17 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     """Integer form: the initial state id; the distinct labels of each tape;
     per state id its rows (label-1 index, label-2 index, target id, marks,
     transition); per component with a cycle through an accepting state, its
-    state ids and the letters its internal edges read on each tape; per
-    looping state id the letters its single-letter self-loops read on each
-    tape; and a memo shared by ``_may_accept`` (keyed by a tuple of two
-    strings) and ``_search_order`` (keyed by a frozenset of state ids).
+    state ids and the letters its internal edges read on each tape; and a
+    memo shared by ``_may_accept`` (keyed by a tuple of two strings),
+    ``_search_order`` (keyed by a frozenset of state ids) and
+    ``_loop_summary`` (keyed by ``"loops"``).
 
-    A looping state is accepting and has self-loops (a, "") and ("", b) for
-    at least one letter of each tape.  Looping states are numbered last.
+    Accepting states are numbered last, so every final state is too.
     """
-    loops: dict[str, tuple[set, set]] = {}
-    for t in aut.transitions:
-        if t.src == t.dst and len(t.read1) + len(t.read2) == 1 and t.src in aut.accepting:
-            loops.setdefault(t.src, (set(), set()))[0 if t.read1 else 1].add(t.read1 + t.read2)
-    loops = {q: sets for q, sets in loops.items() if all(sets)}
     names = dict.fromkeys(
         (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
     )
-    ids = {s: i for i, s in enumerate(sorted(names, key=loops.__contains__) if loops else names)}
+    ids = {s: i for i, s in enumerate(sorted(names, key=aut.accepting.__contains__))}
     labels1 = sorted({t.read1 for t in aut.transitions})
     labels2 = sorted({t.read2 for t in aut.transitions})
     rows: list[list] = [[] for _ in ids]
@@ -389,8 +395,43 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
                     tail[0].add(src)
                     tail[1].update(t.read1)
                     tail[2].update(t.read2)
-    loops = {ids[q]: sets for q, sets in loops.items()}
-    return ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, {}
+    return ids[aut.initial], labels1, labels2, rows, list(tails.values()), {}
+
+
+def _loop_summary(compiled: tuple) -> tuple[dict, dict]:
+    """The states with one-letter self-loops (a, "") for a in L1 and
+    ("", b) for b in L2, L1 and L2 both non-empty, from one pass over each
+    state's rows, memoised with the compiled form on first need.
+
+    Returns the looping states, the accepting ones, as id -> (L1, L2); and
+    the corner-only states as id -> (L1, L2, ACC if accepting else 0, name).
+    A state is corner-only when every transition leaving it other than
+    those loops starts with a letter outside L1 on tape 1 and with a letter
+    outside L2 on tape 2: from (q, p1, p2) the loops sweep the rectangle up
+    to the first positions r1, r2 whose letters are outside L1 and L2, and
+    nothing else fires before its corner (r1, r2).
+    """
+    memo = compiled[-1]
+    summary = memo.get("loops")
+    if summary is None:
+        looping, corners = {}, {}
+        for q, rs in enumerate(compiled[3]):
+            l1, l2, exits, acc = set(), set(), [], 0
+            for _, _, dst, m, t in rs:
+                if dst == q and len(t.read1) + len(t.read2) == 1:
+                    (l1 if t.read1 else l2).add(t.read1 + t.read2)
+                    acc = m & ACC
+                else:
+                    exits.append(t)
+            if not (l1 and l2):
+                continue
+            if acc:
+                looping[q] = (l1, l2)
+            if all(t.read1 and t.read2 and t.read1[0] not in l1 and t.read2[0] not in l2
+                   for t in exits):
+                corners[q] = (l1, l2, acc, rs[0][4].src)
+        summary = memo["loops"] = looping, corners
+    return summary
 
 
 def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
@@ -406,7 +447,7 @@ def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
     (bit i for ``tails[i]``), which allocates less than a set or a tuple
     per entry.
     """
-    initial, labels1, labels2, rows, tails, _, memo = compiled
+    initial, labels1, labels2, rows, tails, memo = compiled
     word1, word2 = set(w1.prefix + w1.period), set(w2.prefix + w2.period)
     key = ("".join(sorted(word1)), "".join(sorted(word2)))
     reached = memo.get(key)
@@ -429,9 +470,10 @@ def _search_order(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple:
     read every letter of both periods, with those letters; and the rows,
     each state's sorted so that those whose target is nearer a final state
     come first.  Memoised per set of final states."""
-    _, _, _, rows, _, loops, memo = compiled
+    rows, memo = compiled[3], compiled[-1]
     need1, need2 = set(w1.period), set(w2.period)
-    final = {q: sets for q, sets in loops.items() if need1 <= sets[0] and need2 <= sets[1]}
+    final = {q: sets for q, sets in _loop_summary(compiled)[0].items()
+             if need1 <= sets[0] and need2 <= sets[1]}
     if not final:
         return final, rows
     key = frozenset(final)
@@ -473,8 +515,8 @@ def accepts_lasso_pair(
     Inside one component those edges always compose into a single fair
     cycle, and conversely any accepting run yields such a component.
 
-    Two shortcuts come first, both sound, both from analyses cached once
-    per automaton: the letter-coverage test ``_may_accept`` rejects
+    Two shortcuts come first, both sound, both from analyses cached with
+    the compiled automaton: the letter-coverage test ``_may_accept`` rejects
     without touching the product, and a configuration in a state final
     for the periods' letters (``_search_order``: accepting, with a
     single-letter self-loop for every letter of both periods) accepts as
@@ -489,13 +531,28 @@ def accepts_lasso_pair(
     configuration is reached.  It is the complete fallback, whatever the
     order.
 
+    Corner-only states (``_loop_summary``) take rectangle jumps instead of
+    their loops.  From (q, p1, p2) the one successor is the macro edge to
+    (q, r1, r2), where ri is the first position from pi on, wrapping in
+    the period, whose letter is outside q's tape-i loop letters; it
+    carries ``T1`` if r1 != p1, ``T2`` if r2 != p2 and ``ACC`` if q is
+    accepting.  At the corner itself only q's other transitions fire, and
+    no other configuration of the rectangle can fire them, so the jump
+    keeps reachability among the remaining configurations and every fair
+    cycle.  Where some ri does not exist the configuration is a dead end:
+    its tape i reads on the loops forever, so no run leaves q, and one
+    that stays is fair only if both tapes do and q accepts, which makes
+    the configuration final, caught when it is discovered.  The tables of
+    ri are built per state on its first expansion.
+
     Accepted verdicts carry a replayable stem-plus-cycle certificate whose
     stem follows the DFS stack.  After a final configuration the stem
     reads the rest of each lasso prefix on the self-loops, and the cycle
     is one turn of the tape-1 period, then of the tape-2 period, on them.
     Otherwise the cycle is stitched from breadth-first paths inside the
     component, over visited configurations only, that pick up each mark
-    in turn and return to the root.
+    in turn and return to the root.  Each macro edge on the stem or the
+    cycle is expanded into its loop letters: tape 1 first, then tape 2.
     """
     aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
@@ -509,29 +566,69 @@ def accepts_lasso_pair(
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
         tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
+    corners = _loop_summary(compiled)[1]
+    jumps: dict[int, tuple] = {}  # per corner-only state: its next-outside tables
     # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
     # successors come from the rows of its head q * n1 + p1, built on
     # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, and the transition.
+    # position 0, and the transition, or for a jump the state's name.
     heads: list = [None] * (len(rows) * n1)
+
+    def head_rows(head: int) -> list[tuple]:
+        q, p1 = divmod(head, n1)
+        rs = [
+            (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
+            for a, b, d, m, t in rows[q]
+            if tabs1[a][p1] >= 0
+        ]
+        corner = corners.get(q)
+        if corner is None:
+            return rs
+        # A corner-only state's loops give way to one macro edge to the
+        # corner of their rectangle: keep2 gives the corner's tape-2
+        # position with the T2 mark where tape 2 moves, move2 the same only
+        # where it does.  Its other rows, which read on both tapes, match
+        # only at the corner.
+        l1, l2, acc, name = corner
+        if q not in jumps:
+            keep2 = [-1 if r < 0 else r << 3 | (T2 if r != p else 0)
+                     for p, r in enumerate(_next_outside(w2, l2))]
+            jumps[q] = _next_outside(w1, l1), keep2, [y if y & T2 else -1 for y in keep2]
+        out1, keep2, move2 = jumps[q]
+        r1 = out1[p1]
+        if r1 < 0:  # tape 1 reads on the loops forever: a dead end unless final
+            return []
+        if r1 != p1:
+            jump = (keep2, ((q * n1 + r1) * n2) << 3 | T1 | acc, name)
+        else:
+            jump = (move2, ((q * n1 + p1) * n2) << 3 | acc, name)
+        return [jump] + [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
 
     def successors(c: int) -> list[int]:
         """Successor codes ``config << 3 | marks`` of configuration c."""
         head, p2 = divmod(c, n2)
         rs = heads[head]
         if rs is None:
-            q, p1 = divmod(head, n1)
-            rs = heads[head] = [
-                (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
-                for a, b, d, m, t in rows[q]
-                if tabs1[a][p1] >= 0
-            ]
+            rs = heads[head] = head_rows(head)
         out = []
         for tab2, base, _ in rs:
             y = tab2[p2]
             if y >= 0:
                 out.append(base + y)
         return out
+
+    text1, text2 = w1.prefix + w1.period, w2.prefix + w2.period
+
+    def steps(c: int, code: int) -> list[TwoTapeTransition]:
+        """The transitions behind successor ``code`` of configuration c: one,
+        or a jump's loop letters, tape 1 first, then tape 2."""
+        head, p2 = divmod(c, n2)
+        t = next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
+        if type(t) is not str:
+            return [t]
+        head2, r2 = divmod(code >> 3, n2)
+        read1 = _between(text1, len(w1.prefix), head % n1, head2 % n1)
+        return _on_loops(t, read1, _between(text2, len(w2.prefix), p2, r2))
 
     # A configuration in a final state accepts once the rest of each lasso
     # prefix reads on that state's loops: gate[head] is the least tape-2
@@ -543,7 +640,7 @@ def accepts_lasso_pair(
     limit = min(final, default=len(rows)) * n1 * n2  # no final state below
 
     def reached_final(path: list[int]) -> SearchOutcome:
-        stem = _stem(successors, heads, n2, path)
+        stem = _stem(successors, steps, path)
         head, p2 = divmod(path[-1], n2)
         q = stem[-1].dst if stem else aut.initial
         cert = _loop_certificate(q, stem, w1, head % n1, w2, p2)
@@ -584,7 +681,7 @@ def accepts_lasso_pair(
                 inside[-1] = marks
                 if marks == _ALL:
                     path = [f[0] for f in todo]
-                    cert = _certificate(successors, heads, n2, number, path, roots[-1])
+                    cert = _certificate(successors, steps, number, path, roots[-1])
                     return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=cert)
         else:
             todo.pop()
@@ -608,17 +705,38 @@ def _loop_start(w: LassoWord, letters: set) -> int:
     return i
 
 
-def _transition(heads, n2, c: int, code: int) -> TwoTapeTransition:
-    """The transition behind successor code ``code`` of configuration c."""
-    head, p2 = divmod(c, n2)
-    return next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
+def _next_outside(w: LassoWord, letters: set) -> list[int]:
+    """Per position of the normal form w, the first position from it on,
+    wrapping in the period, whose letter is outside letters; -1 if none."""
+    text, lp = w.prefix + w.period, len(w.prefix)
+    out = [-1] * len(text)
+    r = -1
+    # the first sweep over the period leaves r at its first outside letter
+    for p in chain(range(len(text) - 1, lp - 1, -1), range(len(text) - 1, -1, -1)):
+        if text[p] not in letters:
+            r = p
+        out[p] = r
+    return out
 
 
-def _stem(successors, heads, n2, path: list[int]) -> list[TwoTapeTransition]:
+def _between(text: str, lp: int, p: int, r: int) -> str:
+    """The letters read from position p up to position r, wrapping in the period."""
+    return text[p:r] if p <= r else text[p:] + text[lp:r]
+
+
+def _on_loops(q: str, read1: str, read2: str) -> list[TwoTapeTransition]:
+    """The self-loops of q that read read1 on tape 1, then read2 on tape 2."""
+    return [TwoTapeTransition(q, ch, "", q) for ch in read1] + [
+        TwoTapeTransition(q, "", ch, q) for ch in read2
+    ]
+
+
+def _stem(successors, steps, path: list[int]) -> list[TwoTapeTransition]:
     """Transitions along a path of configurations, each a successor of the last."""
     return [
-        _transition(heads, n2, a, next(x for x in successors(a) if x >> 3 == b))
+        t
         for a, b in zip(path, path[1:])
+        for t in steps(a, next(x for x in successors(a) if x >> 3 == b))
     ]
 
 
@@ -633,18 +751,12 @@ def _loop_certificate(q: str, stem: list, w1: LassoWord, p1: int, w2: LassoWord,
         turn = max(p, lp)
         return text[p:lp], text[turn:] + text[lp:turn]
 
-    def on1(letters: str) -> list:
-        return [TwoTapeTransition(q, ch, "", q) for ch in letters]
-
-    def on2(letters: str) -> list:
-        return [TwoTapeTransition(q, "", ch, q) for ch in letters]
-
     (rest1, turn1), (rest2, turn2) = split(w1, p1), split(w2, p2)
-    stem = stem + on1(rest1) + on2(rest2)
-    return Certificate(stem=RunPrefix(tuple(stem)), cycle=RunPrefix(tuple(on1(turn1) + on2(turn2))))
+    stem = stem + _on_loops(q, rest1, rest2)
+    return Certificate(stem=RunPrefix(tuple(stem)), cycle=RunPrefix(tuple(_on_loops(q, turn1, turn2))))
 
 
-def _certificate(successors, heads, n2, number, path, root) -> Certificate:
+def _certificate(successors, steps, number, path, root) -> Certificate:
     """Stem along the DFS path to the root numbered ``root``, and a cycle
     through that root inside its component (the open configurations
     numbered from ``root`` on) carrying all three marks.  Only visited
@@ -663,27 +775,26 @@ def _certificate(successors, heads, n2, number, path, root) -> Certificate:
                 if number.get(d, 0) < root:
                     continue
                 if code & need or d == target:
-                    steps = [_transition(heads, n2, a, code)]
+                    edges = [(a, code)]
                     marks = code & _ALL
                     while a != src:
                         a, code = parent[a]
-                        steps.append(_transition(heads, n2, a, code))
+                        edges.append((a, code))
                         marks |= code & _ALL
-                    steps.reverse()
-                    return steps, d, marks
+                    return [t for edge in reversed(edges) for t in steps(*edge)], d, marks
                 if d != src and d not in parent:
                     parent[d] = (a, code)
                     queue.append(d)
         raise RuntimeError("component lacks a mark its root accumulated")
 
     k = next(i for i, c in enumerate(path) if number[c] == root)
-    stem = _stem(successors, heads, n2, path[: k + 1])
+    stem = _stem(successors, steps, path[: k + 1])
     anchor = here = path[k]
     cycle: list[TwoTapeTransition] = []
     need = _ALL
     while need:
-        steps, here, marks = bfs(here, need)
-        cycle += steps
+        path_steps, here, marks = bfs(here, need)
+        cycle += path_steps
         need &= ~marks
     if here != anchor:
         cycle += bfs(here, 0, anchor)[0]

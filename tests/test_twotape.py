@@ -10,7 +10,9 @@ from ratrel.buchi import BuchiAutomaton, _embedded
 from ratrel.constructions import alpha, automaton_T, c_automaton, r_automaton
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
+    _loop_summary,
     _may_accept,
+    _next_outside,
     _search_order,
     AlphabetMismatch,
     InvalidAutomaton,
@@ -464,7 +466,7 @@ def test_complement_pieces_accept_through_their_terminal_state():
         assert out.verdict is Verdict.ACCEPTED, j
         assert {(t.src, t.dst) for t in out.certificate.cycle.transitions} == {(sinks[j],) * 2}
         assert_fair_certificate(aut, out, w1, w2)
-    assert not automaton_T()._compiled()[5]  # no accepting state loops on single letters
+    assert not _loop_summary(automaton_T()._compiled())[0]  # no accepting state loops on single letters
 
 
 def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
@@ -529,7 +531,7 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
     universal = BuchiAutomaton(
         ("s",), BINARY, (("s", "0", "s"), ("s", "1", "s")), "s", frozenset({"s"})
     )
-    assert not _embedded(universal)._compiled()[5]
+    assert not _loop_summary(_embedded(universal)._compiled())[0]
     out = accepts_lasso_pair(_embedded(universal), LassoWord("1", "01"), LassoWord("", "0"))
     assert_fair_certificate(_embedded(universal), out, LassoWord("1", "01"), LassoWord("", "0"))
 
@@ -645,6 +647,131 @@ def test_r_at_period_640_accepts_with_certificate():
     out = accepts_lasso_pair(r_automaton(), w1, w2)
     assert out.verdict is Verdict.ACCEPTED
     assert_fair_certificate(r_automaton(), out, w1, w2)
+
+
+# -- rectangle jumps -----------------------------------------------------------
+
+
+def corner_states(aut) -> set:
+    """Names of the corner-only states of aut."""
+    return {name for _, _, _, name in _loop_summary(aut._compiled())[1].values()}
+
+
+def test_corner_only_states_of_reference_automata():
+    assert corner_states(automaton_T()) == {"q0"}
+    assert corner_states(c_automaton(1)) == {"drop1", "drop2"}
+    assert corner_states(c_automaton(2)) == {"sink"}
+    assert corner_states(c_automaton(3)) == {"hot"}
+    assert corner_states(c_automaton(4)) == corner_states(c_automaton(5)) == {"blocks", "tail"}
+    assert corner_states(r_automaton()) == {
+        "L.q0", "R.L.L.L.L.drop1", "R.L.L.L.L.drop2", "R.L.L.L.R.sink", "R.L.L.R.hot",
+        "R.L.R.blocks", "R.L.R.tail", "R.R.blocks", "R.R.tail",
+    }
+    # pick and scan have exits that read on one tape only, more1 and skip
+    # loop on one tape only
+    for aut, name in ((c_automaton(1), "pick"), (c_automaton(3), "scan"),
+                      (c_automaton(4), "more1"), (c_automaton(5), "skip")):
+        assert name not in corner_states(aut)
+
+
+def test_next_outside_wraps_in_the_period():
+    w = LassoWord("0A", "0010")  # normal form: positions 0-1 prefix, 2-5 period
+    assert _next_outside(w, {"0"}) == [1, 1, 4, 4, 4, 4]
+    assert _next_outside(w, {"0", "A"}) == [4, 4, 4, 4, 4, 4]
+    assert _next_outside(LassoWord("1", "0"), {"0"}) == [0, -1]
+
+
+def plant_corner(rng, aut, interior: bool):
+    """aut over GAMMA with one random state q made corner-only: its
+    transitions replaced by loops on letters L1 of tape 1 and L2 of tape 2
+    and by exits whose labels start outside L1 and L2; with interior, one
+    more exit that reads on one tape only or starts inside L1 or L2, so
+    that q is not corner-only."""
+    q = rng.choice(aut.states)
+    l1, l2 = (rng.sample("01A", rng.choice((1, 2, 2))) for _ in range(2))
+    out1, out2 = ("".join(a for a in "01A" if a not in ls) for ls in (l1, l2))
+
+    def label(first: str) -> str:
+        return rng.choice(first) + rng.choice(("", "", "", "0", "A"))
+
+    rows = [T(q, a, "", q) for a in l1] + [T(q, "", b, q) for b in l2]
+    if out1 and out2:
+        rows += [T(q, label(out1), label(out2), rng.choice(aut.states))
+                 for _ in range(rng.randint(1, 3))]
+    if interior:
+        others = [s for s in aut.states if s != q] or [q]
+        one_tape = (label("01A") + ("0" if others == [q] else ""), "")  # never a loop
+        inside = rng.choice([one_tape, one_tape[::-1], (label(l1), label("01A")),
+                             (label("01A"), label(l2))])
+        rows.append(T(q, *inside, rng.choice(others)))
+    accepting = aut.accepting | {q} if rng.random() < 0.5 else aut.accepting - {q}
+    transitions = tuple(t for t in aut.transitions if t.src != q) + tuple(rows)
+    return TwoTapeAutomaton(aut.states, GAMMA, GAMMA, transitions, aut.initial, accepting), q
+
+
+def test_planted_corner_sweep_matches_nested_dfs():
+    # a tenth of the planted states get an interior exit; jumping them too
+    # gives wrong verdicts here
+    rng = random.Random(271)
+    accepted_total = through_corner = 0
+    for i in range(2500):
+        aut = random_two_tape(rng, max_states=3, labels=("", "0", "1", "A"))
+        for _ in range(rng.randint(0, 2)):  # more planted states, unless overwritten
+            aut, _ = plant_corner(rng, aut, interior=False)
+        aut, q = plant_corner(rng, aut, interior=i % 10 == 0)
+        assert (q in corner_states(aut)) == (i % 10 != 0), aut
+        w1, w2 = random_gamma_lasso(rng, 3, 4), random_gamma_lasso(rng, 3, 4)
+        out = accepts_lasso_pair(aut, w1, w2)
+        expected = nested_dfs_accepts_pair(aut, w1, w2)
+        assert (out.verdict is Verdict.ACCEPTED) == expected, (aut, w1, w2)
+        if expected:
+            accepted_total += 1
+            assert_fair_certificate(aut, out, w1, w2)
+            run = out.certificate.stem.transitions + out.certificate.cycle.transitions
+            through_corner += any(t.src == q != t.dst for t in run)
+    assert accepted_total > 150 and through_corner > 25, (accepted_total, through_corner)
+
+
+def test_jumps_accept_block_comparisons_with_certificates():
+    # C4: the compared second blocks differ in length; T: (w, 0^n A) with a
+    # period of n + 1 letters and one A, accepted through q4 without a final state
+    for n in (20, 45, 160):
+        c4_pair = (LassoWord("A", "A" + "0" * n + "A" + "0" * (n - 1)),
+                   LassoWord("A", "A" + "0" * (n - 1) + "A" + "0" * n))
+        t_pair = (LassoWord("A0", "0" * (n // 2) + "A" + "1" * (n - n // 2)),
+                  LassoWord("", "0" * n + "A"))
+        for aut, (w1, w2) in ((c_automaton(4), c4_pair), (automaton_T(), t_pair)):
+            assert nested_dfs_accepts_pair(aut, w1, w2), (n, w1, w2)
+            out = accepts_lasso_pair(aut, w1, w2)
+            assert out.verdict is Verdict.ACCEPTED, (n, w1, w2)
+            assert_fair_certificate(aut, out, w1, w2)
+
+
+def test_block_comparison_pieces_against_nested_dfs_up_to_period_160():
+    rng = random.Random(277)
+
+    def word(n: int, k: int, fill: str = "01") -> str:
+        places = set(rng.sample(range(n), k))
+        return "".join("A" if i in places else rng.choice(fill) for i in range(n))
+
+    verdicts = []
+    for n in (20, 60, 160):
+        same = LassoWord("A" + word(3, 0), "A" + word(n - 1, 0))
+        pairs = [
+            (c_automaton(4), same, same),
+            (c_automaton(4), LassoWord("A0", word(n, 3)), LassoWord("A0", word(n, 3))),
+            (c_automaton(5), LassoWord("A", word(n, 2)), LassoWord("A", word(n + 1, 2))),
+            (c_automaton(5), same, same),
+            (automaton_T(), LassoWord("0", word(n + 1, 1)), LassoWord("", "0" * n + "A")),
+            (automaton_T(), LassoWord("0", word(n, 1)), LassoWord("", "0" * n + "A")),
+        ]
+        for aut, w1, w2 in pairs:
+            out = accepts_lasso_pair(aut, w1, w2)
+            verdicts.append(out.verdict is Verdict.ACCEPTED)
+            assert verdicts[-1] == nested_dfs_accepts_pair(aut, w1, w2), (n, w1, w2)
+            if verdicts[-1]:
+                assert_fair_certificate(aut, out, w1, w2)
+    assert 6 <= sum(verdicts) <= len(verdicts) - 6
 
 
 # -- bounded search ------------------------------------------------------------
