@@ -48,7 +48,6 @@ from .constructions import (
     NotInP,
     RunSchema,
     UndecidableCondition,
-    UnknownShape,
     alpha,
     automaton_T,
     build_decompositions,

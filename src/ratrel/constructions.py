@@ -38,10 +38,6 @@ class NotInP(ValueError):
     """The grid has a column with infinitely many 1s; no run schema exists."""
 
 
-class UnknownShape(ValueError):
-    """A block word without a grid tag cannot be classified."""
-
-
 class UndecidableCondition(ValueError):
     """No search bound can be established for this word shape."""
 
@@ -565,14 +561,15 @@ def in_alpha_section(w: OmegaWord) -> bool:
 
     Lassos are never coded grids (coded block lengths grow strictly, a
     lasso's block structure is eventually periodic), so they all belong.
-    Tagged block words delegate to the column predicate of their grid.
+    Tagged block words delegate to the column predicate of their grid;
+    untagged ones raise UndecidableCondition.
     """
     if isinstance(w, LassoWord):
         return True
     x = w.h_source
     if isinstance(x, GridWord):
         return in_P(x)
-    raise UnknownShape("block word without a grid tag")
+    raise UndecidableCondition("untagged block word: grid unknown")
 
 
 def grid_pair(x: GridWord) -> tuple[BlockWord, BlockWord]:

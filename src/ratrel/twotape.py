@@ -10,30 +10,35 @@ labels do not count as accepting behaviour.
 For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
-period.  Analyses of the automaton, cached with its compiled form, come
-first: a letter-coverage test rejects when no reachable component can
-carry an accepting tail over the words' letters, and a configuration in a
-final state (accepting, with single-letter self-loops for every letter of
-both periods and of the rest of each lasso prefix) accepts.  Otherwise
-the graph is explored on the fly, never stored: each tape is compiled
-into next-position tables per transition label, configurations are packed
-into ints, and one Couvreur-style SCC search with three edge marks
-(accepting state entered, tape-1 letter consumed, tape-2 letter
-consumed), trying transitions towards final states first, stops at the
-first component that carries all three or at a final configuration.
+period.  A letter-coverage test, cached with the automaton's compiled
+form, comes first: it rejects when no reachable component can carry an
+accepting tail over the words' letters.  Otherwise the graph is explored
+on the fly, never stored: each tape is compiled into next-position tables
+per transition label, configurations are packed into ints, and one
+Couvreur-style SCC search with three edge marks (accepting state entered,
+tape-1 letter consumed, tape-2 letter consumed), trying transitions
+towards final states first, stops at the first component that carries all
+three.  That is its only way to accept.
 
-A corner-only state loops on letters L1 of tape 1 and L2 of tape 2 and
-has no other transition that can fire before both tapes reach a letter
-outside its loops.  Its loops sweep a rectangle of configurations, and
-the search crosses it in one macro edge to the rectangle's corner, the
-first positions whose letters are outside L1 and L2, so a pair of long
-blocks costs one edge instead of the product of their lengths: a
-meta-transition in the sense of Boigelot (1998), sound because the loops
-on the two tapes commute, as in Godefroid's partial-order methods (1996).
+Runs on one state's single-letter self-loops become macro edges, in the
+manner of Boigelot's meta-transitions (1998), sound because the loops on
+the two tapes commute, as in Godefroid's partial-order methods (1996).  A
+final state (accepting, with a self-loop for every letter of both
+periods) turns: once the rest of each lasso prefix reads on its loops,
+one edge carrying all three marks reads that rest, and at the start of
+both periods the same edge is a self-loop once round each, which the
+search closes at once.  A corner-only state loops on letters L1 of tape 1
+and L2 of tape 2 and has no other transition that can fire before both
+tapes reach a letter outside its loops.  Its loops sweep a rectangle of
+configurations, and the search crosses it in one edge to the rectangle's
+corner, the first positions whose letters are outside L1 and L2, so a
+pair of long blocks costs one edge instead of the product of their
+lengths.
 
-The certificate is the search stack plus a cycle on the final state's
-self-loops, or a cycle rebuilt inside the component from the visited
-configurations, with every macro edge expanded into its loop letters.
+The certificate is the search stack plus a cycle rebuilt inside the
+component from the visited configurations, with every macro edge
+expanded into the automaton's own loop transitions.
+
 For block-pattern inputs a budgeted best-first search reports evidence
 instead of a verdict, over the same compiled rows indexed by the next
 letter on each tape and one text per word.
@@ -45,6 +50,7 @@ import enum
 import heapq
 import json
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -267,17 +273,13 @@ class RunPrefix:
 
 @dataclass(frozen=True)
 class RunReport:
-    transitions_ok: bool
-    chaining_ok: bool
-    tape1_ok: bool
-    tape2_ok: bool
     accepting_visits: int
     consumed: tuple[int, int]
     problems: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.transitions_ok and self.chaining_ok and self.tape1_ok and self.tape2_ok
+        return not self.problems
 
 
 def run_prefix_valid(
@@ -291,34 +293,25 @@ def run_prefix_valid(
     """
     problems: list[str] = []
     known = set(aut.transitions)
-    transitions_ok = all(t in known for t in run.transitions)
-    if not transitions_ok:
+    if not all(t in known for t in run.transitions):
         problems.append("run uses transitions not present in the automaton")
 
-    chaining_ok = True
     here = aut.initial
     for t in run.transitions:
         if t.src != here:
-            chaining_ok = False
             problems.append(f"transition {t} does not start at {here!r}")
             break
         here = t.dst
 
     u = run.consumed1()
     v = run.consumed2()
-    tape1_ok = u == w1.prefix_of(len(u))
-    if not tape1_ok:
+    if u != w1.prefix_of(len(u)):
         problems.append("tape-1 labels do not match the first word")
-    tape2_ok = v == w2.prefix_of(len(v))
-    if not tape2_ok:
+    if v != w2.prefix_of(len(v)):
         problems.append("tape-2 labels do not match the second word")
 
     visits = sum(1 for t in run.transitions if t.dst in aut.accepting)
     return RunReport(
-        transitions_ok=transitions_ok,
-        chaining_ok=chaining_ok,
-        tape1_ok=tape1_ok,
-        tape2_ok=tape2_ok,
         accepting_visits=visits,
         consumed=(len(u), len(v)),
         problems=tuple(problems),
@@ -365,14 +358,11 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     state ids and the letters its internal edges read on each tape; and a
     memo shared by ``_may_accept`` (keyed by a tuple of two strings),
     ``_search_order`` (keyed by a frozenset of state ids) and
-    ``_loop_summary`` (keyed by ``"loops"``).
-
-    Accepting states are numbered last, so every final state is too.
-    """
+    ``_loop_summary`` (keyed by ``"loops"``)."""
     names = dict.fromkeys(
         (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
     )
-    ids = {s: i for i, s in enumerate(sorted(names, key=aut.accepting.__contains__))}
+    ids = {s: i for i, s in enumerate(names)}
     labels1 = sorted({t.read1 for t in aut.transitions})
     labels2 = sorted({t.read2 for t in aut.transitions})
     rows: list[list] = [[] for _ in ids]
@@ -398,39 +388,37 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     return ids[aut.initial], labels1, labels2, rows, list(tails.values()), {}
 
 
-def _loop_summary(compiled: tuple) -> tuple[dict, dict]:
+def _loop_summary(compiled: tuple) -> dict:
     """The states with one-letter self-loops (a, "") for a in L1 and
     ("", b) for b in L2, L1 and L2 both non-empty, from one pass over each
     state's rows, memoised with the compiled form on first need.
 
-    Returns the looping states, the accepting ones, as id -> (L1, L2); and
-    the corner-only states as id -> (L1, L2, ACC if accepting else 0, name).
-    A state is corner-only when every transition leaving it other than
-    those loops starts with a letter outside L1 on tape 1 and with a letter
-    outside L2 on tape 2: from (q, p1, p2) the loops sweep the rectangle up
-    to the first positions r1, r2 whose letters are outside L1 and L2, and
-    nothing else fires before its corner (r1, r2).
+    Returns id -> (tape-1 loops, tape-2 loops, ACC if accepting else 0,
+    corner-only), each loop map sending a letter of L1 or L2 to the
+    automaton's own self-loop that reads it.  A state is corner-only when
+    every transition leaving it other than those loops starts with a letter
+    outside L1 on tape 1 and with a letter outside L2 on tape 2: from
+    (q, p1, p2) the loops sweep the rectangle up to the first positions r1,
+    r2 whose letters are outside L1 and L2, and nothing else fires before
+    its corner (r1, r2).
     """
     memo = compiled[-1]
     summary = memo.get("loops")
     if summary is None:
-        looping, corners = {}, {}
+        summary = memo["loops"] = {}
         for q, rs in enumerate(compiled[3]):
-            l1, l2, exits, acc = set(), set(), [], 0
+            loops1, loops2, exits, acc = {}, {}, [], 0
             for _, _, dst, m, t in rs:
                 if dst == q and len(t.read1) + len(t.read2) == 1:
-                    (l1 if t.read1 else l2).add(t.read1 + t.read2)
+                    (loops1 if t.read1 else loops2)[t.read1 + t.read2] = t
                     acc = m & ACC
                 else:
                     exits.append(t)
-            if not (l1 and l2):
-                continue
-            if acc:
-                looping[q] = (l1, l2)
-            if all(t.read1 and t.read2 and t.read1[0] not in l1 and t.read2[0] not in l2
-                   for t in exits):
-                corners[q] = (l1, l2, acc, rs[0][4].src)
-        summary = memo["loops"] = looping, corners
+            if loops1 and loops2:
+                summary[q] = loops1, loops2, acc, all(
+                    t.read1 and t.read2 and t.read1[0] not in loops1 and t.read2[0] not in loops2
+                    for t in exits
+                )
     return summary
 
 
@@ -466,14 +454,14 @@ def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
 
 
 def _search_order(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple:
-    """The final states for the words' periods, looping states whose loops
-    read every letter of both periods, with those letters; and the rows,
-    each state's sorted so that those whose target is nearer a final state
-    come first.  Memoised per set of final states."""
+    """The final states for the words' periods, accepting states whose
+    loops read every letter of both periods, with their ``_loop_summary``
+    entries; and the rows, each state's sorted so that those whose target
+    is nearer a final state come first.  Memoised per set of final states."""
     rows, memo = compiled[3], compiled[-1]
     need1, need2 = set(w1.period), set(w2.period)
-    final = {q: sets for q, sets in _loop_summary(compiled)[0].items()
-             if need1 <= sets[0] and need2 <= sets[1]}
+    final = {q: entry for q, entry in _loop_summary(compiled).items()
+             if entry[2] and need1 <= entry[0].keys() and need2 <= entry[1].keys()}
     if not final:
         return final, rows
     key = frozenset(final)
@@ -515,24 +503,34 @@ def accepts_lasso_pair(
     Inside one component those edges always compose into a single fair
     cycle, and conversely any accepting run yields such a component.
 
-    Two shortcuts come first, both sound, both from analyses cached with
-    the compiled automaton: the letter-coverage test ``_may_accept`` rejects
-    without touching the product, and a configuration in a state final
-    for the periods' letters (``_search_order``: accepting, with a
-    single-letter self-loop for every letter of both periods) accepts as
-    soon as the rest of each lasso prefix reads on those loops too.
+    The letter-coverage test ``_may_accept``, cached with the compiled
+    automaton, comes first: it rejects without touching the product.
 
     The graph is never built.  Each tape is compiled into next-position
     tables, one per distinct label, and configurations are packed into
     ints.  One iterative Couvreur-style DFS explores the product on the
     fly, trying first the transitions nearest a final state, and keeps,
     for every root of a partial component, the marks of the edges merged
-    into it; it stops as soon as a root holds all three or a final
-    configuration is reached.  It is the complete fallback, whatever the
-    order.
+    into it; it stops as soon as a root holds all three.  It is complete
+    whatever the order.
 
-    Corner-only states (``_loop_summary``) take rectangle jumps instead of
-    their loops.  From (q, p1, p2) the one successor is the macro edge to
+    Two kinds of macro edge stand for runs on one state's single-letter
+    self-loops (``_loop_summary``), and are expanded into those loops,
+    tape 1 first, then tape 2, wherever a certificate uses them.
+
+    A final state (``_search_order``: accepting, with a self-loop for every
+    letter of both periods) turns.  From (q, p1, p2) where the rest of
+    each lasso prefix reads on q's loops, its first successor is the macro
+    edge to (q, max(p1, lp1), max(p2, lp2)), lpi the length of prefix i,
+    marked with all three marks.  Inside both periods that edge is a
+    self-loop, once round each period, which the search closes as soon as
+    it tries it; from a prefix position it reads the rest of each prefix
+    and lies on no cycle, since no configuration goes back into a prefix.
+    So a discovered final configuration accepts at once, whatever q's other
+    transitions.
+
+    A corner-only state (``_loop_summary``) takes rectangle jumps instead
+    of its loops.  From (q, p1, p2) the one successor is the macro edge to
     (q, r1, r2), where ri is the first position from pi on, wrapping in
     the period, whose letter is outside q's tape-i loop letters; it
     carries ``T1`` if r1 != p1, ``T2`` if r2 != p2 and ``ACC`` if q is
@@ -541,18 +539,17 @@ def accepts_lasso_pair(
     keeps reachability among the remaining configurations and every fair
     cycle.  Where some ri does not exist the configuration is a dead end:
     its tape i reads on the loops forever, so no run leaves q, and one
-    that stays is fair only if both tapes do and q accepts, which makes
-    the configuration final, caught when it is discovered.  The tables of
-    ri are built per state on its first expansion.
+    that stays is fair only if both tapes do and q accepts, which makes q
+    final and the configuration one that turns instead.  The tables of
+    the turn and of ri are built per state on its first expansion.
 
-    Accepted verdicts carry a replayable stem-plus-cycle certificate whose
-    stem follows the DFS stack.  After a final configuration the stem
-    reads the rest of each lasso prefix on the self-loops, and the cycle
-    is one turn of the tape-1 period, then of the tape-2 period, on them.
-    Otherwise the cycle is stitched from breadth-first paths inside the
-    component, over visited configurations only, that pick up each mark
-    in turn and return to the root.  Each macro edge on the stem or the
-    cycle is expanded into its loop letters: tape 1 first, then tape 2.
+    Accepted verdicts carry a replayable stem-plus-cycle certificate.  The
+    stem follows the DFS stack to the root of the accepting component, and
+    the cycle is stitched from breadth-first paths inside it, over visited
+    configurations only, that pick up each mark in turn and return to the
+    root.  After a final configuration the stem ends with the rest of each
+    prefix, and the cycle is the turn: one turn of the tape-1 period, then
+    of the tape-2 period.
     """
     aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
@@ -566,42 +563,60 @@ def accepts_lasso_pair(
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
         tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
-    corners = _loop_summary(compiled)[1]
+    loops = _loop_summary(compiled)
+    lp1, lp2 = len(w1.prefix), len(w2.prefix)
+    turns: dict[int, tuple] = {}  # per final state: first tape-1 position of its turn, tape-2 table
     jumps: dict[int, tuple] = {}  # per corner-only state: its next-outside tables
     # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
     # successors come from the rows of its head q * n1 + p1, built on
     # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, and the transition, or for a jump the state's name.
+    # position 0, and the transition, or None for a turn or a jump.
     heads: list = [None] * (len(rows) * n1)
 
     def head_rows(head: int) -> list[tuple]:
         q, p1 = divmod(head, n1)
-        rs = [
+        turn = []
+        if q in final:
+            # From where the rest of each prefix reads on the loops, one
+            # macro edge reads it and goes on to both periods' starts, or
+            # once round both periods from there: a self-loop marked _ALL.
+            l1, l2, _, corner_only = final[q]
+            if q not in turns:
+                start2 = _loop_start(w2, l2)
+                turns[q] = _loop_start(w1, l1), [-1] * start2 + [
+                    max(p, lp2) << 3 for p in range(start2, n2)
+                ]
+            start1, turn2 = turns[q]
+            if p1 >= start1:
+                turn = [(turn2, ((q * n1 + max(p1, lp1)) * n2) << 3 | _ALL, None)]
+                if corner_only:  # tape 1 never leaves the loops
+                    return turn
+        rs = turn + [
             (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
             for a, b, d, m, t in rows[q]
             if tabs1[a][p1] >= 0
         ]
-        corner = corners.get(q)
-        if corner is None:
+        corner = loops.get(q)
+        if corner is None or not corner[3]:
             return rs
         # A corner-only state's loops give way to one macro edge to the
         # corner of their rectangle: keep2 gives the corner's tape-2
         # position with the T2 mark where tape 2 moves, move2 the same only
         # where it does.  Its other rows, which read on both tapes, match
         # only at the corner.
-        l1, l2, acc, name = corner
+        l1, l2, acc, _ = corner
         if q not in jumps:
             keep2 = [-1 if r < 0 else r << 3 | (T2 if r != p else 0)
                      for p, r in enumerate(_next_outside(w2, l2))]
             jumps[q] = _next_outside(w1, l1), keep2, [y if y & T2 else -1 for y in keep2]
         out1, keep2, move2 = jumps[q]
         r1 = out1[p1]
-        if r1 < 0:  # tape 1 reads on the loops forever: a dead end unless final
+        if r1 < 0:  # tape 1 reads on the loops forever: a dead end
             return []
         if r1 != p1:
-            jump = (keep2, ((q * n1 + r1) * n2) << 3 | T1 | acc, name)
+            jump = (keep2, ((q * n1 + r1) * n2) << 3 | T1 | acc, None)
         else:
-            jump = (move2, ((q * n1 + p1) * n2) << 3 | acc, name)
+            jump = (move2, ((q * n1 + p1) * n2) << 3 | acc, None)
         return [jump] + [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
 
     def successors(c: int) -> list[int]:
@@ -621,34 +636,21 @@ def accepts_lasso_pair(
 
     def steps(c: int, code: int) -> list[TwoTapeTransition]:
         """The transitions behind successor ``code`` of configuration c: one,
-        or a jump's loop letters, tape 1 first, then tape 2."""
+        or a macro edge's loop letters, tape 1 first, then tape 2."""
         head, p2 = divmod(c, n2)
         t = next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
-        if type(t) is not str:
+        if t is not None:
             return [t]
-        head2, r2 = divmod(code >> 3, n2)
-        read1 = _between(text1, len(w1.prefix), head % n1, head2 % n1)
-        return _on_loops(t, read1, _between(text2, len(w2.prefix), p2, r2))
-
-    # A configuration in a final state accepts once the rest of each lasso
-    # prefix reads on that state's loops: gate[head] is the least tape-2
-    # position from which it does (n2: never).
-    gate = [n2] * len(heads)
-    for q, (l1, l2) in final.items():
-        p1 = _loop_start(w1, l1)
-        gate[q * n1 + p1 : (q + 1) * n1] = [_loop_start(w2, l2)] * (n1 - p1)
-    limit = min(final, default=len(rows)) * n1 * n2  # no final state below
-
-    def reached_final(path: list[int]) -> SearchOutcome:
-        stem = _stem(successors, steps, path)
-        head, p2 = divmod(path[-1], n2)
-        q = stem[-1].dst if stem else aut.initial
-        cert = _loop_certificate(q, stem, w1, head % n1, w2, p2)
-        return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=cert)
+        loops1, loops2 = loops[head // n1][:2]
+        p1 = head % n1
+        if code >> 3 == c:  # a turn inside both periods: once round each
+            read1, read2 = text1[p1:] + text1[lp1:p1], text2[p2:] + text2[lp2:p2]
+        else:
+            head2, r2 = divmod(code >> 3, n2)
+            read1, read2 = _between(text1, lp1, p1, head2 % n1), _between(text2, lp2, p2, r2)
+        return [loops1[a] for a in read1] + [loops2[b] for b in read2]
 
     start = initial * n1 * n2
-    if gate[initial * n1] == 0:
-        return reached_final([start])
     number = {start: 1}  # DFS number per visited configuration; 0 once its component closed
     lookup = number.get
     # per open partial component: root number, marks inside, marks of the edge into the root
@@ -662,8 +664,6 @@ def accepts_lasso_pair(
             d = code >> 3
             h = lookup(d)
             if h is None:
-                if d >= limit and d % n2 >= gate[d // n2]:
-                    return reached_final([f[0] for f in todo] + [d])
                 count += 1
                 number[d] = count
                 roots.append(count)
@@ -697,7 +697,7 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _loop_start(w: LassoWord, letters: set) -> int:
+def _loop_start(w: LassoWord, letters: Container[str]) -> int:
     """The first position from which the rest of w's prefix reads on letters."""
     i = len(w.prefix)
     while i and w.prefix[i - 1] in letters:
@@ -705,7 +705,7 @@ def _loop_start(w: LassoWord, letters: set) -> int:
     return i
 
 
-def _next_outside(w: LassoWord, letters: set) -> list[int]:
+def _next_outside(w: LassoWord, letters: Container[str]) -> list[int]:
     """Per position of the normal form w, the first position from it on,
     wrapping in the period, whose letter is outside letters; -1 if none."""
     text, lp = w.prefix + w.period, len(w.prefix)
@@ -724,13 +724,6 @@ def _between(text: str, lp: int, p: int, r: int) -> str:
     return text[p:r] if p <= r else text[p:] + text[lp:r]
 
 
-def _on_loops(q: str, read1: str, read2: str) -> list[TwoTapeTransition]:
-    """The self-loops of q that read read1 on tape 1, then read2 on tape 2."""
-    return [TwoTapeTransition(q, ch, "", q) for ch in read1] + [
-        TwoTapeTransition(q, "", ch, q) for ch in read2
-    ]
-
-
 def _stem(successors, steps, path: list[int]) -> list[TwoTapeTransition]:
     """Transitions along a path of configurations, each a successor of the last."""
     return [
@@ -738,22 +731,6 @@ def _stem(successors, steps, path: list[int]) -> list[TwoTapeTransition]:
         for a, b in zip(path, path[1:])
         for t in steps(a, next(x for x in successors(a) if x >> 3 == b))
     ]
-
-
-def _loop_certificate(q: str, stem: list, w1: LassoWord, p1: int, w2: LassoWord, p2: int):
-    """Certificate for a stem that ends in final state q at positions
-    p1, p2 of the normal forms: the stem goes on through the rest of each
-    lasso prefix, and the cycle is one turn of each period from there, all
-    on the self-loops of q."""
-
-    def split(w: LassoWord, p: int) -> tuple[str, str]:
-        lp, text = len(w.prefix), w.prefix + w.period
-        turn = max(p, lp)
-        return text[p:lp], text[turn:] + text[lp:turn]
-
-    (rest1, turn1), (rest2, turn2) = split(w1, p1), split(w2, p2)
-    stem = stem + _on_loops(q, rest1, rest2)
-    return Certificate(stem=RunPrefix(tuple(stem)), cycle=RunPrefix(tuple(_on_loops(q, turn1, turn2))))
 
 
 def _certificate(successors, steps, number, path, root) -> Certificate:

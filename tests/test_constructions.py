@@ -11,7 +11,6 @@ from ratrel.constructions import (
     _cap_profile,
     NotInP,
     UndecidableCondition,
-    UnknownShape,
     alpha,
     automaton_T,
     block_profile,
@@ -558,7 +557,7 @@ def test_block_profile_needs_grid_tag():
 
 def test_alpha_section_rejects_untagged_block_words():
     anonymous = BlockWord(block_fn=lambda n: "0" * n)
-    with pytest.raises(UnknownShape):
+    with pytest.raises(UndecidableCondition):
         in_alpha_section(anonymous)
 
 

@@ -221,19 +221,21 @@ def test_run_prefix_example():
 def test_run_prefix_broken_chaining():
     run = RunPrefix((T("q0", "A", "A", "q1"), T("q2", "0", "0", "q2")))
     report = run_prefix_valid(automaton_T(), run, alpha(), alpha())
-    assert not report.ok and not report.chaining_ok
+    assert report.problems == (
+        "transition TwoTapeTransition(src='q2', read1='0', read2='0', dst='q2') does not start at 'q1'",
+    )
 
 
 def test_run_prefix_tape_mismatch():
     run = RunPrefix((T("q0", "0", "", "q0"),))  # alpha starts with A, not 0
     report = run_prefix_valid(automaton_T(), run, alpha(), alpha())
-    assert not report.ok and not report.tape1_ok and report.chaining_ok
+    assert report.problems == ("tape-1 labels do not match the first word",)
 
 
 def test_run_prefix_unknown_transition():
     run = RunPrefix((T("q0", "A", "", "q1"),))
     report = run_prefix_valid(automaton_T(), run, alpha(), alpha())
-    assert not report.transitions_ok
+    assert report.problems == ("run uses transitions not present in the automaton",)
 
 
 # -- lasso pair decision -------------------------------------------------------
@@ -451,6 +453,27 @@ def test_initial_terminal_state_accepts_at_once():
     assert_fair_certificate(aut, out, w1, w2)
 
 
+def test_final_state_with_an_interior_exit_turns_at_once():
+    # q is final but not corner-only: its exit reads 0 on both tapes, which
+    # its loops read too.  It turns once round both periods where it
+    # starts, so the cost stays linear in the period.
+    loops = (T("q", "0", "", "q"), T("q", "1", "", "q"), T("q", "", "0", "q"), T("q", "", "1", "q"))
+    aut = TwoTapeAutomaton(
+        ("q", "r"), BINARY, BINARY, loops + (T("q", "0", "0", "r"),), "q", frozenset({"q"})
+    )
+    for n in (40, 160, 640):
+        w = LassoWord("", "0" * (n - 1) + "1")
+        out = accepts_lasso_pair(aut, w, w)
+        assert out.verdict is Verdict.ACCEPTED
+        assert out.certificate.stem.transitions == ()
+        assert out.certificate.cycle.transitions == (
+            (loops[0],) * (n - 1) + (loops[1],) + (loops[2],) * (n - 1) + (loops[3],)
+        )
+        assert_fair_certificate(aut, out, w, w)
+        if n <= 160:
+            assert nested_dfs_accepts_pair(aut, w, w)
+
+
 def test_complement_pieces_accept_through_their_terminal_state():
     cases = {
         2: (lasso("0|A"), lasso("A0A|00A")),
@@ -466,7 +489,8 @@ def test_complement_pieces_accept_through_their_terminal_state():
         assert out.verdict is Verdict.ACCEPTED, j
         assert {(t.src, t.dst) for t in out.certificate.cycle.transitions} == {(sinks[j],) * 2}
         assert_fair_certificate(aut, out, w1, w2)
-    assert not _loop_summary(automaton_T()._compiled())[0]  # no accepting state loops on single letters
+    # no accepting state loops on single letters
+    assert not any(acc for _, _, acc, _ in _loop_summary(automaton_T()._compiled()).values())
 
 
 def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
@@ -531,7 +555,7 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
     universal = BuchiAutomaton(
         ("s",), BINARY, (("s", "0", "s"), ("s", "1", "s")), "s", frozenset({"s"})
     )
-    assert not _loop_summary(_embedded(universal)._compiled())[0]
+    assert not _loop_summary(_embedded(universal)._compiled())
     out = accepts_lasso_pair(_embedded(universal), LassoWord("1", "01"), LassoWord("", "0"))
     assert_fair_certificate(_embedded(universal), out, LassoWord("1", "01"), LassoWord("", "0"))
 
@@ -654,7 +678,8 @@ def test_r_at_period_640_accepts_with_certificate():
 
 def corner_states(aut) -> set:
     """Names of the corner-only states of aut."""
-    return {name for _, _, _, name in _loop_summary(aut._compiled())[1].values()}
+    return {next(iter(loops1.values())).src
+            for loops1, _, _, corner in _loop_summary(aut._compiled()).values() if corner}
 
 
 def test_corner_only_states_of_reference_automata():
