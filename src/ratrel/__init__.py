@@ -8,17 +8,13 @@ from .words import (
     GAMMA,
     LassoWord,
     lasso_equal,
-    letter_at,
-    prefix_of,
 )
 from .grid import (
     GridWord,
     MalformedPrefix,
     antidiagonal,
-    column,
     decode_h_prefix,
     encode_h,
-    entry,
     grid_distance_exponent,
     grid_from_json,
     grid_to_json,

@@ -10,7 +10,9 @@ every letter, and is decided against ``0^ω`` by ``accepts_lasso_pair``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .twotape import TwoTapeAutomaton, Verdict, accepts_lasso_pair
 from .words import Alphabet, BINARY, LassoWord
@@ -35,6 +37,18 @@ class BuchiAutomaton:
                 raise ValueError(f"transition endpoint outside states: {(src, ch, dst)}")
             if ch not in self.alphabet:
                 raise ValueError(f"transition letter outside alphabet: {(src, ch, dst)}")
+
+    @cached_property
+    def _embedded(self) -> TwoTapeAutomaton:
+        """The two-tape automaton that reads ``0`` on tape 2 with every letter."""
+        return TwoTapeAutomaton(
+            states=self.states,
+            sigma1=self.alphabet,
+            sigma2=Alphabet.of("0"),
+            transitions=tuple((src, ch, "0", dst) for src, ch, dst in self.transitions),
+            initial=self.initial,
+            accepting=self.accepting,
+        )
 
 
 def ones_automaton(complement: bool = False) -> BuchiAutomaton:
@@ -81,29 +95,10 @@ def buchi_accepts_lasso(aut: BuchiAutomaton, w: LassoWord) -> bool:
     both tapes) is exactly a Büchi-accepting cycle.
     """
     aut.alphabet.check_word(w.prefix + w.period, "lasso")
-    return accepts_lasso_pair(_embedded(aut), w, LassoWord("", "0")).verdict is Verdict.ACCEPTED
-
-
-def _embedded(aut: BuchiAutomaton) -> TwoTapeAutomaton:
-    """The two-tape automaton that reads ``0`` on tape 2 with every letter,
-    cached on the frozen instance."""
-    cached = getattr(aut, "_embedded_cache", None)
-    if cached is None:
-        cached = TwoTapeAutomaton(
-            states=aut.states,
-            sigma1=aut.alphabet,
-            sigma2=Alphabet.of("0"),
-            transitions=tuple((src, ch, "0", dst) for src, ch, dst in aut.transitions),
-            initial=aut.initial,
-            accepting=aut.accepting,
-        )
-        object.__setattr__(aut, "_embedded_cache", cached)
-    return cached
+    return accepts_lasso_pair(aut._embedded, w, LassoWord("", "0")).verdict is Verdict.ACCEPTED
 
 
 def to_json(aut: BuchiAutomaton) -> str:
-    import json
-
     doc = {
         "states": list(aut.states),
         "alphabet": str(aut.alphabet),

@@ -30,7 +30,7 @@ from .constructions import (
     r_automaton,
     section_member,
 )
-from .grid import encode_h, decode_h_prefix, grid_from_json
+from .grid import encode_h, decode_h_prefix, grid_from_json, in_P
 from .twotape import Verdict, accepts_lasso_pair, bounded_run_search
 from .words import GAMMA, LassoWord
 
@@ -142,16 +142,12 @@ def cmd_search(args) -> int:
     aut = _load_two_tape(args, default="R")
     x = _load_grid(args.grid)
     outcome = bounded_run_search(aut, encode_h(x), alpha(), args.budget)
-    stats = dataclasses.asdict(outcome.stats) if outcome.stats else None
+    stats = dataclasses.asdict(outcome.stats)
     if args.json:
-        doc = {"verdict": outcome.verdict.value}
-        if stats:
-            doc["stats"] = stats
-        print(json.dumps(doc))
+        print(json.dumps({"verdict": outcome.verdict.value, "stats": stats}))
     else:
         print(outcome.verdict.value)
-        if stats:
-            print(" ".join(f"{key}={value}" for key, value in stats.items()))
+        print(" ".join(f"{key}={value}" for key, value in stats.items()))
     return EXIT_STATUS[outcome.verdict]
 
 
@@ -162,8 +158,6 @@ def _print_truth(args, key: str, verdict: bool) -> int:
 
 
 def cmd_in_p(args) -> int:
-    from .grid import in_P
-
     return _print_truth(args, "in_P", in_P(_load_grid(args.grid)))
 
 

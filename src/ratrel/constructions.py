@@ -220,14 +220,13 @@ def decomposition_valid(x: GridWord, dec: Decomposition) -> bool:
 class RunSchema:
     """Greedy ledger for (coded grid, alpha) with growth at the earliest safe block.
 
-    The buffer grows to length ell once every column <= ell is permanently
-    zero at the rows the buffer will cover; because each column has a last
-    1, every length becomes safe eventually, so growth happens infinitely
-    often.
+    The ledger starts at k = 1, so block n has length n.  The buffer grows
+    to length ell once every column <= ell is permanently zero at the rows
+    the buffer will cover; because each column has a last 1, every length
+    becomes safe eventually, so growth happens infinitely often.
     """
 
     grid: GridWord
-    k: int = field(default=1, init=False)
     _v: list[int] = field(default_factory=list, init=False, repr=False)
     _cap: Callable[[int, int], int] = field(init=False, repr=False)
 
@@ -237,13 +236,13 @@ class RunSchema:
     def v_len(self, n: int) -> int:
         while len(self._v) < n:
             m = len(self._v) + 1
-            cap = self._cap(self.k, m)
-            prev = self._v[-1] if self._v else min(self.k, cap)
+            cap = self._cap(1, m)
+            prev = self._v[-1] if self._v else min(1, cap)
             self._v.append(prev if m == 1 else min(prev + 1, cap))
         return self._v[n - 1]
 
     def split(self, n: int) -> int:
-        return self.k + n - 1 - self.v_len(n)
+        return n - self.v_len(n)
 
     def growth_at(self, n: int) -> bool:
         return self.v_len(n + 1) == self.v_len(n) + 1
@@ -267,13 +266,12 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     if blocks < 0:
         raise ValueError("block count must be >= 0")
     x = schema.grid
-    k = schema.k
     T = TwoTapeTransition
     run: list[TwoTapeTransition] = [T("q0", "A", "A", "q1")]
     if blocks == 0:
         return RunPrefix(tuple(run))
 
-    block = antidiagonal(x, k + 1)  # each antidiagonal is built once
+    block = antidiagonal(x, 2)  # each antidiagonal is built once
     run.extend(T("q1", ch, "", "q1") for ch in block[: schema.split(1)])
     run.append(T("q1", "", "", "q2"))
     for n in range(1, blocks + 1):
@@ -283,7 +281,7 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
             raise RuntimeError("schema produced a non-zero buffer")
         run.extend(T("q2", ch, "0", "q2") for ch in v)
         run.append(T("q2", "A", "", "q3"))
-        nxt = antidiagonal(x, k + n + 1)
+        nxt = antidiagonal(x, n + 2)
         run.extend(T("q3", nxt[i], "0", "q3") for i in range(s))
         if schema.growth_at(n):
             run.append(T("q3", "", "", "q4"))

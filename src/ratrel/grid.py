@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .words import BINARY, BlockWord, GAMMA, LassoWord, lasso_equal, lasso_first_difference
+from .words import (
+    BINARY, BlockWord, GAMMA, LassoWord, lasso_equal, lasso_first_difference, unique_keys,
+)
 
 
 class MalformedPrefix(ValueError):
@@ -67,14 +69,6 @@ class GridWord:
         if mine.keys() != theirs.keys():
             return False
         return all(lasso_equal(mine[m], theirs[m]) for m in mine)
-
-
-def entry(x: GridWord, m: int, n: int) -> str:
-    return x.entry(m, n)
-
-
-def column(x: GridWord, m: int) -> LassoWord:
-    return x.column(m)
 
 
 def in_P(x: GridWord) -> bool:
@@ -175,7 +169,7 @@ def grid_to_json(x: GridWord) -> str:
 
 def grid_from_json(text: str) -> GridWord:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError("grid document is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("default"), str):
@@ -186,6 +180,8 @@ def grid_from_json(text: str) -> GridWord:
     default = LassoWord.parse(doc["default"], BINARY)
     overrides: dict[int, LassoWord] = {}
     for key, val in columns.items():
+        if not key.isdecimal() or str(int(key)) != key:
+            raise ValueError(f"grid column key {key!r} must be a plain decimal number")
         if not isinstance(val, str):
             raise ValueError(f"grid column {key!r} must be a lasso string")
         overrides[int(key)] = LassoWord.parse(val, BINARY)

@@ -39,9 +39,10 @@ The certificate is the search stack plus a cycle rebuilt inside the
 component from the visited configurations, with every macro edge
 expanded into the automaton's own loop transitions.
 
-For block-pattern inputs a budgeted best-first search reports evidence
-instead of a verdict, over the same compiled rows indexed by the next
-letter on each tape and one text per word.
+A budgeted best-first search gathers evidence on block-pattern inputs,
+over the same compiled rows indexed by the next letter on each tape and
+one text per word.  It never decides: it is inconclusive on every input,
+lassos included, which go to the exact decision above.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ import json
 from collections import deque
 from collections.abc import Container
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
 from ._scc import tarjan_scc
-from .words import Alphabet, AlphabetMismatch, BlockWord, LassoWord, OmegaWord
+from .words import Alphabet, AlphabetMismatch, BlockWord, LassoWord, OmegaWord, unique_keys
 
 
 class InvalidAutomaton(ValueError):
@@ -92,24 +94,18 @@ class TwoTapeAutomaton:
         object.__setattr__(self, "accepting", frozenset(self.accepting))
 
     def transitions_from(self, state: str) -> tuple[TwoTapeTransition, ...]:
-        return self._by_src().get(state, ())
+        return self._by_src.get(state, ())
 
+    @cached_property
     def _by_src(self) -> dict[str, tuple[TwoTapeTransition, ...]]:
-        cached = getattr(self, "_by_src_cache", None)
-        if cached is None:
-            grouped: dict[str, list[TwoTapeTransition]] = {}
-            for t in self.transitions:
-                grouped.setdefault(t.src, []).append(t)
-            cached = {s: tuple(ts) for s, ts in grouped.items()}
-            object.__setattr__(self, "_by_src_cache", cached)
-        return cached
+        grouped: dict[str, list[TwoTapeTransition]] = {}
+        for t in self.transitions:
+            grouped.setdefault(t.src, []).append(t)
+        return {s: tuple(ts) for s, ts in grouped.items()}
 
+    @cached_property
     def _compiled(self) -> tuple:
-        cached = getattr(self, "_compiled_cache", None)
-        if cached is None:
-            cached = _compile_automaton(self)
-            object.__setattr__(self, "_compiled_cache", cached)
-        return cached
+        return _compile_automaton(self)
 
 
 def validate(aut: TwoTapeAutomaton) -> None:
@@ -454,25 +450,24 @@ def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
 
 
 def _search_order(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple:
-    """The final states for the words' periods, accepting states whose
-    loops read every letter of both periods, with their ``_loop_summary``
-    entries; and the rows, each state's sorted so that those whose target
-    is nearer a final state come first.  Memoised per set of final states."""
+    """The ids of the final states for the words' periods, accepting
+    states whose loops read every letter of both periods; and the rows,
+    each state's sorted so that those whose target is nearer a final state
+    come first.  Memoised per set of final states."""
     rows, memo = compiled[3], compiled[-1]
     need1, need2 = set(w1.period), set(w2.period)
-    final = {q: entry for q, entry in _loop_summary(compiled).items()
-             if entry[2] and need1 <= entry[0].keys() and need2 <= entry[1].keys()}
+    final = frozenset(q for q, (l1, l2, acc, _) in _loop_summary(compiled).items()
+                      if acc and need1 <= l1.keys() and need2 <= l2.keys())
     if not final:
         return final, rows
-    key = frozenset(final)
-    if key not in memo:  # stable sorts: nearest a final state first
+    if final not in memo:  # stable sorts: nearest a final state first
         back: dict[int, list[int]] = {}
         for src, rs in enumerate(rows):
             for row in rs:
                 back.setdefault(row[2], []).append(src)
         distance = _closure(final, back)
-        memo[key] = [sorted(rs, key=lambda row: distance.get(row[2], len(rows))) for rs in rows]
-    return final, memo[key]
+        memo[final] = [sorted(rs, key=lambda row: distance.get(row[2], len(rows))) for rs in rows]
+    return final, memo[final]
 
 
 def _compile_tape(w: LassoWord, labels: list[str]) -> tuple[int, list[list[int]]]:
@@ -554,7 +549,7 @@ def accepts_lasso_pair(
     aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
     w1, w2 = w1.normal(), w2.normal()
-    compiled = aut._compiled()
+    compiled = aut._compiled
     if not _may_accept(compiled, w1, w2):
         return SearchOutcome(verdict=Verdict.REJECTED)
     initial, labels1, labels2 = compiled[:3]
@@ -580,7 +575,7 @@ def accepts_lasso_pair(
             # From where the rest of each prefix reads on the loops, one
             # macro edge reads it and goes on to both periods' starts, or
             # once round both periods from there: a self-loop marked _ALL.
-            l1, l2, _, corner_only = final[q]
+            l1, l2, _, corner_only = loops[q]
             if q not in turns:
                 start2 = _loop_start(w2, l2)
                 turns[q] = _loop_start(w1, l1), [-1] * start2 + [
@@ -656,10 +651,11 @@ def accepts_lasso_pair(
     # per open partial component: root number, marks inside, marks of the edge into the root
     roots, inside, entry = [1], [0], [0]
     live = [start]  # visited configurations whose component is still open, in visit order
-    todo = [(start, iter(successors(start)))]
+    # DFS frames: configuration, its successor iterator, the code it was entered by
+    todo = [(start, iter(successors(start)), 0)]
     count = 1
     while todo:
-        c, succ = todo[-1]
+        c, succ, _ = todo[-1]
         for code in succ:
             d = code >> 3
             h = lookup(d)
@@ -670,7 +666,7 @@ def accepts_lasso_pair(
                 inside.append(0)
                 entry.append(code & _ALL)
                 live.append(d)
-                todo.append((d, iter(successors(d))))
+                todo.append((d, iter(successors(d)), code))
                 break
             if h:  # d is in an open component: every root above it merges
                 marks = code & _ALL
@@ -680,8 +676,7 @@ def accepts_lasso_pair(
                 marks |= inside[-1]
                 inside[-1] = marks
                 if marks == _ALL:
-                    path = [f[0] for f in todo]
-                    cert = _certificate(successors, steps, number, path, roots[-1])
+                    cert = _certificate(successors, steps, number, todo, roots[-1])
                     return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=cert)
         else:
             todo.pop()
@@ -724,20 +719,11 @@ def _between(text: str, lp: int, p: int, r: int) -> str:
     return text[p:r] if p <= r else text[p:] + text[lp:r]
 
 
-def _stem(successors, steps, path: list[int]) -> list[TwoTapeTransition]:
-    """Transitions along a path of configurations, each a successor of the last."""
-    return [
-        t
-        for a, b in zip(path, path[1:])
-        for t in steps(a, next(x for x in successors(a) if x >> 3 == b))
-    ]
-
-
-def _certificate(successors, steps, number, path, root) -> Certificate:
-    """Stem along the DFS path to the root numbered ``root``, and a cycle
-    through that root inside its component (the open configurations
-    numbered from ``root`` on) carrying all three marks.  Only visited
-    configurations are expanded."""
+def _certificate(successors, steps, number, frames, root) -> Certificate:
+    """Stem along the DFS frames, each entered from the last by its code,
+    to the root numbered ``root``, and a cycle through that root inside its
+    component (the open configurations numbered from ``root`` on) carrying
+    all three marks.  Only visited configurations are expanded."""
 
     def bfs(src: int, need: int, target: int = -1) -> tuple[list, int, int]:
         """Shortest path inside the component from src through the first
@@ -764,9 +750,9 @@ def _certificate(successors, steps, number, path, root) -> Certificate:
                     queue.append(d)
         raise RuntimeError("component lacks a mark its root accumulated")
 
-    k = next(i for i, c in enumerate(path) if number[c] == root)
-    stem = _stem(successors, steps, path[: k + 1])
-    anchor = here = path[k]
+    k = next(i for i, (c, _, _) in enumerate(frames) if number[c] == root)
+    stem = [t for i in range(k) for t in steps(frames[i][0], frames[i + 1][2])]
+    anchor = here = frames[k][0]
     cycle: list[TwoTapeTransition] = []
     need = _ALL
     while need:
@@ -789,9 +775,9 @@ def bounded_run_search(
     behaviours that keep consuming both words.  Accepting-visit counts
     propagate along explored edges as labels: a visit is counted when both
     tapes advanced since the previously counted visit, which is the fair
-    evidence the statistics report.  Never returns Rejected; returns
-    Accepted only when both inputs are lassos and the exact decision finds
-    a certificate.
+    evidence the statistics report.  Always returns Inconclusive with the
+    statistics, lassos included: lasso pairs are decided by
+    ``accepts_lasso_pair``.
 
     The statistics measure progress only.  On (coded grid, alpha) pairs
     they do not separate grids in P from grids outside P: both can give
@@ -807,12 +793,7 @@ def bounded_run_search(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if isinstance(w1, LassoWord) and isinstance(w2, LassoWord):
-        outcome = accepts_lasso_pair(aut, w1, w2)
-        if outcome.verdict is Verdict.ACCEPTED:
-            return outcome
-
-    initial, labels1, labels2, rows = aut._compiled()[:4]
+    initial, labels1, labels2, rows = aut._compiled[:4]
     reach1, reach2 = (max(map(len, labels), default=0) + 1 for labels in (labels1, labels2))
     read1, read2 = map(_text_reader, (w1, w2))
     text1, text2 = read1(reach1), read2(reach2)
@@ -910,7 +891,7 @@ def from_json(text: str) -> TwoTapeAutomaton:
     """Parse and validate an automaton document; raise InvalidAutomaton
     naming every field of the wrong shape."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise InvalidAutomaton(["automaton document is nested too deeply"]) from None
     if not isinstance(doc, dict):

@@ -57,6 +57,18 @@ BINARY = Alphabet.of("01")
 GAMMA = Alphabet.of("01A")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its key-value pairs (a ``json.loads``
+    ``object_pairs_hook``); raise ValueError naming a key that repeats,
+    which ``json.loads`` alone would settle silently for the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _primitive_root(s: str) -> str:
     """Shortest word whose repetition yields s: s recurs inside s + s first
     at the length of that word (at len(s) when s is primitive)."""
@@ -171,16 +183,6 @@ class BlockWord:
 
 
 OmegaWord = Union[LassoWord, BlockWord]
-
-
-def letter_at(w: OmegaWord, n: int) -> str:
-    """The n-th letter of an infinite word, n >= 1."""
-    return w.letter_at(n)
-
-
-def prefix_of(w: OmegaWord, n: int) -> str:
-    """The first n letters of an infinite word; n = 0 gives the empty word."""
-    return w.prefix_of(n)
 
 
 def lasso_equal(a: LassoWord, b: LassoWord) -> bool:

@@ -18,7 +18,6 @@ from ratrel.twotape import (
     SearchStats,
     TwoTapeAutomaton,
     Verdict,
-    accepts_lasso_pair,
 )
 from ratrel.verify import nested_dfs_accepts_pair
 from ratrel.words import LassoWord, OmegaWord
@@ -72,10 +71,6 @@ def reference_bounded_search(
     labels and statistics, one ``letter_at`` call per letter matched."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if isinstance(w1, LassoWord) and isinstance(w2, LassoWord):
-        outcome = accepts_lasso_pair(aut, w1, w2)
-        if outcome.verdict is Verdict.ACCEPTED:
-            return outcome
 
     def match(w: OmegaWord, consumed: int, label: str) -> int | None:
         for ch in label:

@@ -322,6 +322,33 @@ def test_malformed_file_is_input_error(capsys, tmp_path, verb, doc, field):
     assert "Traceback" not in err
 
 
+LOOPS_ON_Q = '[["q", "0", "", "q"], ["q", "1", "", "q"], ["q", "", "0", "q"], ["q", "", "1", "q"]]'
+
+
+@pytest.mark.parametrize(
+    "verb, text, key",
+    [
+        pytest.param("member", '{"states": ["q"], "sigma1": "01", "sigma2": "01", "transitions": '
+                     + LOOPS_ON_Q + ', "initial": "q", "accepting": ["q"], "accepting": []}',
+                     "accepting", id="member-accepting"),
+        pytest.param("inP", '{"default": "|0", "columns": {"2": "|1", "2": "|0"}}', "2",
+                     id="inP-column"),
+        pytest.param("inP", '{"default": "|0", "default": "|1"}', "default", id="inP-default"),
+    ],
+)
+def test_repeated_key_is_input_error_not_a_verdict(capsys, tmp_path, verb, text, key):
+    # json.loads alone keeps the last value: a rejection and a true in_P
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    if verb == "member":
+        argv = ["member", "--aut-file", str(path), "--pair", "|0", "|0"]
+    else:
+        argv = ["inP", "--grid", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: JSON object repeats key {key!r}\n"
+
+
 def test_internal_error_exits_4(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

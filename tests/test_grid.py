@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -8,10 +10,8 @@ from ratrel.grid import (
     GridWord,
     MalformedPrefix,
     antidiagonal,
-    column,
     decode_h_prefix,
     encode_h,
-    entry,
     grid_distance_exponent,
     grid_from_json,
     grid_to_json,
@@ -32,15 +32,15 @@ def grid(default="|0", **cols) -> GridWord:
 
 
 def test_entry_examples():
-    assert entry(GridWord.zero(), 3, 1) == "0"
-    assert entry(grid(c2="|1"), 2, 5) == "1"
-    assert entry(grid(c2="11|0"), 2, 3) == "0"
+    assert GridWord.zero().entry(3, 1) == "0"
+    assert grid(c2="|1").entry(2, 5) == "1"
+    assert grid(c2="11|0").entry(2, 3) == "0"
 
 
 def test_column_examples():
-    assert lasso_equal(column(GridWord.zero(), 7), lasso("|0"))
+    assert lasso_equal(GridWord.zero().column(7), lasso("|0"))
     g = grid(c3="01|10")
-    assert column(g, 3) == lasso("01|10")  # the override comes back verbatim
+    assert g.column(3) == lasso("01|10")  # the override comes back verbatim
 
 
 def test_column_agrees_with_entry():
@@ -49,7 +49,7 @@ def test_column_agrees_with_entry():
     for _ in range(50):
         m = rng.randint(1, 9)
         n = rng.randint(1, 12)
-        assert column(x, m).letter_at(n) == entry(x, m, n)
+        assert x.column(m).letter_at(n) == x.entry(m, n)
 
 
 def test_in_P_examples():
@@ -127,14 +127,14 @@ def test_decode_encode_round_trip():
         partial = decode_h_prefix(text)
         assert len(partial) > 0
         for (m, n), ch in partial.items():
-            assert entry(x, m, n) == ch
+            assert x.entry(m, n) == ch
 
 
 def test_round_trip_long_prefix():
     x = grid(c2="101|0", c5="|1")
     text = encode_h(x).prefix_of(10**4)
     for (m, n), ch in decode_h_prefix(text).items():
-        assert entry(x, m, n) == ch
+        assert x.entry(m, n) == ch
 
 
 def test_grid_equality_semantics():
@@ -189,6 +189,15 @@ def test_continuity_agreement_bound():
         checked += 1
         agree = (p - 1) * p // 2
         assert encode_h(x).prefix_of(agree) == encode_h(y).prefix_of(agree)
+
+
+def test_grid_column_keys_are_plain_decimals():
+    assert grid_from_json('{"default": "|0", "columns": {"10": "|1"}}') == grid(c10="|1")
+    # int() reads each of these as a column number, "02" the same as "2"
+    for key in ("02", "1_0", " 3", "+3", "\u0663", "x", ""):
+        doc = json.dumps({"default": "|0", "columns": {"2": "|1", key: "|0"}})
+        with pytest.raises(ValueError, match=re.escape(f"grid column key {key!r}")):
+            grid_from_json(doc)
 
 
 def test_grid_json_round_trip():

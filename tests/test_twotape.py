@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ratrel.buchi import BuchiAutomaton, _embedded
+from ratrel.buchi import BuchiAutomaton
 from ratrel.constructions import alpha, automaton_T, c_automaton, r_automaton
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
@@ -382,7 +382,7 @@ def test_multi_letter_labels_cross_period_boundary():
 
 def final_states(aut, w1, w2) -> set:
     """Names of the states that are final for the periods of w1 and w2."""
-    compiled = aut._compiled()
+    compiled = aut._compiled
     final, _ = _search_order(compiled, w1.normal(), w2.normal())
     return {
         row[4].src for rs in compiled[3] for row in rs
@@ -490,7 +490,7 @@ def test_complement_pieces_accept_through_their_terminal_state():
         assert {(t.src, t.dst) for t in out.certificate.cycle.transitions} == {(sinks[j],) * 2}
         assert_fair_certificate(aut, out, w1, w2)
     # no accepting state loops on single letters
-    assert not any(acc for _, _, acc, _ in _loop_summary(automaton_T()._compiled()).values())
+    assert not any(acc for _, _, acc, _ in _loop_summary(automaton_T()._compiled).values())
 
 
 def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
@@ -517,7 +517,7 @@ def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
 
 
 def test_search_order_leads_to_the_final_states_of_the_pair():
-    compiled = r_automaton()._compiled()
+    compiled = r_automaton()._compiled
 
     def targets(w1: str, w2: str) -> list[str]:
         """Target states of R's initial rows, without the union prefixes."""
@@ -555,9 +555,9 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
     universal = BuchiAutomaton(
         ("s",), BINARY, (("s", "0", "s"), ("s", "1", "s")), "s", frozenset({"s"})
     )
-    assert not _loop_summary(_embedded(universal)._compiled())
-    out = accepts_lasso_pair(_embedded(universal), LassoWord("1", "01"), LassoWord("", "0"))
-    assert_fair_certificate(_embedded(universal), out, LassoWord("1", "01"), LassoWord("", "0"))
+    assert not _loop_summary(universal._embedded._compiled)
+    out = accepts_lasso_pair(universal._embedded, LassoWord("1", "01"), LassoWord("", "0"))
+    assert_fair_certificate(universal._embedded, out, LassoWord("1", "01"), LassoWord("", "0"))
 
 
 def test_coverage_test_never_rejects_an_accepted_pair():
@@ -569,7 +569,7 @@ def test_coverage_test_never_rejects_an_accepted_pair():
             aut = plant_terminal(rng, aut)
         w1 = random_lasso(rng, "01", 3, 3).normal()
         w2 = random_lasso(rng, "01", 3, 3).normal()
-        if not _may_accept(aut._compiled(), w1, w2):
+        if not _may_accept(aut._compiled, w1, w2):
             cut += 1
             assert not nested_dfs_accepts_pair(aut, w1, w2), (aut, w1, w2)
     assert cut > 100
@@ -582,12 +582,12 @@ def test_coverage_test_rejects_before_the_product():
         (c_automaton(3), lasso("1|A01"), lasso("A|0A")),  # no 1 on tape 2
     ]
     for aut, w1, w2 in rejected:
-        assert not _may_accept(aut._compiled(), w1.normal(), w2.normal())
+        assert not _may_accept(aut._compiled, w1.normal(), w2.normal())
         assert not accepted(aut, w1, w2)
         assert not nested_dfs_accepts_pair(aut, w1, w2)
     # equal words pass the test for C4, and the search rejects them
     w = lasso("A0|A01A0")
-    assert _may_accept(c_automaton(4)._compiled(), w.normal(), w.normal())
+    assert _may_accept(c_automaton(4)._compiled, w.normal(), w.normal())
     assert not accepted(c_automaton(4), w, w)
     assert not nested_dfs_accepts_pair(c_automaton(4), w, w)
 
@@ -679,7 +679,7 @@ def test_r_at_period_640_accepts_with_certificate():
 def corner_states(aut) -> set:
     """Names of the corner-only states of aut."""
     return {next(iter(loops1.values())).src
-            for loops1, _, _, corner in _loop_summary(aut._compiled()).values() if corner}
+            for loops1, _, _, corner in _loop_summary(aut._compiled).values() if corner}
 
 
 def test_corner_only_states_of_reference_automata():
@@ -865,12 +865,14 @@ def test_bounded_search_budget_monotone():
     assert large.stats.fair_visits >= small.stats.fair_visits
 
 
-def test_bounded_search_accepts_lasso_pairs_with_certificate():
-    out = bounded_run_search(automaton_T(), lasso("A|0A"), lasso("A|0A"), 1000)
+def test_bounded_search_gathers_evidence_and_lasso_pairs_are_decided():
+    w = lasso("A|0A")
+    out = bounded_run_search(automaton_T(), w, w, 1000)
+    assert out.verdict is Verdict.INCONCLUSIVE and out.certificate is None
+    assert out.stats.expansions == 1000 and out.stats.fair_visits > 0
+    out = accepts_lasso_pair(automaton_T(), w, w)
     assert out.verdict is Verdict.ACCEPTED
-    assert out.certificate is not None
-    out = bounded_run_search(automaton_T(), lasso("|0"), lasso("|0"), 1000)
-    assert out.verdict is Verdict.INCONCLUSIVE  # never claims rejection
+    assert_fair_certificate(automaton_T(), out, w, w)
 
 
 # -- serialization -------------------------------------------------------------

@@ -17,8 +17,6 @@ from ratrel.words import (
     LassoWord,
     _primitive_root,
     lasso_equal,
-    letter_at,
-    prefix_of,
 )
 
 from util import random_gamma_lasso
@@ -178,9 +176,9 @@ def test_lasso_equal_iff_bounded_prefix_agreement():
         assert lasso_equal(a, b) == (a.prefix_of(bound) == b.prefix_of(bound))
 
 
-def test_module_level_dispatch():
+def test_methods_dispatch_on_both_word_kinds():
     w = lasso("A|0A")
     b = BlockWord(block_fn=lambda n: "0" * n)
-    assert letter_at(w, 1) == "A"
-    assert letter_at(b, 2) == "0"
-    assert prefix_of(b, 3) == "A0A"
+    assert w.letter_at(1) == "A"
+    assert b.letter_at(2) == "0"
+    assert b.prefix_of(3) == "A0A"
