@@ -261,7 +261,9 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     """Explicit transition sequence of the reference automaton for the schema.
 
     Covers the opening ledger chunk plus the first ``blocks`` block cycles;
-    the accepting state is entered exactly at growth steps.
+    the accepting state is entered exactly at growth steps.  The run shares
+    its transitions: each one it uses is built once per call, one per
+    (state, letter), and every block reads its letters from those tables.
     """
     if blocks < 0:
         raise ValueError("block count must be >= 0")
@@ -271,24 +273,29 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     if blocks == 0:
         return RunPrefix(tuple(run))
 
+    loop1 = {ch: T("q1", ch, "", "q1") for ch in SIGMA}
+    step2 = {ch: T("q2", ch, "0", "q2") for ch in SIGMA}
+    step3 = {ch: T("q3", ch, "0", "q3") for ch in SIGMA}
+    exit3 = {ch: T("q3", ch, "", "q5") for ch in SIGMA}
+    close2 = T("q2", "A", "", "q3")
+    grow = (T("q3", "", "", "q4"), T("q4", "", "A", "q2"))
+    keep = T("q5", "", "A", "q2")
     block = antidiagonal(x, 2)  # each antidiagonal is built once
-    run.extend(T("q1", ch, "", "q1") for ch in block[: schema.split(1)])
+    run.extend(map(loop1.__getitem__, block[: schema.split(1)]))
     run.append(T("q1", "", "", "q2"))
     for n in range(1, blocks + 1):
         s = schema.split(n)
         v = block[s:]
         if "1" in v:
             raise RuntimeError("schema produced a non-zero buffer")
-        run.extend(T("q2", ch, "0", "q2") for ch in v)
-        run.append(T("q2", "A", "", "q3"))
+        run.extend(map(step2.__getitem__, v))
+        run.append(close2)
         nxt = antidiagonal(x, n + 2)
-        run.extend(T("q3", nxt[i], "0", "q3") for i in range(s))
+        run.extend(map(step3.__getitem__, nxt[:s]))
         if schema.growth_at(n):
-            run.append(T("q3", "", "", "q4"))
-            run.append(T("q4", "", "A", "q2"))
+            run += grow
         else:
-            run.append(T("q3", nxt[s], "", "q5"))
-            run.append(T("q5", "", "A", "q2"))
+            run += (exit3[nxt[s]], keep)
         block = nxt
     return RunPrefix(tuple(run))
 

@@ -174,6 +174,9 @@ def grid_from_json(text: str) -> GridWord:
         raise ValueError("grid document is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("default"), str):
         raise ValueError("grid document needs a 'default' lasso string")
+    unknown = sorted(doc.keys() - {"default", "columns"})
+    if unknown:
+        raise ValueError("unknown grid field " + ", ".join(map(repr, unknown)))
     columns = doc.get("columns", {})
     if not isinstance(columns, dict):
         raise ValueError("grid field 'columns' must map column numbers to lasso strings")

@@ -258,10 +258,10 @@ class RunPrefix:
     transitions: tuple[TwoTapeTransition, ...]
 
     def consumed1(self) -> str:
-        return "".join(t.read1 for t in self.transitions)
+        return "".join([t.read1 for t in self.transitions])
 
     def consumed2(self) -> str:
-        return "".join(t.read2 for t in self.transitions)
+        return "".join([t.read2 for t in self.transitions])
 
     def __len__(self) -> int:
         return len(self.transitions)
@@ -288,8 +288,7 @@ def run_prefix_valid(
     visits count the states entered after each transition.
     """
     problems: list[str] = []
-    known = set(aut.transitions)
-    if not all(t in known for t in run.transitions):
+    if not set(aut.transitions).issuperset(run.transitions):
         problems.append("run uses transitions not present in the automaton")
 
     here = aut.initial
@@ -306,7 +305,7 @@ def run_prefix_valid(
     if v != w2.prefix_of(len(v)):
         problems.append("tape-2 labels do not match the second word")
 
-    visits = sum(1 for t in run.transitions if t.dst in aut.accepting)
+    visits = len([t for t in run.transitions if t.dst in aut.accepting])
     return RunReport(
         accepting_visits=visits,
         consumed=(len(u), len(v)),
@@ -784,7 +783,13 @@ def bounded_run_search(
     identical counts at the same budget.  Membership of such pairs is
     decided by ``grid_pair_in_r1`` or ``in_P``, not by this search.
 
-    One expansion is one heap step.  The compiled rows, in the order of
+    Each expansion keeps its least child off the heap, in a held slot, and
+    pushes the others; the next entry is the least of the held one and the
+    heap's, taken by one ``heappushpop``, so a child that beats every
+    queued entry never enters the heap.  Entries carry a unique sequence
+    number, so expansions come in the plain heap's order.  The frontier
+    counts the heap plus a held entry, and the search is exhausted only
+    when both are empty.  The compiled rows, in the order of
     ``transitions_from`` (which breaks ties), come from a per-call index
     by state and next letter on each tape; only labels longer than one
     letter are compared, by ``str.startswith`` on one text per word,
@@ -803,11 +808,15 @@ def bounded_run_search(
     # per configuration (state, consumed, consumed): (fair visits, -anchor
     # sum) of its best label, more visits first, then an earlier counted visit
     best = {(initial, 0, 0): (0, 0)}
-    # (-balanced progress, total progress, unique seq, configuration, label)
-    heap = [(0, 0, 0, initial, 0, 0, 0, 0, 0)]
+    # entries (-balanced progress, total progress, unique seq, configuration,
+    # label); held is the last expansion's least child, kept off the heap
+    heap: list[tuple] = []
+    held: tuple | None = (0, 0, 0, initial, 0, 0, 0, 0, 0)
     seq = fair_visits = deepest = expansions = 0
-    while heap and expansions < budget:
-        _, _, _, q, c1, c2, visits, a1, a2 = heapq.heappop(heap)
+    while (heap or held) and expansions < budget:
+        entry = heapq.heappop(heap) if held is None else heapq.heappushpop(heap, held)
+        held = None
+        _, _, _, q, c1, c2, visits, a1, a2 = entry
         if best[q, c1, c2] > (visits, -a1 - a2):
             continue  # a better label for this configuration was processed
         expansions += 1
@@ -842,7 +851,14 @@ def bounded_run_search(
             if nv > fair_visits:
                 fair_visits = nv
             seq += 1
-            heapq.heappush(heap, (-low, nc1 + nc2, seq, d, nc1, nc2, nv, na1, na2))
+            child = (-low, nc1 + nc2, seq, d, nc1, nc2, nv, na1, na2)
+            if held is None:
+                held = child
+            elif child < held:
+                heapq.heappush(heap, held)
+                held = child
+            else:
+                heapq.heappush(heap, child)
 
     return SearchOutcome(
         verdict=Verdict.INCONCLUSIVE,
@@ -850,8 +866,8 @@ def bounded_run_search(
             expansions=expansions,
             fair_visits=fair_visits,
             deepest=deepest,
-            frontier=len(heap),
-            exhausted=not heap,
+            frontier=len(heap) + (held is not None),
+            exhausted=not heap and held is None,
         ),
     )
 
@@ -889,14 +905,15 @@ _DOC_FIELDS = (
 
 def from_json(text: str) -> TwoTapeAutomaton:
     """Parse and validate an automaton document; raise InvalidAutomaton
-    naming every field of the wrong shape."""
+    naming every unknown field and every field of the wrong shape."""
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise InvalidAutomaton(["automaton document is nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise InvalidAutomaton(["automaton document must be a JSON object"])
-    problems = []
+    known = dict(_DOC_FIELDS)
+    problems = [f"unknown field {key!r}" for key in doc if key not in known]
     for key, kind in _DOC_FIELDS:
         if key not in doc:
             problems.append(f"missing field {key!r}")

@@ -5,7 +5,8 @@ fair-cycle search: path enumeration with recurrence detection for the
 one-tape case, and for the two-tape case a nested depth-first search over
 the degeneralized product (``ratrel.verify.nested_dfs_accepts_pair``).  The
 budgeted search has a letter-by-letter reference that reads transitions
-by state name and each word one ``letter_at`` call per letter.
+by state name and each word one ``letter_at`` call per letter, and the
+schema run has one that builds a fresh transition for every letter.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from __future__ import annotations
 import heapq
 
 from ratrel.buchi import BuchiAutomaton
+from ratrel.constructions import RunSchema
+from ratrel.grid import antidiagonal
 from ratrel.twotape import (
+    RunPrefix,
     SearchOutcome,
     SearchStats,
     TwoTapeAutomaton,
+    TwoTapeTransition,
     Verdict,
 )
 from ratrel.verify import nested_dfs_accepts_pair
@@ -125,3 +130,30 @@ def reference_bounded_search(
             exhausted=not heap,
         ),
     )
+
+
+def reference_schema_run(schema: RunSchema, blocks: int) -> RunPrefix:
+    """``schema_to_run`` as first written: one new transition per letter,
+    each block read from its antidiagonal letter by letter."""
+    x = schema.grid
+    T = TwoTapeTransition
+    run = [T("q0", "A", "A", "q1")]
+    if blocks == 0:
+        return RunPrefix(tuple(run))
+    block = antidiagonal(x, 2)
+    run.extend(T("q1", ch, "", "q1") for ch in block[: schema.split(1)])
+    run.append(T("q1", "", "", "q2"))
+    for n in range(1, blocks + 1):
+        s = schema.split(n)
+        run.extend(T("q2", ch, "0", "q2") for ch in block[s:])
+        run.append(T("q2", "A", "", "q3"))
+        nxt = antidiagonal(x, n + 2)
+        run.extend(T("q3", nxt[i], "0", "q3") for i in range(s))
+        if schema.growth_at(n):
+            run.append(T("q3", "", "", "q4"))
+            run.append(T("q4", "", "A", "q2"))
+        else:
+            run.append(T("q3", nxt[s], "", "q5"))
+            run.append(T("q5", "", "A", "q2"))
+        block = nxt
+    return RunPrefix(tuple(run))

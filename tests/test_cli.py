@@ -305,6 +305,9 @@ DEEP = "[" * 100000 + "]" * 100000
         ("inP", {"default": "|0", "columns": ["|1"]}, "columns"),
         ("inP", {"default": "|0", "columns": {"2": 1}}, "2"),
         ("inP", {"default": 0}, "default"),
+        # a misspelled field must not read as an absent one
+        ("member", {**GOOD_AUT, "accepting": [], "acepting": ["q0"]}, "'acepting'"),
+        ("inP", {"default": "|0", "colums": {"2": "|1"}}, "'colums'"),
         pytest.param("member", DEEP, "nested", id="member-deep-nested"),
         pytest.param("inP", DEEP, "nested", id="inP-deep-nested"),
     ],

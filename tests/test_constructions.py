@@ -42,6 +42,7 @@ from ratrel.twotape import (
 from ratrel.verify import random_grid, random_lasso
 from ratrel.words import BlockWord, GAMMA, LassoWord
 
+from oracles import reference_schema_run
 from util import random_gamma_lasso
 
 T = TwoTapeTransition
@@ -259,6 +260,37 @@ def test_schema_runs_are_unchanged_and_build_each_antidiagonal_once(monkeypatch)
         built.clear()
         schema_to_run(schema, blocks)
         assert built == (list(range(2, blocks + 3)) if blocks else [])
+
+
+def test_schema_runs_equal_the_letter_by_letter_reference():
+    rng = random.Random(151)
+    grids = [random_grid(rng, ensure_in_p=True) for _ in range(12)]
+    grids.append(grid("10110|00", c3="1|0", c7="01101|00"))
+    for x in grids:
+        schema = build_run_schema(x)
+        for blocks in range(61):
+            assert schema_to_run(schema, blocks) == reference_schema_run(schema, blocks), (x, blocks)
+
+
+def test_replay_reports_shared_and_fresh_transitions_alike():
+    # one broken copy per problem; each keeps the other checks satisfied
+    x = grid("10110|00", c3="1|0")
+    run = schema_to_run(build_run_schema(x), 30).transitions
+    assert run[:3] == (T("q0", "A", "A", "q1"), T("q1", "1", "", "q1"), T("q1", "", "", "q2"))
+    cases = [
+        (run, ()),
+        (run[:3] + (T("q2", "", "", "q2"),) + run[3:],
+         ("run uses transitions not present in the automaton",)),
+        (run[:2] + run[3:], (f"transition {run[3]} does not start at 'q1'",)),
+        (run[:1] + (T("q1", "0", "", "q1"),) + run[2:],
+         ("tape-1 labels do not match the first word",)),
+        ((T("q0", "", "0", "q0"),) + run, ("tape-2 labels do not match the second word",)),
+    ]
+    for ts, problems in cases:
+        shared = run_prefix_valid(automaton_T(), RunPrefix(ts), encode_h(x), alpha())
+        fresh = RunPrefix(tuple(T(*t) for t in ts))
+        assert run_prefix_valid(automaton_T(), fresh, encode_h(x), alpha()) == shared
+        assert shared.problems == problems
 
 
 def test_schema_visit_count_example():

@@ -200,6 +200,13 @@ def test_grid_column_keys_are_plain_decimals():
             grid_from_json(doc)
 
 
+def test_grid_unknown_fields_are_rejected():
+    for doc in ({"default": "|0", "colums": {"2": "|1"}}, {"default": "|0", "Columns": {}, "x": 1}):
+        with pytest.raises(ValueError, match="unknown grid field") as err:
+            grid_from_json(json.dumps(doc))
+        assert all(repr(key) in str(err.value) for key in doc.keys() - {"default", "columns"})
+
+
 def test_grid_json_round_trip():
     x = grid(default="1|0", c2="|1", c7="01|10")
     y = grid_from_json(grid_to_json(x))

@@ -850,6 +850,50 @@ def test_bounded_search_matches_letter_by_letter_reference():
         assert out == reference_bounded_search(aut, w1, w2, budget), (aut, w1, w2, budget)
 
 
+def binary_automaton(transitions, accepting=()) -> TwoTapeAutomaton:
+    """An automaton over {0,1} on both tapes with initial state s."""
+    states = sorted({"s"} | {q for t in transitions for q in (t[0], t[3])})
+    return TwoTapeAutomaton(
+        tuple(states), BINARY, BINARY, tuple(T(*t) for t in transitions), "s", frozenset(accepting)
+    )
+
+
+@pytest.mark.parametrize(
+    "transitions, accepting, budget, expected",
+    [
+        # Two rows of one expansion that reach one configuration carry one
+        # label, so a held child cannot go stale while held.  Here b's child
+        # (p, 2, 1) is held, a queued lesser entry (c, 1, 1) displaces it into
+        # the heap, and c, accepting, reaches (p, 2, 1) with a fair visit.
+        pytest.param(
+            [("s", "0", "0", "b"), ("s", "0", "0", "c"), ("b", "0", "", "p"), ("c", "0", "", "p")],
+            {"c"}, 100, (4, 1, 1, 0, True), id="held-child-goes-stale",
+        ),
+        # the last expansion's one child is held, and it has no children
+        pytest.param([("s", "0", "0", "e")], (), 100, (2, 0, 1, 0, True), id="exhausted-after-held"),
+        # the budget ends the search with the last child held
+        pytest.param([("s", "0", "0", "s")], (), 5, (5, 0, 5, 1, False), id="budget-with-held"),
+    ],
+)
+def test_bounded_search_held_child(transitions, accepting, budget, expected):
+    aut = binary_automaton(transitions, accepting)
+    w = LassoWord("", "0")
+    out = bounded_run_search(aut, w, w, budget)
+    assert stats_tuple(out) == expected
+    assert out == reference_bounded_search(aut, w, w, budget)
+
+
+def test_bounded_search_long_chains_match_reference():
+    # almost every expansion of T and R on coded grids has one child that
+    # beats the whole queue, so these runs are long chains of held children
+    rng = random.Random(909)
+    for i in range(12):
+        aut = r_automaton() if i % 2 else automaton_T()
+        w1, budget = encode_h(random_grid(rng)), rng.randint(2000, 5000)
+        out = bounded_run_search(aut, w1, alpha(), budget)
+        assert out == reference_bounded_search(aut, w1, alpha(), budget), (aut, w1, budget)
+
+
 def test_bounded_search_no_transitions():
     aut = TwoTapeAutomaton(("s",), GAMMA, GAMMA, (), "s", frozenset())
     out = bounded_run_search(aut, encode_h(GridWord.zero()), alpha(), 100)
@@ -885,6 +929,13 @@ def test_json_round_trip():
     assert back.transitions == aut.transitions
     assert back.initial == aut.initial
     assert back.accepting == aut.accepting
+
+
+def test_from_json_rejects_unknown_fields():
+    doc = json.loads(to_json(automaton_T()))
+    with pytest.raises(InvalidAutomaton) as err:
+        from_json(json.dumps({**doc, "accepting": [], "acepting": ["q4"], "Initial": "q1"}))
+    assert err.value.violations == ["unknown field 'acepting'", "unknown field 'Initial'"]
 
 
 def test_dot_export_shape():
