@@ -229,9 +229,11 @@ class RunSchema:
     grid: GridWord
     _v: list[int] = field(default_factory=list, init=False, repr=False)
     _cap: Callable[[int, int], int] = field(init=False, repr=False)
+    coded: BlockWord = field(init=False, repr=False)
 
     def __post_init__(self):
         self._cap = _cap_profile(self.grid)
+        self.coded = encode_h(self.grid)
 
     def v_len(self, n: int) -> int:
         while len(self._v) < n:
@@ -262,12 +264,11 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
 
     Covers the opening ledger chunk plus the first ``blocks`` block cycles;
     the accepting state is entered exactly at growth steps.  The run shares
-    its transitions: each one it uses is built once per call, one per
-    (state, letter), and every block reads its letters from those tables.
+    its transitions, built once per call, one per (state, letter), and reads
+    its blocks from ``schema.coded``, the text a replay can read too.
     """
     if blocks < 0:
         raise ValueError("block count must be >= 0")
-    x = schema.grid
     T = TwoTapeTransition
     run: list[TwoTapeTransition] = [T("q0", "A", "A", "q1")]
     if blocks == 0:
@@ -280,23 +281,22 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     close2 = T("q2", "A", "", "q3")
     grow = (T("q3", "", "", "q4"), T("q4", "", "A", "q2"))
     keep = T("q5", "", "A", "q2")
-    block = antidiagonal(x, 2)  # each antidiagonal is built once
-    run.extend(map(loop1.__getitem__, block[: schema.split(1)]))
+    text = schema.coded.prefix_of((blocks + 1) * (blocks + 4) // 2)  # block n at n(n+1)/2
+    run.extend(map(loop1.__getitem__, text[1 : 1 + schema.split(1)]))
     run.append(T("q1", "", "", "q2"))
     for n in range(1, blocks + 1):
         s = schema.split(n)
-        v = block[s:]
+        v = text[n * (n + 1) // 2 + s : n * (n + 3) // 2]
         if "1" in v:
             raise RuntimeError("schema produced a non-zero buffer")
         run.extend(map(step2.__getitem__, v))
         run.append(close2)
-        nxt = antidiagonal(x, n + 2)
+        nxt = text[(n + 1) * (n + 2) // 2 : (n + 1) * (n + 4) // 2]
         run.extend(map(step3.__getitem__, nxt[:s]))
         if schema.growth_at(n):
             run += grow
         else:
             run += (exit3[nxt[s]], keep)
-        block = nxt
     return RunPrefix(tuple(run))
 
 
@@ -305,13 +305,13 @@ def grid_pair_in_r1(x: GridWord, check_blocks: int = 50) -> bool:
 
     Decided through the column predicate; positive answers additionally
     build a run schema and replay a truncation through the reference
-    automaton as defence in depth.
+    automaton, against the schema's own coded word, as defence in depth.
     """
     if not in_P(x):
         return False
     schema = build_run_schema(x)
     report = run_prefix_valid(
-        automaton_T(), schema_to_run(schema, check_blocks), encode_h(x), alpha()
+        automaton_T(), schema_to_run(schema, check_blocks), schema.coded, alpha()
     )
     if not report.ok:
         raise RuntimeError(f"schema replay failed: {report.problems}")

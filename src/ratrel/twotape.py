@@ -10,9 +10,9 @@ labels do not count as accepting behaviour.
 For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
-period.  A letter-coverage test, cached with the automaton's compiled
-form, comes first: it rejects when no reachable component can carry an
-accepting tail over the words' letters.  Otherwise the graph is explored
+period.  A liveness analysis, cached with the compiled automaton, comes
+first: the search enters only live states, which reach a component able
+to carry an accepting tail over the words' letters.  The graph is explored
 on the fly, never stored: each tape is compiled into next-position tables
 per transition label, configurations are packed into ints, and one
 Couvreur-style SCC search with three edge marks (accepting state entered,
@@ -351,9 +351,7 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     per state id its rows (label-1 index, label-2 index, target id, marks,
     transition); per component with a cycle through an accepting state, its
     state ids and the letters its internal edges read on each tape; and a
-    memo shared by ``_may_accept`` (keyed by a tuple of two strings),
-    ``_search_order`` (keyed by a frozenset of state ids) and
-    ``_loop_summary`` (keyed by ``"loops"``)."""
+    memo shared by ``_liveness`` and ``_loop_summary`` (under ``"loops"``)."""
     names = dict.fromkeys(
         (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
     )
@@ -417,56 +415,56 @@ def _loop_summary(compiled: tuple) -> dict:
     return summary
 
 
-def _may_accept(compiled: tuple, w1: LassoWord, w2: LassoWord) -> bool:
-    """Letter-coverage test, false only for pairs the automaton rejects.
+def _liveness(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple | None:
+    """None if the pair is rejected at once, else the final states for the
+    periods, the rows in search order and a byte mask of the live states.
 
-    The tail of an accepting run stays inside one component, enters an
-    accepting state and reads every letter of both periods, along edges
-    whose labels use only letters of the words.  So some component that
-    covers the periods' letters must be reachable along such edges.  Which
-    components are reachable depends only on the letters of each word,
-    prefix and period together.  It is memoised under those letters,
-    sorted, one string per tape, as an int bitmask over the components
-    (bit i for ``tails[i]``), which allocates less than a set or a tuple
-    per entry.
+    A state is live when it reaches, along fitting edges (labels over the
+    words' letters), a covering component: one of ``tails`` whose edges
+    read every letter of both periods.  An accepting run's tail stays in a
+    covering component and all its edges fit, so all its states are live:
+    the pair is rejected at once unless the initial state is, and the
+    search skips every row into a state that is not.  Final states
+    (accepting, with a self-loop for every letter of both periods) are
+    live.  Rows are sorted, stably, nearest a final state along any edge
+    first.  Memoised per four letter sets (words, periods), with one copy
+    of each set under ``"letters"``, of each equal result under (final
+    states, mask) and of each row order under its set of final states.
     """
     initial, labels1, labels2, rows, tails, memo = compiled
-    word1, word2 = set(w1.prefix + w1.period), set(w2.prefix + w2.period)
-    key = ("".join(sorted(word1)), "".join(sorted(word2)))
-    reached = memo.get(key)
-    if reached is None:
-        fits1 = [set(label) <= word1 for label in labels1]
-        fits2 = [set(label) <= word2 for label in labels2]
-        edges = {q: [d for a, b, d, _, _ in rs if fits1[a] and fits2[b]]
-                 for q, rs in enumerate(rows)}
-        reach = _closure({initial}, edges)
-        reached = memo[key] = sum(
-            1 << i for i, (comp, _, _) in enumerate(tails) if not comp.isdisjoint(reach)
-        )
-    need1, need2 = set(w1.period), set(w2.period)
-    return any(reached >> i & 1 and need1 <= read1 and need2 <= read2
-               for i, (_, read1, read2) in enumerate(tails))
-
-
-def _search_order(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple:
-    """The ids of the final states for the words' periods, accepting
-    states whose loops read every letter of both periods; and the rows,
-    each state's sorted so that those whose target is nearer a final state
-    come first.  Memoised per set of final states."""
-    rows, memo = compiled[3], compiled[-1]
-    need1, need2 = set(w1.period), set(w2.period)
+    need1, need2 = frozenset(w1.period), frozenset(w2.period)
+    key = (need1.union(w1.prefix), need2.union(w2.prefix), need1, need2)
+    if key in memo:
+        return memo[key]
+    sets = memo.setdefault("letters", {})
+    key = word1, word2, need1, need2 = tuple(map(sets.setdefault, key, key))
+    memo[key] = None  # until the initial state is found live
+    covering = [q for states, read1, read2 in tails if need1 <= read1 and need2 <= read2
+                for q in states]
+    if not covering:
+        return None
+    fits1 = [set(label) <= word1 for label in labels1]
+    fits2 = [set(label) <= word2 for label in labels2]
+    back: dict[int, list[int]] = {}
+    for src, rs in enumerate(rows):
+        for a, b, d, _, _ in rs:
+            if fits1[a] and fits2[b]:
+                back.setdefault(d, []).append(src)
+    live = _closure(covering, back)
+    if initial not in live:
+        return None
     final = frozenset(q for q, (l1, l2, acc, _) in _loop_summary(compiled).items()
                       if acc and need1 <= l1.keys() and need2 <= l2.keys())
-    if not final:
-        return final, rows
-    if final not in memo:  # stable sorts: nearest a final state first
-        back: dict[int, list[int]] = {}
+    if final and final not in memo:
+        back = {}
         for src, rs in enumerate(rows):
             for row in rs:
                 back.setdefault(row[2], []).append(src)
         distance = _closure(final, back)
         memo[final] = [sorted(rs, key=lambda row: distance.get(row[2], len(rows))) for rs in rows]
-    return final, memo[final]
+    live = bytes(q in live for q in range(len(rows)))
+    memo[key] = memo.setdefault((final, live), (final, memo[final] if final else rows, live))
+    return memo[key]
 
 
 def _compile_tape(w: LassoWord, labels: list[str]) -> tuple[int, list[list[int]]]:
@@ -497,8 +495,10 @@ def accepts_lasso_pair(
     Inside one component those edges always compose into a single fair
     cycle, and conversely any accepting run yields such a component.
 
-    The letter-coverage test ``_may_accept``, cached with the compiled
-    automaton, comes first: it rejects without touching the product.
+    The liveness analysis ``_liveness``, cached with the compiled
+    automaton, comes first: it rejects at once unless the initial state is
+    live, and the search enters live states only.  A skipped configuration
+    reaches no open component, so the rest are visited in the same order.
 
     The graph is never built.  Each tape is compiled into next-position
     tables, one per distinct label, and configurations are packed into
@@ -512,7 +512,7 @@ def accepts_lasso_pair(
     self-loops (``_loop_summary``), and are expanded into those loops,
     tape 1 first, then tape 2, wherever a certificate uses them.
 
-    A final state (``_search_order``: accepting, with a self-loop for every
+    A final state (``_liveness``: accepting, with a self-loop for every
     letter of both periods) turns.  From (q, p1, p2) where the rest of
     each lasso prefix reads on q's loops, its first successor is the macro
     edge to (q, max(p1, lp1), max(p2, lp2)), lpi the length of prefix i,
@@ -549,10 +549,10 @@ def accepts_lasso_pair(
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
     w1, w2 = w1.normal(), w2.normal()
     compiled = aut._compiled
-    if not _may_accept(compiled, w1, w2):
+    analysis = _liveness(compiled, w1, w2)
+    if analysis is None:
         return SearchOutcome(verdict=Verdict.REJECTED)
-    initial, labels1, labels2 = compiled[:3]
-    final, rows = _search_order(compiled, w1, w2)
+    (initial, labels1, labels2), (final, rows, live) = compiled[:3], analysis
     n1, tabs1 = _compile_tape(w1, labels1)
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
@@ -588,7 +588,7 @@ def accepts_lasso_pair(
         rs = turn + [
             (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
             for a, b, d, m, t in rows[q]
-            if tabs1[a][p1] >= 0
+            if tabs1[a][p1] >= 0 and live[d]
         ]
         corner = loops.get(q)
         if corner is None or not corner[3]:
@@ -649,7 +649,7 @@ def accepts_lasso_pair(
     lookup = number.get
     # per open partial component: root number, marks inside, marks of the edge into the root
     roots, inside, entry = [1], [0], [0]
-    live = [start]  # visited configurations whose component is still open, in visit order
+    active = [start]  # visited configurations whose component is still open, in visit order
     # DFS frames: configuration, its successor iterator, the code it was entered by
     todo = [(start, iter(successors(start)), 0)]
     count = 1
@@ -664,7 +664,7 @@ def accepts_lasso_pair(
                 roots.append(count)
                 inside.append(0)
                 entry.append(code & _ALL)
-                live.append(d)
+                active.append(d)
                 todo.append((d, iter(successors(d)), code))
                 break
             if h:  # d is in an open component: every root above it merges
@@ -684,7 +684,7 @@ def accepts_lasso_pair(
                 inside.pop()
                 entry.pop()
                 while True:
-                    x = live.pop()
+                    x = active.pop()
                     number[x] = 0
                     if x == c:
                         break

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ratrel import constructions
+from ratrel import constructions, grid as grid_module
 from ratrel.constructions import (
     Decomposition,
     _cap_profile,
@@ -248,6 +248,16 @@ def test_schema_runs_are_unchanged_and_build_each_antidiagonal_once(monkeypatch)
         digest.update(repr(run.transitions).encode())
     assert digest.hexdigest() == "5da81cdd093bf2f4335f952371cc07eea7ae1bcd57c6bf2b08011d9e93294b7b"
 
+    built = count_antidiagonals(monkeypatch)
+    schema = build_run_schema(grid("10110|00", c3="1|0"))
+    for blocks in (0, 1, 7, 60):  # the schema's coded word keeps what earlier calls built
+        schema_to_run(schema, blocks)
+        assert built == (list(range(2, blocks + 3)) if blocks else [])
+
+
+def count_antidiagonals(monkeypatch) -> list[int]:
+    """The indices of the antidiagonals built from now on, in both modules
+    that look ``antidiagonal`` up."""
     built = []
 
     def counted(x, q):
@@ -255,11 +265,16 @@ def test_schema_runs_are_unchanged_and_build_each_antidiagonal_once(monkeypatch)
         return antidiagonal(x, q)
 
     monkeypatch.setattr(constructions, "antidiagonal", counted)
-    schema = build_run_schema(grid("10110|00", c3="1|0"))
-    for blocks in (0, 1, 7, 60):
-        built.clear()
-        schema_to_run(schema, blocks)
-        assert built == (list(range(2, blocks + 3)) if blocks else [])
+    monkeypatch.setattr(grid_module, "antidiagonal", counted)
+    return built
+
+
+def test_grid_pair_in_r1_builds_each_antidiagonal_once(monkeypatch):
+    # the schema and the replay read one coded text: antidiagonals 2..102, once each
+    x = grid("10110|00", c3="1|0", c7="01101|00")
+    built = count_antidiagonals(monkeypatch)
+    assert grid_pair_in_r1(x, check_blocks=100)
+    assert built == list(range(2, 103))
 
 
 def test_schema_runs_equal_the_letter_by_letter_reference():

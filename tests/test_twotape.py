@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 
 from ratrel.buchi import BuchiAutomaton
-from ratrel.constructions import alpha, automaton_T, c_automaton, r_automaton
+from ratrel.constructions import alpha, automaton_T, c_automaton, r2_automaton, r_automaton
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
+    _liveness,
     _loop_summary,
-    _may_accept,
     _next_outside,
-    _search_order,
     AlphabetMismatch,
     InvalidAutomaton,
     RunPrefix,
@@ -381,13 +380,31 @@ def test_multi_letter_labels_cross_period_boundary():
 
 
 def final_states(aut, w1, w2) -> set:
-    """Names of the states that are final for the periods of w1 and w2."""
-    compiled = aut._compiled
-    final, _ = _search_order(compiled, w1.normal(), w2.normal())
-    return {
-        row[4].src for rs in compiled[3] for row in rs
-        if row[4].src == row[4].dst and row[2] in final
-    }
+    """Names of the states that are final for the periods of w1 and w2:
+    accepting, with a self-loop for every letter of both periods.  Where
+    the pair is not rejected at once, the liveness analysis finds them too."""
+    final = {q for q in aut.accepting
+             if all(T(q, a, "", q) in aut.transitions for a in w1.period)
+             and all(T(q, "", b, q) in aut.transitions for b in w2.period)}
+    analysis = _liveness(aut._compiled, w1.normal(), w2.normal())
+    if analysis is not None:
+        ids = state_ids(aut)
+        assert analysis[0] == {ids[q] for q in final}
+    return final
+
+
+def state_ids(aut) -> dict:
+    """State name -> id in the compiled form, for every transition target."""
+    return {row[4].dst: row[2] for rs in aut._compiled[3] for row in rs}
+
+
+def kept_rows(aut, w1, w2, q: int) -> list:
+    """The rows of state id q in search order that the search can take for
+    w1 and w2: labels over the words' letters, into live states."""
+    _, rows, live = _liveness(aut._compiled, w1.normal(), w2.normal())
+    letters1, letters2 = set(w1.prefix + w1.period), set(w2.prefix + w2.period)
+    return [row for row in rows[q] if live[row[2]]
+            and set(row[4].read1) <= letters1 and set(row[4].read2) <= letters2]
 
 
 def plant_terminal(rng, aut, drop_one: bool = False):
@@ -517,20 +534,28 @@ def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
 
 
 def test_search_order_leads_to_the_final_states_of_the_pair():
-    compiled = r_automaton()._compiled
+    r = r_automaton()
+    initial = r._compiled[0]
 
-    def targets(w1: str, w2: str) -> list[str]:
-        """Target states of R's initial rows, without the union prefixes."""
-        _, rows = _search_order(compiled, lasso(w1), lasso(w2))
-        return [row[4].dst.split(".")[-1] for row in rows[compiled[0]]]
+    def targets(w1: str, w2: str, kept: bool) -> list[str]:
+        """Target states of R's initial rows in search order, or of those
+        the search can take, without the union prefixes."""
+        w1, w2 = lasso(w1), lasso(w2)
+        rows = kept_rows(r, w1, w2, initial) if kept else _liveness(
+            r._compiled, w1.normal(), w2.normal())[1][initial]
+        return [row[4].dst.split(".")[-1] for row in rows]
 
     # As in both periods: no C1 state is final, so C1 waits behind T (its
     # original order) and behind the sinks of C2 and C3
-    order = targets("A0|0A", "A|0A")
-    assert order.index("hot") < order.index("q0") < order.index("pick")
+    order = targets("A0|0A", "A|0A", kept=False)
+    assert order.index("sink") < order.index("hot") < order.index("q0") < order.index("pick")
+    # the search takes none of C1, which is not live, nor hot, as tape 2 has no 1
+    kept = targets("A0|0A", "A|0A", kept=True)
+    assert "q0" in kept and "sink" in kept and not {"hot", "scan", "pick"} & set(kept)
     # no A in period 1: drop1 is final, so C1 comes before T
-    order = targets("A0|01", "A|0A")
-    assert order.index("drop1") < order.index("pick") < order.index("q0")
+    for kept in (False, True):
+        order = targets("A0|01", "A|0A", kept)
+        assert order.index("drop1") < order.index("pick") < order.index("q0")
 
 
 def test_states_missing_a_loop_letter_are_final_only_without_it():
@@ -560,19 +585,50 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
     assert_fair_certificate(universal._embedded, out, LassoWord("1", "01"), LassoWord("", "0"))
 
 
+def skips_a_reachable_row(aut, w1, w2) -> bool:
+    """Whether a row that fits the words leads out of the live states from
+    a state reachable along fitting rows into live states."""
+    initial, rows = aut._compiled[0], aut._compiled[3]
+    live = _liveness(aut._compiled, w1, w2)[2]
+    seen, todo = {initial}, [initial]
+    while todo:
+        for row in kept_rows(aut, w1, w2, todo.pop()):
+            if row[2] not in seen:
+                seen.add(row[2])
+                todo.append(row[2])
+    letters1, letters2 = set(w1.prefix + w1.period), set(w2.prefix + w2.period)
+    return any(not live[row[2]] for q in seen for row in rows[q]
+               if set(row[4].read1) <= letters1 and set(row[4].read2) <= letters2)
+
+
 def test_coverage_test_never_rejects_an_accepted_pair():
+    # rejecting at once is sound, and so is skipping every row into a state
+    # that is not live: where a reachable row is skipped the verdict agrees
+    # with the nested DFS, and no certificate enters a state that is not live
     rng = random.Random(241)
-    cut = 0
-    for i in range(600):
+    cut = pruned = pruned_accepted = 0
+    for i in range(1200):
         aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "01"))
         if i % 3 == 0:
             aut = plant_terminal(rng, aut)
         w1 = random_lasso(rng, "01", 3, 3).normal()
         w2 = random_lasso(rng, "01", 3, 3).normal()
-        if not _may_accept(aut._compiled, w1, w2):
+        analysis = _liveness(aut._compiled, w1, w2)
+        if analysis is None:
             cut += 1
             assert not nested_dfs_accepts_pair(aut, w1, w2), (aut, w1, w2)
-    assert cut > 100
+        elif skips_a_reachable_row(aut, w1, w2):
+            pruned += 1
+            out = accepts_lasso_pair(aut, w1, w2)
+            expected = nested_dfs_accepts_pair(aut, w1, w2)
+            assert (out.verdict is Verdict.ACCEPTED) == expected, (aut, w1, w2)
+            if expected:
+                pruned_accepted += 1
+                assert_fair_certificate(aut, out, w1, w2)
+                ids, live = state_ids(aut), analysis[2]
+                run = out.certificate.stem.transitions + out.certificate.cycle.transitions
+                assert all(live[ids[t.dst]] for t in run), (aut, w1, w2)
+    assert cut > 500 and pruned > 50 and pruned_accepted > 20, (cut, pruned, pruned_accepted)
 
 
 def test_coverage_test_rejects_before_the_product():
@@ -582,12 +638,12 @@ def test_coverage_test_rejects_before_the_product():
         (c_automaton(3), lasso("1|A01"), lasso("A|0A")),  # no 1 on tape 2
     ]
     for aut, w1, w2 in rejected:
-        assert not _may_accept(aut._compiled, w1.normal(), w2.normal())
+        assert _liveness(aut._compiled, w1.normal(), w2.normal()) is None
         assert not accepted(aut, w1, w2)
         assert not nested_dfs_accepts_pair(aut, w1, w2)
     # equal words pass the test for C4, and the search rejects them
     w = lasso("A0|A01A0")
-    assert _may_accept(c_automaton(4)._compiled, w.normal(), w.normal())
+    assert _liveness(c_automaton(4)._compiled, w.normal(), w.normal()) is not None
     assert not accepted(c_automaton(4), w, w)
     assert not nested_dfs_accepts_pair(c_automaton(4), w, w)
 
@@ -671,6 +727,22 @@ def test_r_at_period_640_accepts_with_certificate():
     out = accepts_lasso_pair(r_automaton(), w1, w2)
     assert out.verdict is Verdict.ACCEPTED
     assert_fair_certificate(r_automaton(), out, w1, w2)
+
+
+def test_ladder_pair_accepts_without_entering_c3():
+    # C4 accepts: the compared second blocks differ in length.  C3's scan
+    # loops on both tapes and leaves for hot only on a 1 of tape 2, which
+    # these words lack, so its rectangle, quadratic in n, is not live
+    n = 400
+    w1 = LassoWord("A0A00A", "0" * n + "A" + "0" * (n + 1) + "A")
+    w2 = LassoWord("A0A00A", "0" * (n - 1) + "A" + "0" * n + "A")
+    for aut in (r_automaton(), r2_automaton()):
+        out = accepts_lasso_pair(aut, w1, w2)
+        assert out.verdict is Verdict.ACCEPTED
+        assert_fair_certificate(aut, out, w1, w2)
+    r = r_automaton()
+    kept = [row[4].dst for row in kept_rows(r, w1, w2, r._compiled[0])]
+    assert kept and not any(q.startswith("R.L.L.R.") for q in kept)  # no state of C3
 
 
 # -- rectangle jumps -----------------------------------------------------------
