@@ -40,7 +40,6 @@ from .twotape import (
 )
 from .constructions import (
     Decomposition,
-    DecompositionSearch,
     NotInP,
     RunSchema,
     UndecidableCondition,

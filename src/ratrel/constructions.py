@@ -149,21 +149,9 @@ class Decomposition:
         )
 
 
-@dataclass(frozen=True)
-class DecompositionSearch:
-    branches: tuple[Decomposition, ...]
-
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
-
-    @property
-    def max_growth_steps(self) -> int:
-        return max((b.growth_steps for b in self.branches), default=0)
-
-
-def build_decompositions(x: GridWord, depth: int, k_max: int) -> DecompositionSearch:
-    """All ledger prefixes of the given depth for the pair (coded x, alpha).
+def build_decompositions(x: GridWord, depth: int, k_max: int) -> tuple[Decomposition, ...]:
+    """All ledger prefixes of the given depth for the pair (coded x, alpha),
+    sorted by k, then by splits.
 
     Enumerates every k <= k_max and every unit-step split sequence whose
     zero-buffers stay within the permanent-safety cap; this keeps exactly
@@ -189,8 +177,7 @@ def build_decompositions(x: GridWord, depth: int, k_max: int) -> DecompositionSe
             stack.append((n + 1, vs + (v,)))
             if v + 1 <= caps[n]:
                 stack.append((n + 1, vs + (v + 1,)))
-    branches.sort(key=lambda d: (d.k, d.splits))
-    return DecompositionSearch(tuple(branches))
+    return tuple(sorted(branches, key=lambda d: (d.k, d.splits)))
 
 
 def decomposition_valid(x: GridWord, dec: Decomposition) -> bool:

@@ -10,11 +10,13 @@ labels do not count as accepting behaviour.
 For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
-period.  A liveness analysis, cached with the compiled automaton, comes
-first: the search enters only live states, which reach a component able
-to carry an accepting tail over the words' letters.  The graph is explored
-on the fly, never stored: each tape is compiled into next-position tables
-per transition label, configurations are packed into ints, and one
+period.  One compile pass per automaton gives its rows, accepting
+components, self-loop summary and reverse edges.  A liveness analysis,
+memoised with them per letter sets of the pair, comes first: the search
+enters only live states, which reach a component able to carry an
+accepting tail over the words' letters.  The graph is explored on the
+fly, never stored: each tape is compiled into next-position tables per
+transition label, configurations are packed into ints, and one
 Couvreur-style SCC search with three edge marks (accepting state entered,
 tape-1 letter consumed, tape-2 letter consumed), trying transitions
 towards final states first, stops at the first component that carries all
@@ -74,10 +76,6 @@ class TwoTapeTransition(NamedTuple):
     dst: str
 
 
-def _as_transition(t) -> TwoTapeTransition:
-    return t if isinstance(t, TwoTapeTransition) else TwoTapeTransition(*t)
-
-
 @dataclass(frozen=True)
 class TwoTapeAutomaton:
     states: tuple[str, ...]
@@ -89,7 +87,7 @@ class TwoTapeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "transitions", tuple(sorted(_as_transition(t) for t in self.transitions))
+            self, "transitions", tuple(sorted(TwoTapeTransition(*t) for t in self.transitions))
         )
         object.__setattr__(self, "accepting", frozenset(self.accepting))
 
@@ -347,11 +345,25 @@ _ALL = ACC | T1 | T2
 
 
 def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
-    """Integer form: the initial state id; the distinct labels of each tape;
-    per state id its rows (label-1 index, label-2 index, target id, marks,
-    transition); per component with a cycle through an accepting state, its
-    state ids and the letters its internal edges read on each tape; and a
-    memo shared by ``_liveness`` and ``_loop_summary`` (under ``"loops"``)."""
+    """Integer form, from one walk over each state's rows once the
+    components are known: the initial state id; the distinct labels of each
+    tape; per state id its rows (label-1 index, label-2 index, target id,
+    marks, transition); per component with a cycle through an accepting
+    state, its state ids and the letters its internal edges read on each
+    tape (``tails``); the loop summary; the reverse edges, target id -> the
+    source ids of its rows; and a memo of ``_liveness``'s per-pair results.
+
+    The loop summary holds the states with one-letter self-loops (a, "")
+    for a in L1 and ("", b) for b in L2, L1 and L2 both non-empty: id ->
+    (tape-1 loops, tape-2 loops, ACC if accepting else 0, corner-only),
+    each loop map sending a letter of L1 or L2 to the automaton's own
+    self-loop that reads it.  A state is corner-only when every transition
+    leaving it other than those loops starts with a letter outside L1 on
+    tape 1 and with a letter outside L2 on tape 2: from (q, p1, p2) the
+    loops sweep the rectangle up to the first positions r1, r2 whose
+    letters are outside L1 and L2, and nothing else fires before its
+    corner (r1, r2).
+    """
     names = dict.fromkeys(
         (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
     )
@@ -369,50 +381,29 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     # per component with a cycle through an accepting state: its states, each
     # the source of an edge inside it, and the letters those edges read
     tails: dict[int, tuple[set, set, set]] = {}
-    for src, rs in enumerate(rows):
-        c = comp[src]
-        if c in accepting:
-            for _, _, dst, _, t in rs:
-                if comp[dst] == c:
-                    tail = tails.setdefault(c, (set(), set(), set()))
-                    tail[0].add(src)
-                    tail[1].update(t.read1)
-                    tail[2].update(t.read2)
-    return ids[aut.initial], labels1, labels2, rows, list(tails.values()), {}
-
-
-def _loop_summary(compiled: tuple) -> dict:
-    """The states with one-letter self-loops (a, "") for a in L1 and
-    ("", b) for b in L2, L1 and L2 both non-empty, from one pass over each
-    state's rows, memoised with the compiled form on first need.
-
-    Returns id -> (tape-1 loops, tape-2 loops, ACC if accepting else 0,
-    corner-only), each loop map sending a letter of L1 or L2 to the
-    automaton's own self-loop that reads it.  A state is corner-only when
-    every transition leaving it other than those loops starts with a letter
-    outside L1 on tape 1 and with a letter outside L2 on tape 2: from
-    (q, p1, p2) the loops sweep the rectangle up to the first positions r1,
-    r2 whose letters are outside L1 and L2, and nothing else fires before
-    its corner (r1, r2).
-    """
-    memo = compiled[-1]
-    summary = memo.get("loops")
-    if summary is None:
-        summary = memo["loops"] = {}
-        for q, rs in enumerate(compiled[3]):
-            loops1, loops2, exits, acc = {}, {}, [], 0
-            for _, _, dst, m, t in rs:
-                if dst == q and len(t.read1) + len(t.read2) == 1:
-                    (loops1 if t.read1 else loops2)[t.read1 + t.read2] = t
-                    acc = m & ACC
-                else:
-                    exits.append(t)
-            if loops1 and loops2:
-                summary[q] = loops1, loops2, acc, all(
-                    t.read1 and t.read2 and t.read1[0] not in loops1 and t.read2[0] not in loops2
-                    for t in exits
-                )
-    return summary
+    loops: dict[int, tuple] = {}
+    back: dict[int, list[int]] = {}
+    for q, rs in enumerate(rows):
+        c = comp[q]
+        loops1, loops2, exits, acc = {}, {}, [], 0
+        for _, _, dst, m, t in rs:
+            back.setdefault(dst, []).append(q)
+            if c in accepting and comp[dst] == c:
+                tail = tails.setdefault(c, (set(), set(), set()))
+                tail[0].add(q)
+                tail[1].update(t.read1)
+                tail[2].update(t.read2)
+            if dst == q and len(t.read1) + len(t.read2) == 1:
+                (loops1 if t.read1 else loops2)[t.read1 + t.read2] = t
+                acc = m & ACC
+            else:
+                exits.append(t)
+        if loops1 and loops2:
+            loops[q] = loops1, loops2, acc, all(
+                t.read1 and t.read2 and t.read1[0] not in loops1 and t.read2[0] not in loops2
+                for t in exits
+            )
+    return ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, back, {}
 
 
 def _liveness(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple | None:
@@ -427,11 +418,12 @@ def _liveness(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple | None:
     search skips every row into a state that is not.  Final states
     (accepting, with a self-loop for every letter of both periods) are
     live.  Rows are sorted, stably, nearest a final state along any edge
-    first.  Memoised per four letter sets (words, periods), with one copy
-    of each set under ``"letters"``, of each equal result under (final
-    states, mask) and of each row order under its set of final states.
+    first, by a closure over the compiled reverse edges.  Memoised per four
+    letter sets (words, periods), with one copy of each set under
+    ``"letters"``, of each equal result under (final states, mask) and of
+    each row order under its set of final states.
     """
-    initial, labels1, labels2, rows, tails, memo = compiled
+    initial, labels1, labels2, rows, tails, loops, back, memo = compiled
     need1, need2 = frozenset(w1.period), frozenset(w2.period)
     key = (need1.union(w1.prefix), need2.union(w2.prefix), need1, need2)
     if key in memo:
@@ -445,21 +437,17 @@ def _liveness(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple | None:
         return None
     fits1 = [set(label) <= word1 for label in labels1]
     fits2 = [set(label) <= word2 for label in labels2]
-    back: dict[int, list[int]] = {}
+    fitting: dict[int, list[int]] = {}
     for src, rs in enumerate(rows):
         for a, b, d, _, _ in rs:
             if fits1[a] and fits2[b]:
-                back.setdefault(d, []).append(src)
-    live = _closure(covering, back)
+                fitting.setdefault(d, []).append(src)
+    live = _closure(covering, fitting)
     if initial not in live:
         return None
-    final = frozenset(q for q, (l1, l2, acc, _) in _loop_summary(compiled).items()
+    final = frozenset(q for q, (l1, l2, acc, _) in loops.items()
                       if acc and need1 <= l1.keys() and need2 <= l2.keys())
     if final and final not in memo:
-        back = {}
-        for src, rs in enumerate(rows):
-            for row in rs:
-                back.setdefault(row[2], []).append(src)
         distance = _closure(final, back)
         memo[final] = [sorted(rs, key=lambda row: distance.get(row[2], len(rows))) for rs in rows]
     live = bytes(q in live for q in range(len(rows)))
@@ -509,8 +497,9 @@ def accepts_lasso_pair(
     whatever the order.
 
     Two kinds of macro edge stand for runs on one state's single-letter
-    self-loops (``_loop_summary``), and are expanded into those loops,
-    tape 1 first, then tape 2, wherever a certificate uses them.
+    self-loops (the loop summary of ``_compile_automaton``), and are
+    expanded into those loops, tape 1 first, then tape 2, wherever a
+    certificate uses them.
 
     A final state (``_liveness``: accepting, with a self-loop for every
     letter of both periods) turns.  From (q, p1, p2) where the rest of
@@ -523,19 +512,19 @@ def accepts_lasso_pair(
     So a discovered final configuration accepts at once, whatever q's other
     transitions.
 
-    A corner-only state (``_loop_summary``) takes rectangle jumps instead
-    of its loops.  From (q, p1, p2) the one successor is the macro edge to
-    (q, r1, r2), where ri is the first position from pi on, wrapping in
-    the period, whose letter is outside q's tape-i loop letters; it
+    A corner-only state (the loop summary again) takes rectangle jumps
+    instead of its loops.  From (q, p1, p2) the one successor is the macro
+    edge to (q, r1, r2), where ri is the first position from pi on, wrapping
+    in the period, whose letter is outside q's tape-i loop letters; it
     carries ``T1`` if r1 != p1, ``T2`` if r2 != p2 and ``ACC`` if q is
-    accepting.  At the corner itself only q's other transitions fire, and
-    no other configuration of the rectangle can fire them, so the jump
-    keeps reachability among the remaining configurations and every fair
-    cycle.  Where some ri does not exist the configuration is a dead end:
-    its tape i reads on the loops forever, so no run leaves q, and one
-    that stays is fair only if both tapes do and q accepts, which makes q
-    final and the configuration one that turns instead.  The tables of
-    the turn and of ri are built per state on its first expansion.
+    accepting.  At the corner itself only q's other transitions fire, and no
+    other configuration of the rectangle can fire them, so the jump keeps
+    reachability among the remaining configurations and every fair cycle.
+    Where some ri does not exist the configuration is a dead end: its tape i
+    reads on the loops forever, so no run leaves q, and one that stays is
+    fair only if both tapes do and q accepts, which makes q final and the
+    configuration one that turns instead.  The tables of the turn and of ri
+    are built per state on its first expansion.
 
     Accepted verdicts carry a replayable stem-plus-cycle certificate.  The
     stem follows the DFS stack to the root of the accepting component, and
@@ -552,12 +541,12 @@ def accepts_lasso_pair(
     analysis = _liveness(compiled, w1, w2)
     if analysis is None:
         return SearchOutcome(verdict=Verdict.REJECTED)
-    (initial, labels1, labels2), (final, rows, live) = compiled[:3], analysis
+    initial, labels1, labels2, _, _, loops, _, _ = compiled
+    final, rows, live = analysis
     n1, tabs1 = _compile_tape(w1, labels1)
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
         tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
-    loops = _loop_summary(compiled)
     lp1, lp2 = len(w1.prefix), len(w2.prefix)
     turns: dict[int, tuple] = {}  # per final state: first tape-1 position of its turn, tape-2 table
     jumps: dict[int, tuple] = {}  # per corner-only state: its next-outside tables

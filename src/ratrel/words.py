@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
-Letter = str
-FiniteWord = str
-
 
 class AlphabetMismatch(ValueError):
     """A word uses letters outside the declared alphabet."""

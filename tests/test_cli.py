@@ -180,6 +180,27 @@ def test_search_automaton_source(capsys, tmp_path, zero_grid_file):
     assert stats("--aut", "C3")["fair_visits"] == 0
 
 
+@pytest.mark.parametrize("sigma1, sigma2, columns, letter", [
+    ("01", "01A", {}, "A"),  # the separator of the coded grid
+    ("0A", "01A", {"3": "01|0"}, "1"),  # a letter of one column
+    ("01A", "01", {}, "A"),  # the separator of alpha
+])
+def test_search_alphabet_mismatch_is_bad_input(capsys, tmp_path, sigma1, sigma2, columns, letter):
+    # as member rejects a pair whose letters the alphabets miss, search
+    # must not report a verdict on such words
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps({
+        "states": ["q"], "sigma1": sigma1, "sigma2": sigma2, "initial": "q",
+        "accepting": ["q"], "transitions": [["q", "0", "0", "q"]],
+    }))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"default": "|0", "columns": columns}))
+    code, out, err = run(capsys, "search", "--aut-file", str(aut), "--grid", str(grid),
+                         "--budget", "100", "--json")
+    assert (code, out) == (2, "")
+    assert f"uses letter {letter!r} not in alphabet" in err
+
+
 def test_member_unknown_name(capsys):
     code, _, err = run(capsys, "member", "--aut", "nope", "--pair", "|0", "|0")
     assert code == 2 and "unknown automaton" in err

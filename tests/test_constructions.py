@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ratrel import constructions, grid as grid_module
+from ratrel import constructions, grid as grid_module, verify
 from ratrel.constructions import (
     Decomposition,
     _cap_profile,
@@ -118,25 +118,25 @@ def test_built_in_family_is_pinned(name):
 
 def test_decompositions_zero_grid():
     found = build_decompositions(GridWord.zero(), depth=10, k_max=3)
-    assert found.branch_count > 0
-    assert found.max_growth_steps == 9  # one branch grows at every step
-    assert all(decomposition_valid(GridWord.zero(), b) for b in found.branches)
+    assert len(found) > 0
+    assert max(b.growth_steps for b in found) == 9  # one branch grows at every step
+    assert all(decomposition_valid(GridWord.zero(), b) for b in found)
 
 
 def test_decompositions_blocked_by_constant_one_column():
     x = grid(c1="|1")
     found = build_decompositions(x, depth=12, k_max=3)
-    assert found.branch_count == 3  # one forced all-zero-buffer branch per k
-    assert all(b.v_len(n) == 0 for b in found.branches for n in range(1, 13))
-    assert found.max_growth_steps == 0
+    assert len(found) == 3  # one forced all-zero-buffer branch per k
+    assert all(b.v_len(n) == 0 for b in found for n in range(1, 13))
+    assert all(b.growth_steps == 0 for b in found)
 
 
 def test_decompositions_blocked_by_alternating_column():
     x = grid(c1="|10")  # 1s at every odd row
     found = build_decompositions(x, depth=20, k_max=3)
-    assert found.branch_count > 0
-    assert all(b.v_len(n) == 0 for b in found.branches for n in range(1, 21))
-    assert found.max_growth_steps == 0
+    assert len(found) > 0
+    assert all(b.v_len(n) == 0 for b in found for n in range(1, 21))
+    assert all(b.growth_steps == 0 for b in found)
 
 
 def test_decomposition_walk_laws():
@@ -144,7 +144,7 @@ def test_decomposition_walk_laws():
     for _ in range(10):
         x = random_grid(rng)
         found = build_decompositions(x, depth=8, k_max=2)
-        for dec in found.branches:
+        for dec in found:
             for n in range(1, dec.depth + 1):
                 s = dec.splits[n - 1]
                 assert 0 <= s <= dec.k + n - 1
@@ -162,7 +162,7 @@ def test_blocking_law():
         col = "0" * (r - 1) + "1"
         x = grid(**{f"c{j}": f"{col}|0"})
         found = build_decompositions(x, depth=15, k_max=3)
-        for dec in found.branches:
+        for dec in found:
             n = r + j - dec.k
             if 1 <= n <= dec.depth:
                 assert dec.v_len(n) < j
@@ -194,7 +194,7 @@ def test_cap_profile_is_longest_run_of_safe_columns():
 
 def test_decomposition_replay_rejects_corruption():
     x = GridWord.zero()
-    good = build_decompositions(x, depth=5, k_max=1).branches[0]
+    good = build_decompositions(x, depth=5, k_max=1)[0]
     bad = Decomposition(good.k, good.splits[:-1] + (good.splits[-1] + 3,))
     assert not decomposition_valid(x, bad)
 
@@ -275,6 +275,15 @@ def test_grid_pair_in_r1_builds_each_antidiagonal_once(monkeypatch):
     built = count_antidiagonals(monkeypatch)
     assert grid_pair_in_r1(x, check_blocks=100)
     assert built == list(range(2, 103))
+
+
+def test_verify_schema_replay_builds_each_antidiagonal_once_per_schema(monkeypatch):
+    # per grid: its schema's run, replayed against the schema's own coded
+    # text, then grid_pair_in_r1, which builds a schema of its own
+    check = dict(verify._checks(0, 20))["schema-replay"]
+    built = count_antidiagonals(monkeypatch)
+    check()
+    assert built == (list(range(2, 43)) + list(range(2, 53))) * 5
 
 
 def test_schema_runs_equal_the_letter_by_letter_reference():
@@ -411,7 +420,7 @@ def test_reference_automaton_accepts_coded_all_ones_grid():
     assert not in_P(ones)
     assert not grid_pair_in_r1(ones)
     found = build_decompositions(ones, depth=10, k_max=3)
-    assert found.max_growth_steps == 0
+    assert all(b.growth_steps == 0 for b in found)
     out = bounded_run_search(automaton_T(), encode_h(ones), alpha(), 20000)
     assert out.stats.fair_visits >= 5
 

@@ -11,7 +11,6 @@ from ratrel.constructions import alpha, automaton_T, c_automaton, r2_automaton, 
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
     _liveness,
-    _loop_summary,
     _next_outside,
     AlphabetMismatch,
     InvalidAutomaton,
@@ -507,7 +506,7 @@ def test_complement_pieces_accept_through_their_terminal_state():
         assert {(t.src, t.dst) for t in out.certificate.cycle.transitions} == {(sinks[j],) * 2}
         assert_fair_certificate(aut, out, w1, w2)
     # no accepting state loops on single letters
-    assert not any(acc for _, _, acc, _ in _loop_summary(automaton_T()._compiled).values())
+    assert not any(acc for _, _, acc, _ in loop_summary(automaton_T()).values())
 
 
 def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
@@ -580,7 +579,7 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
     universal = BuchiAutomaton(
         ("s",), BINARY, (("s", "0", "s"), ("s", "1", "s")), "s", frozenset({"s"})
     )
-    assert not _loop_summary(universal._embedded._compiled)
+    assert not loop_summary(universal._embedded)
     out = accepts_lasso_pair(universal._embedded, LassoWord("1", "01"), LassoWord("", "0"))
     assert_fair_certificate(universal._embedded, out, LassoWord("1", "01"), LassoWord("", "0"))
 
@@ -748,10 +747,59 @@ def test_ladder_pair_accepts_without_entering_c3():
 # -- rectangle jumps -----------------------------------------------------------
 
 
+def loop_summary(aut) -> dict:
+    """The compiled loop summary: state id -> (tape-1 loops, tape-2 loops,
+    ACC if accepting else 0, corner-only)."""
+    return aut._compiled[5]
+
+
+def loop_summary_by_name(aut) -> dict:
+    """The loop summary recomputed by state name from ``aut.transitions``:
+    name -> (tape-1 loop letters, tape-2 loop letters, accepting,
+    corner-only), for the states that loop on single letters of both tapes."""
+    out = {}
+    for q in aut.states:
+        loops = {t for t in aut.transitions if t.src == t.dst == q and len(t.read1 + t.read2) == 1}
+        l1 = {t.read1 for t in loops if t.read1}
+        l2 = {t.read2 for t in loops if t.read2}
+        if l1 and l2:
+            exits = [t for t in aut.transitions if t.src == q and t not in loops]
+            corner = all(t.read1[:1] not in l1 | {""} and t.read2[:1] not in l2 | {""}
+                         for t in exits)
+            out[q] = l1, l2, q in aut.accepting, corner
+    return out
+
+
+def test_compiled_loop_summary_matches_one_recomputed_by_name():
+    rng = random.Random(293)
+    automata = [automaton_T(), *map(c_automaton, range(1, 6)), r2_automaton(), r_automaton()]
+    for i in range(500):
+        aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "A", "0A"))
+        for _ in range(rng.randint(1, 3)):
+            aut, _ = plant_corner(rng, aut, interior=rng.random() < 0.4)
+        automata.append(aut)
+    corners = interior = 0
+    for aut in automata:
+        got = {}
+        for loops1, loops2, acc, corner in loop_summary(aut).values():
+            q = next(iter(loops1.values())).src
+            assert all(t == T(q, a, "", q) for a, t in loops1.items())
+            assert all(t == T(q, "", b, q) for b, t in loops2.items())
+            got[q] = set(loops1), set(loops2), bool(acc), corner
+        assert got == loop_summary_by_name(aut), aut
+        corners += sum(c for *_, c in got.values())
+        interior += sum(not c for *_, c in got.values())
+        # the compiled reverse edges list each row once, under its target
+        rows, back = aut._compiled[3], aut._compiled[6]
+        assert sorted((d, src) for d, srcs in back.items() for src in srcs) == sorted(
+            (row[2], src) for src, rs in enumerate(rows) for row in rs)
+    assert corners > 400 and interior > 250, (corners, interior)
+
+
 def corner_states(aut) -> set:
     """Names of the corner-only states of aut."""
     return {next(iter(loops1.values())).src
-            for loops1, _, _, corner in _loop_summary(aut._compiled).values() if corner}
+            for loops1, _, _, corner in loop_summary(aut).values() if corner}
 
 
 def test_corner_only_states_of_reference_automata():
