@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .twotape import TwoTapeAutomaton, Verdict, accepts_lasso_pair
+from .twotape import TwoTapeAutomaton, Verdict, accepts_lasso_pair, validate
 from .words import Alphabet, BINARY, LassoWord
 
 
@@ -27,16 +27,11 @@ class BuchiAutomaton:
     accepting: frozenset[str]
 
     def __post_init__(self):
-        states = set(self.states)
-        if self.initial not in states:
-            raise ValueError("initial state not among states")
-        if not self.accepting <= states:
-            raise ValueError("accepting states not among states")
+        # the two-tape checks accept any word over the alphabet as a label
         for src, ch, dst in self.transitions:
-            if src not in states or dst not in states:
-                raise ValueError(f"transition endpoint outside states: {(src, ch, dst)}")
-            if ch not in self.alphabet:
-                raise ValueError(f"transition letter outside alphabet: {(src, ch, dst)}")
+            if len(ch) != 1:
+                raise ValueError(f"transition label is not one letter: {(src, ch, dst)}")
+        validate(self._embedded)
 
     @cached_property
     def _embedded(self) -> TwoTapeAutomaton:

@@ -214,7 +214,7 @@ class RunSchema:
     """
 
     grid: GridWord
-    _v: list[int] = field(default_factory=list, init=False, repr=False)
+    _v: list[int] = field(default_factory=lambda: [0], init=False, repr=False)
     _cap: Callable[[int, int], int] = field(init=False, repr=False)
     coded: BlockWord = field(init=False, repr=False)
 
@@ -223,12 +223,9 @@ class RunSchema:
         self.coded = encode_h(self.grid)
 
     def v_len(self, n: int) -> int:
-        while len(self._v) < n:
-            m = len(self._v) + 1
-            cap = self._cap(1, m)
-            prev = self._v[-1] if self._v else min(1, cap)
-            self._v.append(prev if m == 1 else min(prev + 1, cap))
-        return self._v[n - 1]
+        while len(self._v) <= n:  # v_m = min(v_(m-1) + 1, cap(1, m)) from v_0 = 0
+            self._v.append(min(self._v[-1] + 1, self._cap(1, len(self._v))))
+        return self._v[n]
 
     def split(self, n: int) -> int:
         return n - self.v_len(n)

@@ -23,11 +23,6 @@ class MalformedPrefix(ValueError):
     """A word prefix does not fit the A-separated 1,2,3,... block layout."""
 
 
-def _tri(n: int) -> int:
-    """Position of the n-th separator A in the coded layout."""
-    return n * (n + 1) // 2
-
-
 @dataclass(frozen=True, eq=False)
 class GridWord:
     """Column-wise description of an omega^2-word over {0,1}."""
@@ -56,7 +51,8 @@ class GridWord:
         return self.column(m).letter_at(n)
 
     def columns(self) -> list[LassoWord]:
-        """The default column followed by the overrides (deduplicated set of descriptions)."""
+        """The default column, then every override in column order; a
+        description may repeat, and an override may equal the default."""
         return [self.default_column] + [self.overrides[m] for m in sorted(self.overrides)]
 
     def __eq__(self, other: object) -> bool:
@@ -112,26 +108,18 @@ def decode_h_prefix(w: str) -> dict[tuple[int, int], str]:
         return entries
     if w[0] != "A":
         raise MalformedPrefix("coded words start with the separator A")
-    b = 1
-    while True:
-        base = _tri(b)
-        if base + b > len(w):
-            return entries  # block b incomplete: discard it
-        block: list[tuple[tuple[int, int], str]] = []
-        for i in range(1, b + 1):
-            ch = w[base + i - 1]
-            if ch == "A":
-                raise MalformedPrefix(
-                    f"separator at position {base + i} but block {b} needs {b} letters"
-                )
-            block.append(((b + 1 - i, i), ch))
-        entries.update(block)
-        sep = _tri(b + 1)
-        if sep > len(w):
-            return entries
-        if w[sep - 1] != "A":
-            raise MalformedPrefix(f"expected separator A at position {sep}")
-        b += 1
+    b = base = 1  # block b starts after its separator, at index b * (b + 1) / 2
+    while base + b <= len(w):  # block b is complete
+        block = w[base:base + b]
+        if "A" in block:
+            raise MalformedPrefix(
+                f"separator at position {base + block.index('A') + 1} but block {b} needs {b} letters"
+            )
+        entries.update(zip(zip(range(b, 0, -1), range(1, b + 1)), block))
+        if base + b < len(w) and w[base + b] != "A":
+            raise MalformedPrefix(f"expected separator A at position {base + b + 1}")
+        b, base = b + 1, base + b + 1
+    return entries  # an incomplete last block is discarded
 
 
 def grid_distance_exponent(x: GridWord, y: GridWord) -> int | None:
@@ -150,10 +138,8 @@ def grid_distance_exponent(x: GridWord, y: GridWord) -> int | None:
             candidates.append(m + d)
     d0 = lasso_first_difference(x.default_column, y.default_column)
     if d0 is not None:
-        m0 = 1
-        taken = set(named)
-        while m0 in taken:
-            m0 += 1
+        # the first column neither grid overrides, at most len(named) + 1
+        m0 = min(set(range(1, len(named) + 2)).difference(named))
         candidates.append(m0 + d0)
     # x != y guarantees some differing column, hence a candidate.
     return min(candidates)

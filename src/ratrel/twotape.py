@@ -565,8 +565,8 @@ def accepts_lasso_pair(
             # once round both periods from there: a self-loop marked _ALL.
             l1, l2, _, corner_only = loops[q]
             if q not in turns:
-                start2 = _loop_start(w2, l2)
-                turns[q] = _loop_start(w1, l1), [-1] * start2 + [
+                start2 = len(w2.prefix.rstrip("".join(l2)))
+                turns[q] = len(w1.prefix.rstrip("".join(l1))), [-1] * start2 + [
                     max(p, lp2) << 3 for p in range(start2, n2)
                 ]
             start1, turn2 = turns[q]
@@ -678,14 +678,6 @@ def accepts_lasso_pair(
                     if x == c:
                         break
     return SearchOutcome(verdict=Verdict.REJECTED)
-
-
-def _loop_start(w: LassoWord, letters: Container[str]) -> int:
-    """The first position from which the rest of w's prefix reads on letters."""
-    i = len(w.prefix)
-    while i and w.prefix[i - 1] in letters:
-        i -= 1
-    return i
 
 
 def _next_outside(w: LassoWord, letters: Container[str]) -> list[int]:

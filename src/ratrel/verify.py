@@ -127,19 +127,32 @@ def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord)
             pos = pos + 1 if pos + 1 < len(text) else lp
         return pos
 
-    def successors(node: int):
+    def decode(node: int) -> tuple[int, int, int, int]:
         """Node (q, p1, p2, k) is the int ((q * size1 + p1) * size2 + p2) * 3 + k."""
         rest, k = divmod(node, 3)
         rest, p2 = divmod(rest, size2)
         q, p1 = divmod(rest, size1)
-        for t in aut.transitions_from(names[q]):
-            n1 = step(0, p1, t.read1)
-            n2 = None if n1 is None else step(1, p2, t.read2)
-            if n2 is None:
-                continue
-            met = (t.dst in aut.accepting, t.read1 != "", t.read2 != "")[k]
-            nxt = ((ids[t.dst] * size1 + n1) * size2 + n2) * 3 + ((k + 1) % 3 if met else k)
-            yield nxt, met and k == 2
+        return q, p1, p2, k
+
+    # per state id, its rows: both labels, the target id, and per k whether
+    # the row meets the wait
+    rows = [[(t.read1, t.read2, ids[t.dst], (t.dst in aut.accepting, t.read1 != "", t.read2 != ""))
+             for t in aut.transitions_from(s)] for s in names]
+
+    def follow(p1: int, p2: int, k: int, row: tuple):
+        """The edge along row from node (q, p1, p2, k): (target, accepting), or None."""
+        read1, read2, dst, meets = row
+        n1 = step(0, p1, read1)
+        n2 = None if n1 is None else step(1, p2, read2)
+        if n2 is None:
+            return None
+        met = meets[k]
+        nxt = ((dst * size1 + n1) * size2 + n2) * 3 + ((k + 1) % 3 if met else k)
+        return nxt, met and k == 2
+
+    def successors(node: int):
+        q, p1, p2, k = decode(node)
+        return filter(None, (follow(p1, p2, k, row) for row in rows[q]))
 
     # visited marks of the outer and the inner searches, indexed by node
     outer = bytearray(len(names) * size1 * size2 * 3)
@@ -161,20 +174,28 @@ def nested_dfs_accepts_pair(aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord)
                     todo.append(nxt)
         return False
 
+    # An outer frame is [node, q, p1, p2, k, next row index, child via
+    # accepting edge]: a row index, not an iterator, so a deep stack stays small.
     outer[0] = 1
-    stack = [[0, successors(0), None]]  # node, successors left, child via accepting edge
+    stack = [[0, *decode(0), 0, None]]
     while stack:
         frame = stack[-1]
-        node, succ, child = frame
+        node, q, p1, p2, k, i, child = frame
         if child is not None:  # that child is finished: its accepting edge is now in post-order
-            frame[2] = None
+            frame[6] = None
             if reaches(child, node):
                 return True
-        for nxt, accepting in succ:
+        qrows = rows[q]
+        while i < len(qrows):
+            edge = follow(p1, p2, k, qrows[i])
+            i += 1
+            if edge is None:
+                continue
+            nxt, accepting = edge
             if not outer[nxt]:
                 outer[nxt] = 1
-                frame[2] = nxt if accepting else None
-                stack.append([nxt, successors(nxt), None])
+                frame[5:] = i, nxt if accepting else None
+                stack.append([nxt, *decode(nxt), 0, None])
                 break
             if accepting and reaches(nxt, node):
                 return True

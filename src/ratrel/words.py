@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from os.path import commonprefix
 from typing import Callable, Union
 
 
@@ -75,12 +76,14 @@ def _primitive_root(s: str) -> str:
 @lru_cache(maxsize=4096)
 def _normal_parts(prefix: str, period: str) -> tuple[str, str]:
     period = _primitive_root(period)
-    # Fold trailing prefix letters into a rotation of the period.  This
-    # reaches the minimal preperiod, so equal words get equal parts.
-    while prefix and prefix[-1] == period[-1]:
-        period = prefix[-1] + period[:-1]
-        prefix = prefix[:-1]
-    return prefix, period
+    # The k trailing prefix letters that repeat the period backwards, the
+    # common suffix of the prefix and enough period copies, fold at once
+    # into the period rotated right by k.  This reaches the minimal
+    # preperiod, so equal words get equal parts.
+    p = len(period)
+    k = len(commonprefix([prefix[::-1], period[::-1] * (len(prefix) // p + 1)]))
+    r = k % p
+    return prefix[:len(prefix) - k], period[p - r:] + period[:p - r]
 
 
 @dataclass(frozen=True)
@@ -190,13 +193,12 @@ def lasso_equal(a: LassoWord, b: LassoWord) -> bool:
 def lasso_first_difference(a: LassoWord, b: LassoWord) -> int | None:
     """First position where two lassos differ, or None if they are equal.
 
-    Agreement up to max prefix length plus one lcm of the periods forces
-    equality, so the scan is bounded.
+    Past both prefixes the two words have periods p and q, and by Fine and
+    Wilf (1965) two words with periods p and q that agree on
+    p + q - gcd(p, q) letters agree forever.  So comparing the first
+    max(prefix lengths) + p + q - gcd(p, q) letters decides the pair.
     """
-    a = a.normal()
-    b = b.normal()
-    bound = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.period), len(b.period))
-    for n in range(1, bound + 1):
-        if a.letter_at(n) != b.letter_at(n):
-            return n
-    return None
+    p, q = len(a.period), len(b.period)
+    n = max(len(a.prefix), len(b.prefix)) + p + q - math.gcd(p, q)
+    s, t = a.prefix_of(n), b.prefix_of(n)
+    return None if s == t else len(commonprefix([s, t])) + 1

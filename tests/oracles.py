@@ -7,11 +7,14 @@ the degeneralized product (``ratrel.verify.nested_dfs_accepts_pair``).  The
 budgeted search has a letter-by-letter reference that reads transitions
 by state name and each word one ``letter_at`` call per letter, and the
 schema run has one that builds a fresh transition for every letter.
+Lasso normal forms and first differences have letter-by-letter
+references too.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from ratrel.buchi import BuchiAutomaton
 from ratrel.constructions import RunSchema
@@ -25,7 +28,7 @@ from ratrel.twotape import (
     Verdict,
 )
 from ratrel.verify import nested_dfs_accepts_pair
-from ratrel.words import LassoWord, OmegaWord
+from ratrel.words import LassoWord, OmegaWord, _primitive_root
 
 
 def naive_buchi_accepts(aut: BuchiAutomaton, w: LassoWord) -> bool:
@@ -62,6 +65,23 @@ def naive_buchi_accepts(aut: BuchiAutomaton, w: LassoWord) -> bool:
                 continue
             stack.append(path + [nxt])
     return False
+
+
+def reference_normal_parts(prefix: str, period: str) -> tuple[str, str]:
+    """``words._normal_parts`` as first written: fold the prefix's last
+    letter into a rotation of the period while it equals the period's last."""
+    period = _primitive_root(period)
+    while prefix and prefix[-1] == period[-1]:
+        period = prefix[-1] + period[:-1]
+        prefix = prefix[:-1]
+    return prefix, period
+
+
+def reference_first_difference(a: LassoWord, b: LassoWord) -> int | None:
+    """``lasso_first_difference`` as first written: one ``letter_at`` call
+    per position, up to the longer prefix plus one lcm of the periods."""
+    bound = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.period), len(b.period))
+    return next((n for n in range(1, bound + 1) if a.letter_at(n) != b.letter_at(n)), None)
 
 
 # The two-tape oracle is the nested depth-first search the ``verify`` suite

@@ -21,6 +21,9 @@ def test_construction_invariants():
         BuchiAutomaton(("a",), BINARY, (("a", "X", "a"),), "a", frozenset())
     with pytest.raises(ValueError):
         BuchiAutomaton(("a",), BINARY, (), "a", frozenset({"ghost"}))
+    for label in ("", "01"):  # a label is exactly one letter
+        with pytest.raises(ValueError, match="not one letter"):
+            BuchiAutomaton(("a",), BINARY, (("a", label, "a"),), "a", frozenset())
 
 
 def test_ones_automaton_examples():

@@ -105,12 +105,16 @@ def test_encode_examples():
 def test_decode_examples():
     assert dict(decode_h_prefix("A0A01A").items()) == {(1, 1): "0", (2, 1): "0", (1, 2): "1"}
     assert len(decode_h_prefix("A")) == 0
-    with pytest.raises(MalformedPrefix):
-        decode_h_prefix("A00")
-    with pytest.raises(MalformedPrefix):
-        decode_h_prefix("0A")
-    with pytest.raises(MalformedPrefix):
-        decode_h_prefix("A0A0A")  # second block cut short by a separator
+    for word, message in (
+        ("A00", "expected separator A at position 3"),
+        ("0A", "coded words start with the separator A"),
+        ("A0A0A", "separator at position 5 but block 2 needs 2 letters"),
+        ("AA", "separator at position 2 but block 1 needs 1 letters"),
+        ("A0A01A11A", "separator at position 9 but block 3 needs 3 letters"),
+        ("A0A01A1100", "expected separator A at position 10"),  # none after block 3
+    ):
+        with pytest.raises(MalformedPrefix, match=f"^{message}$"):
+            decode_h_prefix(word)
 
 
 def test_decode_partial_blocks_are_dropped():

@@ -15,11 +15,14 @@ from ratrel.words import (
     BlockWord,
     GAMMA,
     LassoWord,
+    _normal_parts,
     _primitive_root,
     lasso_equal,
+    lasso_first_difference,
 )
 
-from util import random_gamma_lasso
+from oracles import reference_first_difference, reference_normal_parts
+from util import all_binary_lassos, random_gamma_lasso
 
 
 def lasso(text: str) -> LassoWord:
@@ -145,6 +148,25 @@ def test_normal_form_minimality():
     assert LassoWord("010", "10").normal() == LassoWord("", "01")
 
 
+def test_normal_parts_match_letter_by_letter_fold():
+    # every lasso over 01A with prefix <= 6 and period <= 4
+    words = [""] + ["".join(t) for n in range(1, 7) for t in itertools.product("01A", repeat=n)]
+    for period in (w for w in words if 1 <= len(w) <= 4):
+        for prefix in words:
+            assert _normal_parts(prefix, period) == reference_normal_parts(prefix, period)
+    # long prefixes ending in period copies, after a partial copy that
+    # continues them backwards or a random one that may not
+    rng = random.Random(18)
+    for _ in range(300):
+        root = "".join(rng.choice("01A") for _ in range(rng.randint(1, 30)))
+        period = root * rng.randint(1, 3)
+        cut = rng.randint(0, len(period))
+        partial = rng.choice((period[cut:], period[:cut], "".join(rng.sample(period, cut))))
+        junk = "".join(rng.choice("01A") for _ in range(rng.randint(0, 5)))
+        prefix = junk + partial + period * rng.randint(0, 40) + root[: rng.randint(0, len(root))]
+        assert _normal_parts(prefix, period) == reference_normal_parts(prefix, period)
+
+
 def test_primitive_root_matches_divisor_scan():
     # every word over 01A up to length 6 and over 01 up to length 10
     def by_divisors(s: str) -> str:
@@ -174,6 +196,31 @@ def test_lasso_equal_iff_bounded_prefix_agreement():
         b = random_lasso(rng, "01", 2, 3)
         bound = len(a.prefix) + len(b.prefix) + 2 * math.lcm(len(a.period), len(b.period))
         assert lasso_equal(a, b) == (a.prefix_of(bound) == b.prefix_of(bound))
+
+
+def test_first_difference_matches_letter_by_letter_scan():
+    # every pair of binary lassos with prefix <= 2 and period <= 4, which
+    # meets the Fine and Wilf bound p + q - gcd(p, q) exactly
+    small = all_binary_lassos(2, 4)
+    for a in small:
+        for b in small:
+            assert lasso_first_difference(a, b) == reference_first_difference(a, b)
+    rng = random.Random(30)
+    for _ in range(2000):
+        a = random_gamma_lasso(rng, 8, 8)
+        b = rng.choice((
+            random_gamma_lasso(rng, 8, 8),
+            LassoWord(a.prefix + a.period * rng.randint(0, 3), a.period * rng.randint(1, 2)),
+            LassoWord(a.prefix_of(rng.randint(0, 30)) + rng.choice("01A"), a.period),
+        ))
+        assert lasso_first_difference(a, b) == reference_first_difference(a, b)
+    # coprime periods 997 and 1000
+    for a, b in ((LassoWord("1", "0" * 997), LassoWord("", "1" + "0" * 999)),
+                 (LassoWord("", "0" * 996 + "1"), LassoWord("", "0" * 999 + "1")),
+                 (LassoWord("A", "0" * 996 + "1"), LassoWord("A0", "0" * 998 + "1")),
+                 (LassoWord("0", "0" * 997), LassoWord("", "0" * 1000))):
+        assert lasso_first_difference(a, b) == reference_first_difference(a, b)
+        assert lasso_first_difference(b, a) == reference_first_difference(b, a)
 
 
 def test_methods_dispatch_on_both_word_kinds():
