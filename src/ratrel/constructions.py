@@ -15,8 +15,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
-from math import inf, lcm
+from itertools import accumulate, chain, cycle, islice
+from math import inf
 from typing import Callable
 
 from .grid import GridWord, antidiagonal, encode_h, in_P
@@ -91,7 +91,6 @@ def automaton_T() -> TwoTapeAutomaton:
 
 def _last_one(col: LassoWord) -> float:
     """Last row of a column carrying a 1: 0 for none, inf when its period has 1s."""
-    col = col.normal()
     return inf if "1" in col.period else col.prefix.rfind("1") + 1
 
 
@@ -234,7 +233,8 @@ class RunSchema:
         return self.v_len(n + 1) == self.v_len(n) + 1
 
     def growth_steps(self, blocks: int) -> int:
-        return sum(1 for n in range(1, blocks + 1) if self.growth_at(n))
+        # v grows by 0 or 1 per block, because cap(1, m) never falls
+        return self.v_len(max(blocks, 0) + 1) - self.v_len(1)
 
 
 def build_run_schema(x: GridWord) -> RunSchema:
@@ -400,48 +400,16 @@ def r_automaton() -> TwoTapeAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Structural complement conditions (automaton-independent evaluation).
+# Structural complement conditions (automaton-independent evaluation): C1..C3
+# read letters, C4 and C5 compare block lengths, the gaps between As.
 
 
-@dataclass(frozen=True)
-class BlockProfile:
-    """A-separated block structure of a word.
+def _block_lengths(w: OmegaWord, count: int) -> list[int]:
+    """The lengths of w's first ``count`` complete blocks, fewer if w has fewer.
 
-    kind "layout": blocks of length 1,2,3,... (coded grids and alpha);
-    kind "finite": finitely many separators, only complete blocks listed;
-    kind "cyclic": eventually periodic block lengths, transient + cycle.
-    """
-
-    leading_a: bool
-    kind: str
-    lengths: tuple[int, ...] = ()
-    cycle: tuple[int, ...] = ()
-
-    def block_len(self, n: int) -> int | None:
-        if n < 1:
-            raise ValueError("blocks are 1-based")
-        if self.kind == "layout":
-            return n
-        if n <= len(self.lengths):
-            return self.lengths[n - 1]
-        if self.kind == "cyclic":
-            return self.cycle[(n - len(self.lengths) - 1) % len(self.cycle)]
-        return None
-
-    def bounded(self) -> int:
-        return max(self.lengths + self.cycle, default=0)
-
-
-def block_profile(w: OmegaWord) -> BlockProfile:
-    """Block structure of a lasso, or of a block word tagged as a coded grid.
-
-    Block n of a lasso runs from its n-th A to the next one, so all block
-    lengths are gaps between the A positions of prefix.period.period in
-    normal form.  Blocks after an A inside the prefix are the transient;
-    blocks after the As of the first period copy repeat forever and form
-    the cycle.  That split is exact because a normal prefix never ends in
-    the period's last letter, so no prefix A recurs with the period.  A
-    period without A leaves finitely many complete blocks, the prefix gaps.
+    Block n runs from the n-th A to the next one.  In prefix.period.period
+    the gaps after the prefix's As come once and those after the first
+    period copy's As repeat forever, for any description of a lasso.
 
     Only the grid tag fixes the 1,2,3,... layout of a block word: any
     finite look at an untagged word's block lengths says nothing about the
@@ -450,29 +418,14 @@ def block_profile(w: OmegaWord) -> BlockProfile:
     if isinstance(w, BlockWord):
         if not isinstance(w.h_source, GridWord):
             raise UndecidableCondition("untagged block word: block layout unknown")
-        return BlockProfile(leading_a=True, kind="layout")
-    w = w.normal()
-    lp, pp = len(w.prefix), len(w.period)
-    text = w.prefix + w.period * 2
-    seps = [i + 1 for i, ch in enumerate(text) if ch == "A"]
-    gaps = tuple(b - a - 1 for a, b in zip(seps, seps[1:]))
-    leading_a = text[0] == "A"
-    if "A" not in w.period:
-        return BlockProfile(leading_a=leading_a, kind="finite", lengths=gaps)
-    transient = bisect_right(seps, lp)
-    cycle_end = bisect_right(seps, lp + pp)
-    return BlockProfile(
-        leading_a=leading_a,
-        kind="cyclic",
-        lengths=gaps[:transient],
-        cycle=gaps[transient:cycle_end],
-    )
+        return list(range(1, count + 1))
+    gaps = [len(b) for b in (w.prefix + w.period * 2).split("A")[1:-1]]
+    once, again = w.prefix.count("A"), w.period.count("A")
+    return list(islice(chain(gaps[:once], cycle(gaps[once : once + again])), count))
 
 
 def _finitely_many_a(w: OmegaWord) -> bool:
-    if isinstance(w, BlockWord):
-        return False
-    return "A" not in w.normal().period
+    return isinstance(w, LassoWord) and "A" not in w.period
 
 
 def _conforming_opening(w: OmegaWord) -> bool:
@@ -490,40 +443,33 @@ def _contains_one(w: OmegaWord) -> bool:
     )
 
 
-def _exists_block_mismatch(
-    p1: BlockProfile, p2: BlockProfile, off1: int, off2: int, delta: int
-) -> bool:
-    """Whether some n >= 1 has blocks n+off1 / n+off2 defined with L1 != L2 + delta."""
-    if p1.kind == "layout" and p2.kind == "layout":
-        return off1 != off2 + delta
-    if p1.kind == "cyclic" and p2.kind == "cyclic":
-        horizon = (
-            max(len(p1.lengths), len(p2.lengths))
-            + lcm(len(p1.cycle), len(p2.cycle))
-            + max(off1, off2)
-        )
-    else:
-        horizon = (
-            len(p1.lengths)
-            + len(p2.lengths)
-            + len(p1.cycle)
-            + len(p2.cycle)
-            + max(p1.bounded(), p2.bounded())
-            + max(off1, off2)
-            + 2
-        )
-    for n in range(1, horizon + 1):
-        l1 = p1.block_len(n + off1)
-        l2 = p2.block_len(n + off2)
-        if l1 is None or l2 is None:
-            return False
-        if l1 != l2 + delta:
-            return True
-    return False
+def _exists_block_mismatch(w1: OmegaWord, w2: OmegaWord, off1: int, off2: int, delta: int) -> bool:
+    """Whether some n >= 1 has blocks n+off1 of w1 and n+off2 of w2 with L1 != L2 + delta.
+
+    The first a1 + a2 + max(off1, off2) + 2 such pairs decide it, where a
+    counts the As of a lasso's description and is 0 for a coded grid:
+    - two lassos: past both transients the compared lengths repeat every
+      c1 and c2 blocks (c the period's As), so by Fine and Wilf agreement
+      on max(transients) + c1 + c2 - gcd(c1, c2) pairs, at most a1 + a2,
+      means agreement forever;
+    - a coded grid against a lasso: the grid's lengths grow strictly, so
+      they differ from the lasso's, which repeat every c blocks, within one
+      round past its transient;
+    - two coded grids: block 1 decides;
+    - a word with fewer blocks ends the comparison.
+    """
+    horizon = max(off1, off2) + 2 + sum(
+        w.letters().count("A") for w in (w1, w2) if isinstance(w, LassoWord)
+    )
+    l1 = _block_lengths(w1, horizon + off1)[off1:]
+    l2 = _block_lengths(w2, horizon + off2)[off2:]
+    return any(a != b + delta for a, b in zip(l1, l2))
 
 
 def c_condition_holds(j: int, w1: OmegaWord, w2: OmegaWord) -> bool:
-    """Evaluate the defining condition of complement piece j directly."""
+    """Evaluate the defining condition of complement piece j directly; C4 and
+    C5 compare block lengths up to _exists_block_mismatch's Fine and Wilf
+    horizon, and raise UndecidableCondition on an untagged block word."""
     if j == 1:
         return _finitely_many_a(w1) or _finitely_many_a(w2)
     if j == 2:
@@ -531,13 +477,10 @@ def c_condition_holds(j: int, w1: OmegaWord, w2: OmegaWord) -> bool:
     if j == 3:
         return _contains_one(w2)
     if j in (4, 5):
-        p1 = block_profile(w1)
-        p2 = block_profile(w2)
-        if not (p1.leading_a and p2.leading_a):
-            return False
-        if j == 4:
-            return _exists_block_mismatch(p1, p2, 1, 1, 0)
-        return _exists_block_mismatch(p1, p2, 2, 1, 1)
+        # the mismatch comes first, so an untagged block word raises whatever the other word
+        off1, delta = (1, 0) if j == 4 else (2, 1)
+        mismatch = _exists_block_mismatch(w1, w2, off1, 1, delta)
+        return mismatch and all(isinstance(w, BlockWord) or w.letter_at(1) == "A" for w in (w1, w2))
     raise ValueError("complement pieces are numbered 1..5")
 
 

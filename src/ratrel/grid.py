@@ -70,10 +70,10 @@ class GridWord:
 def in_P(x: GridWord) -> bool:
     """Whether every column of x carries only finitely many 1s.
 
-    A lasso column has finitely many 1s exactly when its normalized period
-    is all-zero, so checking the default and every override suffices.
+    A lasso column has finitely many 1s exactly when its period has no 1,
+    so checking the default and every override suffices.
     """
-    return all("1" not in col.normal().period for col in x.columns())
+    return all("1" not in col.period for col in x.columns())
 
 
 def antidiagonal(x: GridWord, q: int) -> str:

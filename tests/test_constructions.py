@@ -11,9 +11,9 @@ from ratrel.constructions import (
     _cap_profile,
     NotInP,
     UndecidableCondition,
+    _block_lengths,
     alpha,
     automaton_T,
-    block_profile,
     build_decompositions,
     build_run_schema,
     c_automaton,
@@ -466,17 +466,48 @@ def test_conditions_false_on_coded_pairs():
             assert not c_condition_holds(j, *pair)
 
 
+# Fine-Wilf-tight pairs (piece, first differing compared block): the compared
+# block lengths repeat every 2 and 3 blocks, every 5 and 7, every 7 and 11; the
+# last pair needs more than the larger word's As plus 3 compared blocks
+FINE_WILF_TIGHT = [
+    ("A0|A0A00", "A0|A0A00A0", 4, 4),
+    ("A0|A0A00A0A00A0", "A0|A0A00A0A00A0A0A00", 4, 11),
+    ("A0A0|A00A000A00A000A00", "A0|A0A00A0A00A0A0A00", 5, 11),
+    ("A0|A0A0A00A0A0A0A00", "A0|A0A0A00A0A0A0A00A0A0A00A0", 4, 17),
+]
+
+
 def test_condition_automaton_agreement_per_piece():
     rng = random.Random(103)
-    for _ in range(60):
-        w1 = random_gamma_lasso(rng)
-        w2 = random_gamma_lasso(rng)
+    pairs = [(lasso(a), lasso(b)) for a, b, _, _ in FINE_WILF_TIGHT]
+    pairs += [(random_gamma_lasso(rng), random_gamma_lasso(rng)) for _ in range(60)]
+    for w1, w2 in pairs:
         for j in range(1, 6):
             assert accepted(c_automaton(j), w1, w2) == c_condition_holds(j, w1, w2), (
                 j,
                 str(w1),
                 str(w2),
             )
+
+
+def test_fine_wilf_tight_pairs_differ_late():
+    # the comparison horizon must reach the first difference
+    for a, b, j, first in FINE_WILF_TIGHT:
+        w1, w2 = lasso(a), lasso(b)
+        assert c_condition_holds(j, w1, w2)
+        off1, delta = (1, 0) if j == 4 else (2, 1)
+        l1 = _block_lengths(w1, first + off1)[off1:]
+        l2 = _block_lengths(w2, first + 1)[1:]
+        assert [x != y + delta for x, y in zip(l1, l2)] == [False] * (first - 1) + [True]
+
+
+def test_block_conditions_coded_grid_against_plateau():
+    # the lassos' blocks climb 1, 2, ..., k and then stay at k
+    for plateau in map(lasso, ("A0A00|A000", "A0A00A000A0000A00000A000000|A0000000")):
+        for coded in (alpha(), encode_h(grid(c2="11|0"))):
+            for j in (4, 5):
+                assert c_condition_holds(j, coded, plateau)
+                assert c_condition_holds(j, plateau, coded)
 
 
 def long_gamma_lasso(rng: random.Random, fill: str = "01", separators: bool = True) -> LassoWord:
@@ -565,26 +596,25 @@ def test_r_fair_evidence_on_coded_pair():
 
 def coded_shape_possible(w: LassoWord) -> bool:
     """Gap analysis: could a lasso have the strictly growing block layout?"""
-    profile = block_profile(w)
-    if not profile.leading_a or profile.kind == "finite":
-        return False
-    horizon = len(profile.lengths) + len(profile.cycle) + profile.bounded() + 2
-    return all(profile.block_len(n) == n for n in range(1, horizon + 1))
+    # the lengths of a lasso's blocks repeat every c blocks past its first
+    # a - c, where a counts its As and c its period's; a strictly growing
+    # layout must differ from them within one round past that
+    horizon = w.letters().count("A") + 2
+    return w.letter_at(1) == "A" and _block_lengths(w, horizon) == list(range(1, horizon + 1))
 
 
-def test_block_profile_matches_separator_gaps():
+def test_block_lengths_match_separator_gaps():
     # block n of a lasso is the gap after its n-th A; check every block
     # that ends inside a long prefix, on every small lasso over {0,1,A}
     for lp, pp in itertools.product(range(4), range(1, 4)):
         for prefix in map("".join, itertools.product("01A", repeat=lp)):
             for period in map("".join, itertools.product("01A", repeat=pp)):
                 w = LassoWord(prefix, period)
-                profile = block_profile(w)
-                gaps = w.prefix_of(40).split("A")
-                assert profile.leading_a == (gaps[0] == "")
-                assert (profile.kind == "finite") == ("A" not in period)
-                for n in range(1, len(gaps) - 1):
-                    assert profile.block_len(n) == len(gaps[n]), (w, n)
+                complete = [len(gap) for gap in w.prefix_of(40).split("A")[1:-1]]
+                assert _block_lengths(w, len(complete)) == complete, w
+                # a period without A leaves only the prefix's complete blocks
+                finite = max(prefix.count("A") - 1, 0)
+                assert len(_block_lengths(w, 50)) == (finite if "A" not in period else 50), w
 
 
 def test_lassos_always_in_alpha_section():
@@ -601,14 +631,19 @@ def test_alpha_section_on_coded_words():
     assert in_alpha_section(encode_h(grid(c2="111|0")))
 
 
-def test_block_profile_needs_grid_tag():
+def test_block_lengths_need_grid_tag():
     # the first 8 blocks follow the 1,2,3,... layout, the 9th breaks it
     untagged = BlockWord(block_fn=lambda n: "0" * (2 if n == 9 else n))
     with pytest.raises(UndecidableCondition):
-        block_profile(untagged)
+        _block_lengths(untagged, 9)
     with pytest.raises(UndecidableCondition):
         c_condition_holds(4, untagged, alpha())
-    assert block_profile(alpha()).kind == "layout"
+    # it raises even beside a word that does not start with A
+    for j in (4, 5):
+        for pair in ((untagged, lasso("0|A")), (lasso("0|A"), untagged)):
+            with pytest.raises(UndecidableCondition, match="^untagged block word: block layout unknown$"):
+                c_condition_holds(j, *pair)
+    assert _block_lengths(alpha(), 9) == list(range(1, 10))
 
 
 def test_alpha_section_rejects_untagged_block_words():
