@@ -12,12 +12,10 @@ that witnesses membership for coded grids whose columns die out.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice
+from itertools import chain, cycle, islice
 from math import inf
-from typing import Callable
 
 from .grid import GridWord, antidiagonal, encode_h, in_P
 from .twotape import (
@@ -94,32 +92,21 @@ def _last_one(col: LassoWord) -> float:
     return inf if "1" in col.period else col.prefix.rfind("1") + 1
 
 
-def _cap_profile(x: GridWord) -> Callable[[int, int], int]:
-    """The safe-cap function cap(k, n) of the ledgers for (coded x, alpha).
+def _cap(x: GridWord, row: int) -> int:
+    """The largest zero-buffer length usable, for (coded x, alpha), at block n
+    of a ledger with offset k and every later block, where row = k+n-1.
 
-    cap(k, n) is the largest zero-buffer length usable at block n and every
-    later block.  Length ell is safe iff every column j <= ell is zero from
-    row k+n-j on, i.e. its death row last_one(j)+j is at most k+n-1; a
-    buffer below the cap can be kept (or grown into the cap) forever, and
-    conversely any infinite ledger must stay below it.  So cap(k, n) counts
-    the leading columns whose running maximum death row is at most k+n-1:
-    one bisect over the override columns 1..J, and past J every column is
-    the default, whose death row grows by one per column, which gives
-    max(J, k+n-1-last_one(default)).  A death row is at least its column
-    index, so cap(k, n) <= k+n-1, the block length, without a check.
+    Column j is usable while its death row last_one(j)+j is at most row,
+    so the cap is one less than the first column whose death row exceeds
+    row.  Default columns die one row later per column, so the first
+    failing one is the first column from row-last_one(default)+1 on that
+    no override names.  A death row is at least its column index, so the
+    cap is at most row, the block length.
     """
-    last_override = max(x.overrides, default=0)
-    running = list(
-        accumulate((_last_one(x.column(j)) + j for j in range(1, last_override + 1)), max)
-    )
-    tail = _last_one(x.default_column)
-
-    def cap(k: int, n: int) -> int:
-        row = k + n - 1
-        count = bisect_right(running, row)
-        return count if count < last_override else max(count, row - tail)
-
-    return cap
+    j = max(1, row - _last_one(x.default_column) + 1)
+    while j in x.overrides:
+        j += 1
+    return min([j] + [m for m, col in x.overrides.items() if _last_one(col) + m > row]) - 1
 
 
 @dataclass(frozen=True)
@@ -156,13 +143,14 @@ def build_decompositions(x: GridWord, depth: int, k_max: int) -> tuple[Decomposi
     zero-buffers stay within the permanent-safety cap; this keeps exactly
     the prefixes of infinite ledgers, so depth-local accidents (a buffer
     grown into a column that turns 1 later) do not appear as branches.
+    The walk emits that order itself: k ascends in the outer loop, and the
+    stack pops the larger buffer first, which is the smaller split.
     """
     if depth < 1 or k_max < 1:
         raise ValueError("depth and k_max must be >= 1")
-    cap = _cap_profile(x)
     branches: list[Decomposition] = []
     for k in range(1, k_max + 1):
-        caps = [cap(k, n) for n in range(1, depth + 1)]
+        caps = [_cap(x, k + n - 1) for n in range(1, depth + 1)]
         stack: list[tuple[int, tuple[int, ...]]] = []
         for v1 in range(min(k, caps[0]) + 1):
             stack.append((1, (v1,)))
@@ -176,7 +164,7 @@ def build_decompositions(x: GridWord, depth: int, k_max: int) -> tuple[Decomposi
             stack.append((n + 1, vs + (v,)))
             if v + 1 <= caps[n]:
                 stack.append((n + 1, vs + (v + 1,)))
-    return tuple(sorted(branches, key=lambda d: (d.k, d.splits)))
+    return tuple(branches)
 
 
 def decomposition_valid(x: GridWord, dec: Decomposition) -> bool:
@@ -214,16 +202,16 @@ class RunSchema:
 
     grid: GridWord
     _v: list[int] = field(default_factory=lambda: [0], init=False, repr=False)
-    _cap: Callable[[int, int], int] = field(init=False, repr=False)
     coded: BlockWord = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._cap = _cap_profile(self.grid)
         self.coded = encode_h(self.grid)
 
     def v_len(self, n: int) -> int:
-        while len(self._v) <= n:  # v_m = min(v_(m-1) + 1, cap(1, m)) from v_0 = 0
-            self._v.append(min(self._v[-1] + 1, self._cap(1, len(self._v))))
+        if n < 0:
+            raise ValueError("block indices are >= 0")
+        while len(self._v) <= n:  # v_m = min(v_(m-1) + 1, cap at row m) from v_0 = 0
+            self._v.append(min(self._v[-1] + 1, _cap(self.grid, len(self._v))))
         return self._v[n]
 
     def split(self, n: int) -> int:
@@ -233,7 +221,7 @@ class RunSchema:
         return self.v_len(n + 1) == self.v_len(n) + 1
 
     def growth_steps(self, blocks: int) -> int:
-        # v grows by 0 or 1 per block, because cap(1, m) never falls
+        # v grows by 0 or 1 per block, because the cap never falls as the row grows
         return self.v_len(max(blocks, 0) + 1) - self.v_len(1)
 
 
@@ -438,9 +426,7 @@ def _contains_one(w: OmegaWord) -> bool:
     x = w.h_source
     if not isinstance(x, GridWord):
         raise UndecidableCondition("untagged block word: letter inventory unknown")
-    return "1" in x.default_column.letters() or any(
-        "1" in col.letters() for col in x.overrides.values()
-    )
+    return any("1" in col.letters() for col in x.columns())
 
 
 def _exists_block_mismatch(w1: OmegaWord, w2: OmegaWord, off1: int, off2: int, delta: int) -> bool:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .words import (
-    BINARY, BlockWord, GAMMA, LassoWord, lasso_equal, lasso_first_difference, unique_keys,
+    BINARY, BlockWord, GAMMA, LassoWord, lasso_first_difference, unique_keys,
 )
 
 
@@ -56,15 +56,10 @@ class GridWord:
         return [self.default_column] + [self.overrides[m] for m in sorted(self.overrides)]
 
     def __eq__(self, other: object) -> bool:
+        """Pointwise equality, however each grid is described: no antidiagonal differs."""
         if not isinstance(other, GridWord):
             return NotImplemented
-        if not lasso_equal(self.default_column, other.default_column):
-            return False
-        mine = {m: c for m, c in self.overrides.items() if not lasso_equal(c, self.default_column)}
-        theirs = {m: c for m, c in other.overrides.items() if not lasso_equal(c, other.default_column)}
-        if mine.keys() != theirs.keys():
-            return False
-        return all(lasso_equal(mine[m], theirs[m]) for m in mine)
+        return grid_distance_exponent(self, other) is None
 
 
 def in_P(x: GridWord) -> bool:
@@ -126,10 +121,9 @@ def grid_distance_exponent(x: GridWord, y: GridWord) -> int | None:
     """Index p of the first antidiagonal where x and y differ, or None if x = y.
 
     The metric on grids is 2**(-p); it is only defined for distinct grids,
-    so equality comes back as None rather than an invented exponent.
+    so equality comes back as None rather than an invented exponent.  Only
+    finitely many columns are named, so the first unnamed one decides the defaults.
     """
-    if x == y:
-        return None
     candidates: list[int] = []
     named = sorted(set(x.overrides) | set(y.overrides))
     for m in named:
@@ -141,8 +135,7 @@ def grid_distance_exponent(x: GridWord, y: GridWord) -> int | None:
         # the first column neither grid overrides, at most len(named) + 1
         m0 = min(set(range(1, len(named) + 2)).difference(named))
         candidates.append(m0 + d0)
-    # x != y guarantees some differing column, hence a candidate.
-    return min(candidates)
+    return min(candidates, default=None)
 
 
 def grid_to_json(x: GridWord) -> str:

@@ -8,7 +8,7 @@ import pytest
 from ratrel import constructions, grid as grid_module, verify
 from ratrel.constructions import (
     Decomposition,
-    _cap_profile,
+    _cap,
     NotInP,
     UndecidableCondition,
     _block_lengths,
@@ -174,22 +174,42 @@ def zero_from(col: LassoWord, row: int) -> bool:
     return "1" not in col.prefix_of(end)[row - 1 :]
 
 
-def test_cap_profile_is_longest_run_of_safe_columns():
-    # cap(k, n) is the buffer length ell such that every column j <= ell is
-    # zero from row k+n-j on, and column ell+1 is not (or ell fills the block)
+def test_cap_is_longest_run_of_safe_columns():
+    # the cap at row k+n-1 is the buffer length ell such that every column
+    # j <= ell is zero from row k+n-j on, and column ell+1 is not (or ell
+    # fills the block)
+    def check(x, k, n):
+        c = _cap(x, k + n - 1)
+        assert 0 <= c <= k + n - 1
+        assert all(zero_from(x.column(j), k + n - j) for j in range(1, c + 1))
+        if c < k + n - 1:
+            assert not zero_from(x.column(c + 1), k + n - c - 1)
+
     rng = random.Random(97)
     for _ in range(300):
         default = random_lasso(rng, "01", 4, 2)
         picks = rng.sample(range(1, 13), rng.randint(0, 5))
         x = GridWord(default, {j: random_lasso(rng, "01", 5, 2) for j in picks})
-        cap = _cap_profile(x)
         for k in (1, 2, 3):
             for n in range(1, 25):
-                c = cap(k, n)
-                assert 0 <= c <= k + n - 1
-                assert all(zero_from(x.column(j), k + n - j) for j in range(1, c + 1))
-                if c < k + n - 1:
-                    assert not zero_from(x.column(c + 1), k + n - c - 1)
+                check(x, k, n)
+    # far columns: no work grows with the column index
+    for far in (3_000_000, 10**12):
+        for default in ("|0", "01|0", "|01"):
+            for col in ("1|0", "|1", "0|0"):
+                x = grid(default, **{"c2": "0001|0", f"c{far}": col})
+                for k in (1, 2, 3):
+                    for n in range(1, 25):
+                        check(x, k, n)
+    assert _cap(grid("|0", c2="0001|0", **{f"c{10**12}": "|1"}), 40) == 40
+
+
+def test_decompositions_come_out_sorted():
+    rng = random.Random(61)
+    for _ in range(150):
+        x = random_grid(rng)
+        found = build_decompositions(x, depth=rng.randint(1, 10), k_max=rng.randint(1, 4))
+        assert found == tuple(sorted(found, key=lambda d: (d.k, d.splits))), x
 
 
 def test_decomposition_replay_rejects_corruption():
@@ -223,6 +243,14 @@ def test_schema_respects_deep_prefix_ones():
         block = [x.entry(j, 1 + n - j) for j in range(1, v + 1)]
         assert all(ch == "0" for ch in block)
     assert schema.v_len(30) >= 5  # growth resumes once the 1s are passed
+
+
+def test_schema_rejects_negative_blocks_after_earlier_calls():
+    schema = build_run_schema(GridWord.zero())
+    assert schema.v_len(5) == 5
+    for call in (schema.v_len, schema.split, schema.growth_at):
+        with pytest.raises(ValueError):
+            call(-1)
 
 
 def test_schema_truncations_replay():

@@ -148,6 +148,35 @@ def test_grid_equality_semantics():
     assert grid() != grid(default="|1")
 
 
+def redescribe(rng: random.Random, x: GridWord) -> GridWord:
+    """The same grid, described differently: prefixes shifted into the
+    period, periods doubled, and overrides equal to the default added."""
+
+    def col(c: LassoWord) -> LassoWord:
+        for _ in range(rng.randint(0, 2)):
+            c = LassoWord(c.prefix + c.period[0], c.period[1:] + c.period[0])
+        return LassoWord(c.prefix, c.period * rng.randint(1, 2))
+
+    overrides = {m: col(c) for m, c in x.overrides.items()}
+    for m in rng.sample(range(1, 9), rng.randint(0, 2)):
+        overrides.setdefault(m, col(x.default_column))
+    return GridWord(col(x.default_column), overrides)
+
+
+def test_grid_equality_is_coded_prefix_agreement():
+    # random_grid differs first by antidiagonal 17, so 200 letters separate
+    # any two distinct grids (antidiagonal p ends at letter p(p+1)/2)
+    rng = random.Random(31)
+    equal = 0
+    for i in range(600):
+        x = random_grid(rng)
+        y = redescribe(rng, x) if i % 2 else random_grid(rng)
+        same = encode_h(x).prefix_of(200) == encode_h(y).prefix_of(200)
+        assert (x == y) == same == (grid_distance_exponent(x, y) is None), (x, y)
+        equal += same
+    assert equal > 300
+
+
 def test_distance_exponent_examples():
     x = grid(c2="|1")
     assert grid_distance_exponent(x, x) is None
