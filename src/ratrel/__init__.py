@@ -42,7 +42,6 @@ from .constructions import (
     Decomposition,
     NotInP,
     RunSchema,
-    UndecidableCondition,
     alpha,
     automaton_T,
     build_decompositions,

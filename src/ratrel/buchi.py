@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .twotape import TwoTapeAutomaton, Verdict, accepts_lasso_pair, validate
+from .twotape import TwoTapeAutomaton, Verdict, _dot, accepts_lasso_pair, validate
 from .words import Alphabet, BINARY, LassoWord
 
 
@@ -105,13 +105,5 @@ def to_json(aut: BuchiAutomaton) -> str:
 
 
 def to_dot(aut: BuchiAutomaton) -> str:
-    lines = ["digraph buchi {", "  rankdir=LR;"]
-    for s in aut.states:
-        shape = "doublecircle" if s in aut.accepting else "circle"
-        lines.append(f'  "{s}" [shape={shape}];')
-    lines.append('  __start [shape=point];')
-    lines.append(f'  __start -> "{aut.initial}";')
-    for src, ch, dst in sorted(aut.transitions):
-        lines.append(f'  "{src}" -> "{dst}" [label="{ch}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [(src, dst, ch) for src, ch, dst in sorted(aut.transitions)]
+    return _dot("buchi", aut.states, aut.accepting, aut.initial, edges)

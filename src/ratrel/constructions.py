@@ -36,10 +36,6 @@ class NotInP(ValueError):
     """The grid has a column with infinitely many 1s; no run schema exists."""
 
 
-class UndecidableCondition(ValueError):
-    """No search bound can be established for this word shape."""
-
-
 def alpha() -> BlockWord:
     """The fixed word A.0.A.00.A.000..., i.e. the coded all-zero grid."""
     return BlockWord(block_fn=lambda n: "0" * n, h_source=GridWord.zero())
@@ -397,15 +393,10 @@ def _block_lengths(w: OmegaWord, count: int) -> list[int]:
 
     Block n runs from the n-th A to the next one.  In prefix.period.period
     the gaps after the prefix's As come once and those after the first
-    period copy's As repeat forever, for any description of a lasso.
-
-    Only the grid tag fixes the 1,2,3,... layout of a block word: any
-    finite look at an untagged word's block lengths says nothing about the
-    rest, so untagged block words raise UndecidableCondition.
+    period copy's As repeat forever, for any description of a lasso.  A
+    coded grid's block n has length n.
     """
     if isinstance(w, BlockWord):
-        if not isinstance(w.h_source, GridWord):
-            raise UndecidableCondition("untagged block word: block layout unknown")
         return list(range(1, count + 1))
     gaps = [len(b) for b in (w.prefix + w.period * 2).split("A")[1:-1]]
     once, again = w.prefix.count("A"), w.period.count("A")
@@ -423,10 +414,7 @@ def _conforming_opening(w: OmegaWord) -> bool:
 def _contains_one(w: OmegaWord) -> bool:
     if isinstance(w, LassoWord):
         return "1" in w.letters()
-    x = w.h_source
-    if not isinstance(x, GridWord):
-        raise UndecidableCondition("untagged block word: letter inventory unknown")
-    return any("1" in col.letters() for col in x.columns())
+    return any("1" in col.letters() for col in w.h_source.columns())
 
 
 def _exists_block_mismatch(w1: OmegaWord, w2: OmegaWord, off1: int, off2: int, delta: int) -> bool:
@@ -455,7 +443,7 @@ def _exists_block_mismatch(w1: OmegaWord, w2: OmegaWord, off1: int, off2: int, d
 def c_condition_holds(j: int, w1: OmegaWord, w2: OmegaWord) -> bool:
     """Evaluate the defining condition of complement piece j directly; C4 and
     C5 compare block lengths up to _exists_block_mismatch's Fine and Wilf
-    horizon, and raise UndecidableCondition on an untagged block word."""
+    horizon."""
     if j == 1:
         return _finitely_many_a(w1) or _finitely_many_a(w2)
     if j == 2:
@@ -463,10 +451,9 @@ def c_condition_holds(j: int, w1: OmegaWord, w2: OmegaWord) -> bool:
     if j == 3:
         return _contains_one(w2)
     if j in (4, 5):
-        # the mismatch comes first, so an untagged block word raises whatever the other word
         off1, delta = (1, 0) if j == 4 else (2, 1)
         mismatch = _exists_block_mismatch(w1, w2, off1, 1, delta)
-        return mismatch and all(isinstance(w, BlockWord) or w.letter_at(1) == "A" for w in (w1, w2))
+        return mismatch and all(w.letter_at(1) == "A" for w in (w1, w2))
     raise ValueError("complement pieces are numbered 1..5")
 
 
@@ -479,15 +466,9 @@ def in_alpha_section(w: OmegaWord) -> bool:
 
     Lassos are never coded grids (coded block lengths grow strictly, a
     lasso's block structure is eventually periodic), so they all belong.
-    Tagged block words delegate to the column predicate of their grid;
-    untagged ones raise UndecidableCondition.
+    A coded grid belongs when its grid satisfies the column predicate.
     """
-    if isinstance(w, LassoWord):
-        return True
-    x = w.h_source
-    if isinstance(x, GridWord):
-        return in_P(x)
-    raise UndecidableCondition("untagged block word: grid unknown")
+    return isinstance(w, LassoWord) or in_P(w.h_source)
 
 
 def grid_pair(x: GridWord) -> tuple[BlockWord, BlockWord]:

@@ -33,7 +33,7 @@ class GridWord:
     def __post_init__(self):
         BINARY.check_word(self.default_column.letters(), "default column")
         for m, col in self.overrides.items():
-            if not isinstance(m, int) or m < 1:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"column indices must be integers >= 1: {m!r}")
             BINARY.check_word(col.letters(), f"column {m}")
         object.__setattr__(self, "overrides", dict(self.overrides))

@@ -41,7 +41,7 @@ The certificate is the search stack plus a cycle rebuilt inside the
 component from the visited configurations, with every macro edge
 expanded into the automaton's own loop transitions.
 
-A budgeted best-first search gathers evidence on block-pattern inputs,
+A budgeted best-first search gathers evidence on block-word inputs,
 over the same compiled rows indexed by the next letter on each tape and
 one text per word.  It never decides: it is inconclusive on every input,
 lassos included, which go to the exact decision above.
@@ -759,10 +759,13 @@ def bounded_run_search(
     statistics, lassos included: lasso pairs are decided by
     ``accepts_lasso_pair``.
 
-    The statistics measure progress only.  On (coded grid, alpha) pairs
-    they do not separate grids in P from grids outside P: both can give
-    identical counts at the same budget.  Membership of such pairs is
-    decided by ``grid_pair_in_r1`` or ``in_P``, not by this search.
+    The statistics measure progress only, and on the built-in ``T`` and
+    ``R`` they are the same for every (coded grid, alpha) pair: each
+    tape-1 transition that reads 0 has a twin that reads 1, with the same
+    source, tape-2 label and target, and coded grids differ only in the
+    0/1 letters between As at fixed places, so every grid gives the same
+    search graph.  Membership of such pairs is decided by
+    ``grid_pair_in_r1`` or ``in_P``, not by this search.
 
     Each expansion keeps its least child off the heap, in a held slot, and
     pushes the others; the next entry is the least of the held one and the
@@ -922,17 +925,18 @@ def from_json(text: str) -> TwoTapeAutomaton:
     return aut
 
 
-def to_dot(aut: TwoTapeAutomaton) -> str:
-    def lab(s: str) -> str:
-        return s if s else "ε"
-
-    lines = ["digraph twotape {", "  rankdir=LR;"]
-    for s in aut.states:
-        shape = "doublecircle" if s in aut.accepting else "circle"
+def _dot(name: str, states, accepting, initial: str, edges) -> str:
+    """A DOT digraph: accepting states drawn as double circles, a point
+    marking the initial state, and one labelled edge per (src, dst, label)."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    for s in states:
+        shape = "doublecircle" if s in accepting else "circle"
         lines.append(f'  "{s}" [shape={shape}];')
-    lines.append("  __start [shape=point];")
-    lines.append(f'  __start -> "{aut.initial}";')
-    for t in aut.transitions:
-        lines.append(f'  "{t.src}" -> "{t.dst}" [label="{lab(t.read1)} / {lab(t.read2)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["  __start [shape=point];", f'  __start -> "{initial}";']
+    lines += [f'  "{src}" -> "{dst}" [label="{label}"];' for src, dst, label in edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def to_dot(aut: TwoTapeAutomaton) -> str:
+    edges = [(t.src, t.dst, f"{t.read1 or 'ε'} / {t.read2 or 'ε'}") for t in aut.transitions]
+    return _dot("twotape", aut.states, aut.accepting, aut.initial, edges)

@@ -1,9 +1,9 @@
 """Finite and infinite words over small alphabets.
 
 Infinite words come in two finitely-describable flavours: ultimately
-periodic words (lassos, u.v^omega) and block-pattern words of the shape
-A.B1.A.B2.A... given by a computable block function.  Positions are
-1-based everywhere.
+periodic words (lassos, u.v^omega) and block words A.B1.A.B2.A..., the
+codings of grids (see ratrel.grid), whose n-th block has length n.
+Positions are 1-based everywhere.
 """
 
 from __future__ import annotations
@@ -142,19 +142,19 @@ class LassoWord:
 
 @dataclass(frozen=True, eq=False)
 class BlockWord:
-    """Word A.B1.A.B2.A... with Bn = block_fn(n) computed on demand.
+    """The coding A.B1.A.B2.A... of the grid ``h_source`` (see
+    ratrel.grid), with block Bn = block_fn(n), its antidiagonal n+1,
+    computed on demand.
 
     Letters are read from one cached prefix text "A"+B1+"A"+B2+... kept
     together with the index of the next block.  A read past the text
     builds a text at least twice as long and swaps the new pair in whole,
     so the pair is never changed in place and every pair a reader sees is
     a prefix of the same word: concurrent readers need no lock.
-    ``h_source`` tags words that encode a grid (see ratrel.grid); it is
-    what makes membership predicates on coded words decidable.
     """
 
     block_fn: Callable[[int], str]
-    h_source: object | None = None
+    h_source: object
 
     def _text(self, n: int) -> str:
         """The cached prefix text, first grown to at least n letters."""

@@ -25,24 +25,19 @@ from ratrel.twotape import (
     TwoTapeAutomaton,
     TwoTapeTransition,
     Verdict,
-    accepts_lasso_pair,
     bounded_run_search,
     run_prefix_valid,
 )
 from ratrel.verify import nested_dfs_accepts_pair, random_grid, random_two_tape
 from ratrel.words import BINARY, LassoWord
 
-from util import all_binary_lassos, random_gamma_lasso
+from util import accepted, all_binary_lassos, random_gamma_lasso
 
 T = TwoTapeTransition
 
 
 def report(num: int, detail: str) -> None:
     print(f"criterion {num:2d} PASS  {detail}")
-
-
-def accepted(aut, w1, w2) -> bool:
-    return accepts_lasso_pair(aut, w1, w2).verdict is Verdict.ACCEPTED
 
 
 def test_criterion_1_coding_identity():

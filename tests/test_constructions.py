@@ -10,7 +10,6 @@ from ratrel.constructions import (
     Decomposition,
     _cap,
     NotInP,
-    UndecidableCondition,
     _block_lengths,
     alpha,
     automaton_T,
@@ -40,25 +39,12 @@ from ratrel.twotape import (
     validate,
 )
 from ratrel.verify import random_grid, random_lasso
-from ratrel.words import BlockWord, GAMMA, LassoWord
+from ratrel.words import GAMMA, LassoWord
 
 from oracles import reference_schema_run
-from util import random_gamma_lasso
+from util import accepted, grid, lasso, random_gamma_lasso
 
 T = TwoTapeTransition
-
-
-def lasso(text: str) -> LassoWord:
-    return LassoWord.parse(text, GAMMA)
-
-
-def grid(default="|0", **cols) -> GridWord:
-    overrides = {int(k.lstrip("c")): LassoWord.parse(v) for k, v in cols.items()}
-    return GridWord(LassoWord.parse(default), overrides)
-
-
-def accepted(aut, w1, w2) -> bool:
-    return accepts_lasso_pair(aut, w1, w2).verdict is Verdict.ACCEPTED
 
 
 # -- the fixed word ------------------------------------------------------------
@@ -643,6 +629,10 @@ def test_block_lengths_match_separator_gaps():
                 # a period without A leaves only the prefix's complete blocks
                 finite = max(prefix.count("A") - 1, 0)
                 assert len(_block_lengths(w, 50)) == (finite if "A" not in period else 50), w
+    # block n of a coded grid has length n
+    for w in (alpha(), encode_h(grid(c2="|1"))):
+        assert _block_lengths(w, 9) == list(range(1, 10))
+        assert [len(b) for b in w.prefix_of(55).split("A")[1:-1]] == list(range(1, 10))
 
 
 def test_lassos_always_in_alpha_section():
@@ -657,27 +647,6 @@ def test_alpha_section_on_coded_words():
     assert in_alpha_section(alpha())
     assert not in_alpha_section(encode_h(grid(c2="|1")))
     assert in_alpha_section(encode_h(grid(c2="111|0")))
-
-
-def test_block_lengths_need_grid_tag():
-    # the first 8 blocks follow the 1,2,3,... layout, the 9th breaks it
-    untagged = BlockWord(block_fn=lambda n: "0" * (2 if n == 9 else n))
-    with pytest.raises(UndecidableCondition):
-        _block_lengths(untagged, 9)
-    with pytest.raises(UndecidableCondition):
-        c_condition_holds(4, untagged, alpha())
-    # it raises even beside a word that does not start with A
-    for j in (4, 5):
-        for pair in ((untagged, lasso("0|A")), (lasso("0|A"), untagged)):
-            with pytest.raises(UndecidableCondition, match="^untagged block word: block layout unknown$"):
-                c_condition_holds(j, *pair)
-    assert _block_lengths(alpha(), 9) == list(range(1, 10))
-
-
-def test_alpha_section_rejects_untagged_block_words():
-    anonymous = BlockWord(block_fn=lambda n: "0" * n)
-    with pytest.raises(UndecidableCondition):
-        in_alpha_section(anonymous)
 
 
 def test_grid_pair_reduction():

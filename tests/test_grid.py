@@ -20,15 +20,11 @@ from ratrel.grid import (
 from ratrel.verify import random_grid
 from ratrel.words import LassoWord, lasso_equal
 
+from util import grid
 
 
 def lasso(text: str) -> LassoWord:
     return LassoWord.parse(text)
-
-
-def grid(default="|0", **cols) -> GridWord:
-    overrides = {int(k.lstrip("c")): lasso(v) for k, v in cols.items()}
-    return GridWord(lasso(default), overrides)
 
 
 def test_entry_examples():
@@ -231,6 +227,15 @@ def test_grid_column_keys_are_plain_decimals():
         doc = json.dumps({"default": "|0", "columns": {"2": "|1", key: "|0"}})
         with pytest.raises(ValueError, match=re.escape(f"grid column key {key!r}")):
             grid_from_json(doc)
+
+
+def test_grid_column_indices_are_integers_not_booleans():
+    # True == 1 and isinstance(True, int), but grid_to_json would write the key "True"
+    for m in (True, False, 0, 2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"column indices must be integers >= 1: {m!r}")):
+            GridWord(LassoWord("", "0"), {m: LassoWord("", "1")})
+    x = GridWord(LassoWord("", "0"), {1: LassoWord("", "1")})
+    assert grid_from_json(grid_to_json(x)) == x
 
 
 def test_grid_unknown_fields_are_rejected():

@@ -37,17 +37,9 @@ from ratrel.verify import (
 from ratrel.words import BINARY, GAMMA, LassoWord
 
 from oracles import reference_bounded_search
-from util import all_binary_lassos, random_gamma_lasso
+from util import accepted, all_binary_lassos, lasso, random_gamma_lasso
 
 T = TwoTapeTransition
-
-
-def lasso(text: str) -> LassoWord:
-    return LassoWord.parse(text, GAMMA)
-
-
-def accepted(aut, w1, w2) -> bool:
-    return accepts_lasso_pair(aut, w1, w2).verdict is Verdict.ACCEPTED
 
 
 # -- validate ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from ratrel.constructions import alpha
 from ratrel.grid import GridWord, encode_h
 from ratrel.verify import random_lasso
 from ratrel.words import (
@@ -22,11 +23,10 @@ from ratrel.words import (
 )
 
 from oracles import reference_first_difference, reference_normal_parts
-from util import all_binary_lassos, random_gamma_lasso
+from util import all_binary_lassos, lasso, random_gamma_lasso
 
-
-def lasso(text: str) -> LassoWord:
-    return LassoWord.parse(text, GAMMA)
+# a grid whose overrides put 1s into early and late antidiagonals
+OVERRIDDEN = GridWord(LassoWord("0110", "0"), {2: LassoWord("1", "01"), 5: LassoWord("", "1")})
 
 
 def test_alphabet_invariants():
@@ -63,14 +63,14 @@ def test_letter_at_lasso():
 
 def test_letter_at_block_word():
     # layout A.B1.A.B2... with growing all-zero blocks puts A at 1, 3, 6, 10
-    w = BlockWord(block_fn=lambda n: "0" * n)
+    w = alpha()
     assert w.letter_at(6) == "A"
     assert [n for n in range(1, 16) if w.letter_at(n) == "A"] == [1, 3, 6, 10, 15]
     assert w.letter_at(7) == "0"
 
 
 def test_prefix_of():
-    w = BlockWord(block_fn=lambda n: "0" * n)
+    w = alpha()
     assert w.prefix_of(8) == "A0A00A00"
     assert w.prefix_of(0) == ""
     assert lasso("|01").prefix_of(5) == "01010"
@@ -86,36 +86,37 @@ def test_prefix_extension_law():
 
 
 def test_block_word_prefix_matches_letters():
-    blocks = {1: "10", 2: "0", 3: "111"}
-    w = BlockWord(block_fn=lambda n: blocks.get(n, "0" * n))
+    w = encode_h(OVERRIDDEN)
     text = w.prefix_of(30)
     assert all(text[n - 1] == w.letter_at(n) for n in range(1, 31))
 
 
-@pytest.mark.parametrize(
-    "block_fn",
-    [lambda n: ("10", "", "111", "0")[n % 4], lambda n: "", lambda n: "01" * (n % 3)],
-)
-def test_block_word_equals_concatenation(block_fn):
-    # blocks of uneven length and of length 0, read in order, out of order
-    # and as prefixes, each on a fresh word so every read may grow the text
-    text = "".join("A" + block_fn(n) for n in range(1, 300))
-    w = BlockWord(block_fn=block_fn)
+def test_block_word_requires_its_grid():
+    with pytest.raises(TypeError, match="h_source"):
+        BlockWord(lambda n: "0" * n)
+
+
+@pytest.mark.parametrize("fresh", [lambda: alpha(), lambda: encode_h(OVERRIDDEN)])
+def test_block_word_equals_concatenation(fresh):
+    # the coding spelled out entry by entry, read in order, out of order and
+    # as prefixes, each on a fresh word so every read may grow the text
+    x = fresh().h_source
+    text = "".join("A" + "".join(x.entry(n + 1 - i, i) for i in range(1, n + 1)) for n in range(1, 25))
+    w = fresh()
     assert [w.letter_at(n) for n in range(1, 200)] == list(text[:199])
-    w = BlockWord(block_fn=block_fn)
+    w = fresh()
     order = list(range(1, 200))
     random.Random(11).shuffle(order)
     assert all(w.letter_at(n) == text[n - 1] for n in order)
     for m in (0, 1, 2, 7, 64, 199):
-        assert BlockWord(block_fn=block_fn).prefix_of(m) == text[:m]
+        assert fresh().prefix_of(m) == text[:m]
 
 
 def test_block_word_concurrent_reads():
     # four threads read interleaved positions of one fresh coded word while
     # its text grows; many fresh words give the swaps many chances to race
-    x = GridWord(LassoWord("0110", "0"), {2: LassoWord("1", "01"), 5: LassoWord("", "1")})
     n = 500
-    expected = encode_h(x).prefix_of(n)
+    expected = encode_h(OVERRIDDEN).prefix_of(n)
 
     def read(w: BlockWord, i: int, seen: list) -> None:
         seen[i] = "".join(w.letter_at(p) for p in range(i + 1, n + 1, 4))
@@ -124,7 +125,7 @@ def test_block_word_concurrent_reads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(200):
-            w, seen = encode_h(x), [None] * 4
+            w, seen = encode_h(OVERRIDDEN), [None] * 4
             threads = [threading.Thread(target=read, args=(w, i, seen)) for i in range(4)]
             for t in threads:
                 t.start()
@@ -225,7 +226,7 @@ def test_first_difference_matches_letter_by_letter_scan():
 
 def test_methods_dispatch_on_both_word_kinds():
     w = lasso("A|0A")
-    b = BlockWord(block_fn=lambda n: "0" * n)
+    b = alpha()
     assert w.letter_at(1) == "A"
     assert b.letter_at(2) == "0"
     assert b.prefix_of(3) == "A0A"

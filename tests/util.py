@@ -1,11 +1,28 @@
-"""Test-only generators; the shared ones live in ``ratrel.verify``."""
+"""Test-only helpers and generators; the shared generators live in ``ratrel.verify``."""
 
 from __future__ import annotations
 
 import random
 
+from ratrel.grid import GridWord
+from ratrel.twotape import Verdict, accepts_lasso_pair
 from ratrel.verify import random_lasso
-from ratrel.words import LassoWord
+from ratrel.words import GAMMA, LassoWord
+
+
+def accepted(aut, w1, w2) -> bool:
+    return accepts_lasso_pair(aut, w1, w2).verdict is Verdict.ACCEPTED
+
+
+def lasso(text: str) -> LassoWord:
+    """A lasso over {0,1,A} from its text form "prefix|period"."""
+    return LassoWord.parse(text, GAMMA)
+
+
+def grid(default="|0", **cols) -> GridWord:
+    """A grid from lasso texts: the default column, then overrides c2="11|0" and so on."""
+    overrides = {int(k.lstrip("c")): LassoWord.parse(v) for k, v in cols.items()}
+    return GridWord(LassoWord.parse(default), overrides)
 
 
 def random_gamma_lasso(rng: random.Random, max_prefix: int = 4, max_period: int = 4) -> LassoWord:
