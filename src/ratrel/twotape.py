@@ -11,7 +11,7 @@ For ultimately periodic inputs membership is decided exactly on the finite
 graph of (state, tape-1 position, tape-2 position) configurations, where a
 position is absolute inside the lasso prefix and a phase inside the
 period.  One compile pass per automaton gives its rows, accepting
-components, self-loop summary and reverse edges.  A liveness analysis,
+components, self-loop summaries and reverse edges.  A liveness analysis,
 memoised with them per letter sets of the pair, comes first: the search
 enters only live states, which reach a component able to carry an
 accepting tail over the words' letters.  The graph is explored on the
@@ -22,20 +22,27 @@ tape-1 letter consumed, tape-2 letter consumed), trying transitions
 towards final states first, stops at the first component that carries all
 three.  That is its only way to accept.
 
-Runs on one state's single-letter self-loops become macro edges, in the
-manner of Boigelot's meta-transitions (1998), sound because the loops on
-the two tapes commute, as in Godefroid's partial-order methods (1996).  A
-final state (accepting, with a self-loop for every letter of both
-periods) turns: once the rest of each lasso prefix reads on its loops,
-one edge carrying all three marks reads that rest, and at the start of
-both periods the same edge is a self-loop once round each, which the
-search closes at once.  A corner-only state loops on letters L1 of tape 1
+Runs on one state's self-loops become macro edges, in the manner of
+Boigelot's meta-transitions (1998), which FAST (Bardin, Finkel, Leroux
+and Petrucci, 2003) applies to counter loops; on single-letter loops
+they are sound because the loops on the two tapes commute, as in
+Godefroid's partial-order methods (1996).  A final state (accepting,
+with a self-loop for every letter of both periods) turns: once the rest
+of each lasso prefix reads on its loops, one edge carrying all three
+marks reads that rest, and at the start of both periods the same edge is
+a self-loop once round each, which the search closes at once.  A corner-only state loops on letters L1 of tape 1
 and L2 of tape 2 and has no other transition that can fire before both
 tapes reach a letter outside its loops.  Its loops sweep a rectangle of
 configurations, and the search crosses it in one edge to the rectangle's
 corner, the first positions whose letters are outside L1 and L2, so a
 pair of long blocks costs one edge instead of the product of their
-lengths.
+lengths.  A lockstep state loops on (a, b), one letter on each tape, for
+every a in L1 and b in L2, and each of its other transitions is inert
+inside that run: the first letter it can read on tape 1 is outside L1,
+or the first on tape 2 is outside L2, found by a least fixpoint over
+the transitions.  The search crosses the diagonal run in one edge to
+where the first of the two tapes leaves its letters, so two blocks
+compared letter against letter cost one edge instead of one per letter.
 
 The certificate is the search stack plus a cycle rebuilt inside the
 component from the visited configurations, with every macro edge
@@ -53,10 +60,10 @@ import enum
 import heapq
 import json
 from collections import deque
-from collections.abc import Container
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from math import inf
 from typing import NamedTuple
 
 from ._scc import tarjan_scc
@@ -102,7 +109,7 @@ class TwoTapeAutomaton:
         return {s: tuple(ts) for s, ts in grouped.items()}
 
     @cached_property
-    def _compiled(self) -> tuple:
+    def _compiled(self) -> _Compiled:
         return _compile_automaton(self)
 
 
@@ -344,14 +351,29 @@ ACC, T1, T2 = 1, 2, 4
 _ALL = ACC | T1 | T2
 
 
-def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
+class _Compiled(NamedTuple):
+    """The integer form of an automaton, built once by ``_compile_automaton``."""
+
+    initial: int
+    labels1: list[str]
+    labels2: list[str]
+    rows: list[list[tuple]]
+    tails: list[tuple[set, set, set]]
+    loops: dict[int, tuple]
+    back: dict[int, list[int]]
+    lockstep: dict[int, tuple]
+    memo: dict
+
+
+def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     """Integer form, from one walk over each state's rows once the
     components are known: the initial state id; the distinct labels of each
     tape; per state id its rows (label-1 index, label-2 index, target id,
     marks, transition); per component with a cycle through an accepting
     state, its state ids and the letters its internal edges read on each
     tape (``tails``); the loop summary; the reverse edges, target id -> the
-    source ids of its rows; and a memo of ``_liveness``'s per-pair results.
+    source ids of its rows; the lockstep summary; and a memo of
+    ``_liveness``'s per-pair results.
 
     The loop summary holds the states with one-letter self-loops (a, "")
     for a in L1 and ("", b) for b in L2, L1 and L2 both non-empty: id ->
@@ -363,6 +385,16 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     loops sweep the rectangle up to the first positions r1, r2 whose
     letters are outside L1 and L2, and nothing else fires before its
     corner (r1, r2).
+
+    The lockstep summary holds the states with a self-loop (a, b) for
+    every a in L1 and b in L2, L1 and L2 non-empty, whose other
+    transitions are all inert inside the loops' run: id -> (L1, L2, the
+    pair loops by (a, b), ACC if accepting else 0).  A transition is inert
+    when its first tape-1 read misses L1 or its first tape-2 read misses
+    L2, the first read of a tape being the transition's own first letter
+    there, or, where its label on that tape is empty, any first read of
+    that tape from its target (``_first_reads``).  The guards are computed
+    only for automata with a candidate state, and only as far as needed.
     """
     names = dict.fromkeys(
         (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
@@ -383,9 +415,10 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
     tails: dict[int, tuple[set, set, set]] = {}
     loops: dict[int, tuple] = {}
     back: dict[int, list[int]] = {}
+    candidates: dict[int, tuple] = {}  # states whose pair loops cover L1 x L2
     for q, rs in enumerate(rows):
         c = comp[q]
-        loops1, loops2, exits, acc = {}, {}, [], 0
+        loops1, loops2, pairs, exits, acc = {}, {}, {}, [], 0
         for _, _, dst, m, t in rs:
             back.setdefault(dst, []).append(q)
             if c in accepting and comp[dst] == c:
@@ -393,20 +426,73 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> tuple:
                 tail[0].add(q)
                 tail[1].update(t.read1)
                 tail[2].update(t.read2)
-            if dst == q and len(t.read1) + len(t.read2) == 1:
+            if dst != q:
+                exits.append(t)
+                continue
+            acc = m & ACC
+            if len(t.read1) + len(t.read2) == 1:
                 (loops1 if t.read1 else loops2)[t.read1 + t.read2] = t
-                acc = m & ACC
             else:
                 exits.append(t)
+                if len(t.read1) == len(t.read2) == 1:
+                    pairs[t.read1, t.read2] = t
         if loops1 and loops2:
             loops[q] = loops1, loops2, acc, all(
                 t.read1 and t.read2 and t.read1[0] not in loops1 and t.read2[0] not in loops2
                 for t in exits
             )
-    return ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, back, {}
+        if pairs:
+            l1, l2 = {a for a, _ in pairs}, {b for _, b in pairs}
+            if len(pairs) == len(l1) * len(l2):
+                candidates[q] = frozenset(l1), frozenset(l2), pairs, acc
+    lockstep = _inert_exits(rows, ids, candidates) if candidates else {}
+    return _Compiled(ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, back,
+                     lockstep, {})
 
 
-def _liveness(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple | None:
+def _inert_exits(rows: list[list[tuple]], ids: dict, candidates: dict) -> dict:
+    """The candidates, id -> (L1, L2, pair loops, ACC or 0), each of whose
+    rows other than its pair loops has a first tape-1 read outside L1 or
+    a first tape-2 read outside L2; ``_first_reads`` runs per tape only
+    once a label empty on that tape needs it."""
+    first: dict[int, list[set]] = {}
+
+    def guard(t: TwoTapeTransition, tape: int) -> Collection[str]:
+        if t[tape]:
+            return t[tape][0]
+        if tape not in first:
+            first[tape] = _first_reads(rows, tape)
+        return first[tape][ids[t.dst]]
+
+    return {q: (l1, l2, pairs, acc) for q, (l1, l2, pairs, acc) in candidates.items()
+            if all(l1.isdisjoint(guard(t, 1)) or l2.isdisjoint(guard(t, 2))
+                   for *_, t in rows[q] if t not in pairs.values())}
+
+
+def _first_reads(rows: list[list[tuple]], tape: int) -> list[set]:
+    """Per state id, the letters that the first read of the given tape (1
+    or 2) can be on a path from that state: the least fixpoint of
+    first(q) = the first letters of q's non-empty tape labels, with
+    first(d) for each of q's rows whose label on the tape is empty."""
+    first: list[set] = [set() for _ in rows]
+    silent: dict[int, list[int]] = {}  # target -> sources of rows silent on the tape
+    for q, rs in enumerate(rows):
+        for _, _, d, _, t in rs:
+            if t[tape]:
+                first[q].add(t[tape][0])
+            else:
+                silent.setdefault(d, []).append(q)
+    todo = [d for d in silent if first[d]]
+    while todo:
+        d = todo.pop()
+        for q in silent.get(d, ()):
+            if not first[d] <= first[q]:
+                first[q] |= first[d]
+                todo.append(q)
+    return first
+
+
+def _liveness(compiled: _Compiled, w1: LassoWord, w2: LassoWord) -> tuple | None:
     """None if the pair is rejected at once, else the final states for the
     periods, the rows in search order and a byte mask of the live states.
 
@@ -423,7 +509,7 @@ def _liveness(compiled: tuple, w1: LassoWord, w2: LassoWord) -> tuple | None:
     ``"letters"``, of each equal result under (final states, mask) and of
     each row order under its set of final states.
     """
-    initial, labels1, labels2, rows, tails, loops, back, memo = compiled
+    initial, labels1, labels2, rows, tails, loops, back, _, memo = compiled
     need1, need2 = frozenset(w1.period), frozenset(w2.period)
     key = (need1.union(w1.prefix), need2.union(w2.prefix), need1, need2)
     if key in memo:
@@ -496,10 +582,12 @@ def accepts_lasso_pair(
     into it; it stops as soon as a root holds all three.  It is complete
     whatever the order.
 
-    Two kinds of macro edge stand for runs on one state's single-letter
-    self-loops (the loop summary of ``_compile_automaton``), and are
-    expanded into those loops, tape 1 first, then tape 2, wherever a
-    certificate uses them.
+    Three kinds of macro edge stand for runs on one state's self-loops,
+    and a certificate that uses one expands it into those loops.  Turns
+    and rectangle jumps run on the single-letter loops of the loop summary
+    of ``_compile_automaton``, expanded tape 1 first, then tape 2; lockstep
+    jumps run on the pair loops of its lockstep summary, expanded pair by
+    pair.
 
     A final state (``_liveness``: accepting, with a self-loop for every
     letter of both periods) turns.  From (q, p1, p2) where the rest of
@@ -526,6 +614,33 @@ def accepts_lasso_pair(
     configuration one that turns instead.  The tables of the turn and of ri
     are built per state on its first expansion.
 
+    A lockstep state (the lockstep summary: a pair loop (a, b) for every a
+    in L1 and b in L2, and every other transition inert) takes lockstep
+    jumps instead of its pair loops.  From (q, p1, p2) let di be the number
+    of letters tape i reads from pi on before its first letter outside Li,
+    wrapping in the period (``_next_outside``), and k = min(d1, d2).  Where
+    k > 0 the one successor is the macro edge to (q, p1 + k, p2 + k), each
+    position advanced in its lasso: past the end of the text it goes on in
+    the period, modulo its length (``_advance``).  The edge carries ``T1``,
+    ``T2`` and ``ACC`` if q is accepting, the marks of the k loops it
+    stands for.  While both next letters are in L1 and L2, every other
+    transition of q is inert: its first tape-1 read misses L1 or its first
+    tape-2 read misses L2, so a run that takes it can never read that tape
+    again, and neither can any configuration it reaches, which thus lies on
+    no fair cycle.  q's single-letter loops, if it has any, are such
+    transitions too, so they read no letter of L1 or L2, and q's turn or
+    rectangle jump never starts inside the run.  So inside the diagonal
+    run each configuration has one useful successor, the next one along
+    it, and the jump keeps reachability among the remaining
+    configurations and every fair cycle.
+    Where k = 0 some tape's next letter is outside its Li, no pair loop
+    matches, and q's rows apply as they are.  Where neither tape ever
+    leaves its letters (d1 = d2 = inf) q steps along its loops: the
+    diagonal would cycle only after lcm(periods) letters.  The
+    next-outside tables, per tape and letter set, are built on the first
+    expansion of a state that needs one, so a search that enters no
+    lockstep or corner-only state builds none.
+
     Accepted verdicts carry a replayable stem-plus-cycle certificate.  The
     stem follows the DFS stack to the root of the accepting component, and
     the cycle is stitched from breadth-first paths inside it, over visited
@@ -541,19 +656,34 @@ def accepts_lasso_pair(
     analysis = _liveness(compiled, w1, w2)
     if analysis is None:
         return SearchOutcome(verdict=Verdict.REJECTED)
-    initial, labels1, labels2, _, _, loops, _, _ = compiled
+    initial, labels1, labels2, _, _, loops, _, lockstep, _ = compiled
     final, rows, live = analysis
     n1, tabs1 = _compile_tape(w1, labels1)
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
         tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
     lp1, lp2 = len(w1.prefix), len(w2.prefix)
+    per1, per2 = n1 - lp1, n2 - lp2
     turns: dict[int, tuple] = {}  # per final state: first tape-1 position of its turn, tape-2 table
     jumps: dict[int, tuple] = {}  # per corner-only state: its next-outside tables
+    diagonals: dict[int, tuple] = {}  # per lockstep state: its next-outside tables
+    outside: dict[tuple, list[int]] = {}  # per tape and letter set: its next-outside table
+
+    def next_outside(tape: int, letters: Collection[str]) -> list[int]:
+        """``_next_outside`` of the word on tape 1 or 2, shared by the
+        states that loop on the same letters there."""
+        key = tape, frozenset(letters)
+        if key not in outside:
+            outside[key] = _next_outside(w1 if tape == 1 else w2, letters)
+        return outside[key]
+
     # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
     # successors come from the rows of its head q * n1 + p1, built on
     # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, and the transition, or None for a turn or a jump.
+    # position 0, and the transition, or None for a turn or a jump.  A
+    # head of a lockstep state whose tape-1 letter its pair loops read
+    # holds (rows, d1) instead, d1 the letters tape 1 reads on them from
+    # there, so that the lockstep jump is tried first.
     heads: list = [None] * (len(rows) * n1)
 
     def head_rows(head: int) -> list[tuple]:
@@ -590,8 +720,8 @@ def accepts_lasso_pair(
         l1, l2, acc, _ = corner
         if q not in jumps:
             keep2 = [-1 if r < 0 else r << 3 | (T2 if r != p else 0)
-                     for p, r in enumerate(_next_outside(w2, l2))]
-            jumps[q] = _next_outside(w1, l1), keep2, [y if y & T2 else -1 for y in keep2]
+                     for p, r in enumerate(next_outside(2, l2))]
+            jumps[q] = next_outside(1, l1), keep2, [y if y & T2 else -1 for y in keep2]
         out1, keep2, move2 = jumps[q]
         r1 = out1[p1]
         if r1 < 0:  # tape 1 reads on the loops forever: a dead end
@@ -602,12 +732,42 @@ def accepts_lasso_pair(
             jump = (move2, ((q * n1 + p1) * n2) << 3 | acc, None)
         return [jump] + [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
 
+    def lockstep_rows(head: int, rs: list[tuple]) -> list[tuple] | tuple[list[tuple], float]:
+        """The rows rs of a lockstep state's head, as (rs, d1) where tape 1
+        reads d1 > 0 letters on the pair loops from there."""
+        q, p1 = divmod(head, n1)
+        if q not in diagonals:
+            l1, l2, _, _ = lockstep[q]
+            diagonals[q] = next_outside(1, l1), next_outside(2, l2)
+        d1 = _distance(p1, diagonals[q][0][p1], per1)
+        return (rs, d1) if d1 else rs
+
+    def diagonal(head: int, d1: float, p2: int) -> tuple[int, int]:
+        """The length k of the lockstep jump from (head, p2), where tape 1
+        reads d1 letters on the pair loops, and its successor code; k is 0
+        where it does not jump: tape 2 is outside the loops' letters
+        already, or neither tape ever leaves them."""
+        q, p1 = divmod(head, n1)
+        k = min(d1, _distance(p2, diagonals[q][1][p2], per2))
+        if not 0 < k < inf:
+            return 0, 0
+        target = (q * n1 + _advance(p1, k, n1, lp1)) * n2 + _advance(p2, k, n2, lp2)
+        return k, target << 3 | T1 | T2 | lockstep[q][3]
+
     def successors(c: int) -> list[int]:
         """Successor codes ``config << 3 | marks`` of configuration c."""
         head, p2 = divmod(c, n2)
         rs = heads[head]
         if rs is None:
-            rs = heads[head] = head_rows(head)
+            rs = head_rows(head)
+            if head // n1 in lockstep:
+                rs = lockstep_rows(head, rs)
+            heads[head] = rs
+        if rs.__class__ is tuple:  # tape 1 reads on a lockstep state's pair loops
+            rs, d1 = rs
+            k, code = diagonal(head, d1, p2)
+            if k:
+                return [code]
         out = []
         for tab2, base, _ in rs:
             y = tab2[p2]
@@ -619,13 +779,21 @@ def accepts_lasso_pair(
 
     def steps(c: int, code: int) -> list[TwoTapeTransition]:
         """The transitions behind successor ``code`` of configuration c: one,
-        or a macro edge's loop letters, tape 1 first, then tape 2."""
+        or a macro edge's loops, tape 1 first, then tape 2, or side by side
+        for a lockstep jump."""
         head, p2 = divmod(c, n2)
-        t = next(t for tab2, base, t in heads[head] if tab2[p2] >= 0 and base + tab2[p2] == code)
+        q, p1 = divmod(head, n1)
+        rs = heads[head]
+        if rs.__class__ is tuple:
+            rs, d1 = rs
+            k, jump = diagonal(head, d1, p2)
+            if k and jump == code:  # k of the pair loops, side by side
+                read = zip(_letters(text1, lp1, p1, k), _letters(text2, lp2, p2, k))
+                return [lockstep[q][2][ab] for ab in read]
+        t = next(t for tab2, base, t in rs if tab2[p2] >= 0 and base + tab2[p2] == code)
         if t is not None:
             return [t]
-        loops1, loops2 = loops[head // n1][:2]
-        p1 = head % n1
+        loops1, loops2 = loops[q][:2]
         if code >> 3 == c:  # a turn inside both periods: once round each
             read1, read2 = text1[p1:] + text1[lp1:p1], text2[p2:] + text2[lp2:p2]
         else:
@@ -680,18 +848,39 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _next_outside(w: LassoWord, letters: Container[str]) -> list[int]:
+def _next_outside(w: LassoWord, letters: Collection[str]) -> list[int]:
     """Per position of the normal form w, the first position from it on,
     wrapping in the period, whose letter is outside letters; -1 if none."""
     text, lp = w.prefix + w.period, len(w.prefix)
+    # the period's first outside letter, where a sweep back from its end wraps to
+    r = next((p for p in range(lp, len(text)) if text[p] not in letters), -1)
     out = [-1] * len(text)
-    r = -1
-    # the first sweep over the period leaves r at its first outside letter
-    for p in chain(range(len(text) - 1, lp - 1, -1), range(len(text) - 1, -1, -1)):
+    for p in range(len(text) - 1, -1, -1):
         if text[p] not in letters:
             r = p
         out[p] = r
     return out
+
+
+def _distance(p: int, r: int, per: int) -> float:
+    """How many letters are read from position p up to position r, which
+    ``_next_outside`` gives: wrapping in a period of per letters where
+    r < p; inf where r is -1, as no such position comes."""
+    return inf if r < 0 else r - p if r >= p else r - p + per
+
+
+def _advance(p: int, k: int, n: int, lp: int) -> int:
+    """The position k letters on from position p of a normal form with n
+    positions and a prefix of lp letters."""
+    p += k
+    return p if p < n else lp + (p - lp) % (n - lp)
+
+
+def _letters(text: str, lp: int, p: int, k: int) -> str:
+    """The k letters read from position p on, wrapping in the period text[lp:]."""
+    out = text[p:p + k]
+    period, rest = text[lp:], k - len(out)
+    return out + period * (rest // len(period)) + period[:rest % len(period)]
 
 
 def _between(text: str, lp: int, p: int, r: int) -> str:
@@ -782,7 +971,8 @@ def bounded_run_search(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    initial, labels1, labels2, rows = aut._compiled[:4]
+    c = aut._compiled
+    initial, labels1, labels2, rows = c.initial, c.labels1, c.labels2, c.rows
     reach1, reach2 = (max(map(len, labels), default=0) + 1 for labels in (labels1, labels2))
     read1, read2 = map(_text_reader, (w1, w2))
     text1, text2 = read1(reach1), read2(reach2)

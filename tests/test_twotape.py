@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -10,6 +11,9 @@ from ratrel.buchi import BuchiAutomaton
 from ratrel.constructions import alpha, automaton_T, c_automaton, r2_automaton, r_automaton
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
+    _advance,
+    _distance,
+    _first_reads,
     _liveness,
     _next_outside,
     AlphabetMismatch,
@@ -386,7 +390,7 @@ def final_states(aut, w1, w2) -> set:
 
 def state_ids(aut) -> dict:
     """State name -> id in the compiled form, for every transition target."""
-    return {row[4].dst: row[2] for rs in aut._compiled[3] for row in rs}
+    return {row[4].dst: row[2] for rs in aut._compiled.rows for row in rs}
 
 
 def kept_rows(aut, w1, w2, q: int) -> list:
@@ -526,7 +530,7 @@ def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
 
 def test_search_order_leads_to_the_final_states_of_the_pair():
     r = r_automaton()
-    initial = r._compiled[0]
+    initial = r._compiled.initial
 
     def targets(w1: str, w2: str, kept: bool) -> list[str]:
         """Target states of R's initial rows in search order, or of those
@@ -579,7 +583,7 @@ def test_states_missing_a_loop_letter_are_final_only_without_it():
 def skips_a_reachable_row(aut, w1, w2) -> bool:
     """Whether a row that fits the words leads out of the live states from
     a state reachable along fitting rows into live states."""
-    initial, rows = aut._compiled[0], aut._compiled[3]
+    initial, rows = aut._compiled.initial, aut._compiled.rows
     live = _liveness(aut._compiled, w1, w2)[2]
     seen, todo = {initial}, [initial]
     while todo:
@@ -732,7 +736,7 @@ def test_ladder_pair_accepts_without_entering_c3():
         assert out.verdict is Verdict.ACCEPTED
         assert_fair_certificate(aut, out, w1, w2)
     r = r_automaton()
-    kept = [row[4].dst for row in kept_rows(r, w1, w2, r._compiled[0])]
+    kept = [row[4].dst for row in kept_rows(r, w1, w2, r._compiled.initial)]
     assert kept and not any(q.startswith("R.L.L.R.") for q in kept)  # no state of C3
 
 
@@ -742,7 +746,7 @@ def test_ladder_pair_accepts_without_entering_c3():
 def loop_summary(aut) -> dict:
     """The compiled loop summary: state id -> (tape-1 loops, tape-2 loops,
     ACC if accepting else 0, corner-only)."""
-    return aut._compiled[5]
+    return aut._compiled.loops
 
 
 def loop_summary_by_name(aut) -> dict:
@@ -782,10 +786,32 @@ def test_compiled_loop_summary_matches_one_recomputed_by_name():
         corners += sum(c for *_, c in got.values())
         interior += sum(not c for *_, c in got.values())
         # the compiled reverse edges list each row once, under its target
-        rows, back = aut._compiled[3], aut._compiled[6]
+        rows, back = aut._compiled.rows, aut._compiled.back
         assert sorted((d, src) for d, srcs in back.items() for src in srcs) == sorted(
             (row[2], src) for src, rs in enumerate(rows) for row in rs)
     assert corners > 400 and interior > 250, (corners, interior)
+    for i in range(400):
+        aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "A", "0A"))
+        aut, _ = plant_lockstep(rng, aut, firing=i % 3 == 0)
+        if i % 2:
+            aut, _ = plant_corner(rng, aut, interior=False)
+        automata.append(aut)
+    lockstep = held_back = 0
+    for aut in automata:
+        got = {}
+        for l1, l2, pairs, acc in aut._compiled.lockstep.values():
+            q = next(iter(pairs.values())).src
+            assert pairs == {(a, b): T(q, a, b, q) for a in l1 for b in l2}
+            got[q] = set(l1), set(l2), bool(acc)
+        by_name = lockstep_by_name(aut)
+        assert got == {q: v[:3] for q, v in by_name.items() if v[3]}, aut
+        for tape in (1, 2):  # the guards' fixpoint, against a walk per state
+            first = _first_reads(aut._compiled.rows, tape)
+            assert all(first[i] == first_reads_by_walk(aut, q, tape)
+                       for i, q in enumerate(aut.states)), aut
+        lockstep += len(got)
+        held_back += len(by_name) - len(got)
+    assert lockstep > 250 and held_back > 100, (lockstep, held_back)
 
 
 def corner_states(aut) -> set:
@@ -816,6 +842,11 @@ def test_next_outside_wraps_in_the_period():
     assert _next_outside(w, {"0"}) == [1, 1, 4, 4, 4, 4]
     assert _next_outside(w, {"0", "A"}) == [4, 4, 4, 4, 4, 4]
     assert _next_outside(LassoWord("1", "0"), {"0"}) == [0, -1]
+    # the letters read up to there, and the position that many letters on
+    assert [_distance(p, r, 4) for p, r in enumerate(_next_outside(w, {"0"}))] == [1, 0, 2, 1, 0, 3]
+    assert _distance(1, -1, 1) == math.inf
+    assert [_advance(5, k, 6, 2) for k in (0, 1, 2, 3, 4, 401)] == [5, 2, 3, 4, 5, 2]
+    assert _advance(0, 3, 6, 2) == 3
 
 
 def plant_corner(rng, aut, interior: bool):
@@ -909,6 +940,163 @@ def test_block_comparison_pieces_against_nested_dfs_up_to_period_160():
             if verdicts[-1]:
                 assert_fair_certificate(aut, out, w1, w2)
     assert 6 <= sum(verdicts) <= len(verdicts) - 6
+
+
+# -- lockstep jumps ------------------------------------------------------------
+
+
+def first_reads_by_walk(aut, state: str, tape: int) -> set:
+    """The letters that the first read of the given tape (1 or 2) can be on
+    a path from state: a walk along the transitions whose label on that
+    tape is empty, collecting the first letters of the non-empty ones."""
+    seen, todo, letters = {state}, [state], set()
+    while todo:
+        for t in aut.transitions_from(todo.pop()):
+            if t[tape]:
+                letters.add(t[tape][0])
+            elif t.dst not in seen:
+                seen.add(t.dst)
+                todo.append(t.dst)
+    return letters
+
+
+def lockstep_by_name(aut) -> dict:
+    """The lockstep candidates recomputed by state name from the
+    transitions: name -> (tape-1 letters L1, tape-2 letters L2, accepting,
+    lockstep), for the states with a self-loop (a, b) for every a in L1
+    and b in L2; lockstep when each of the state's other transitions has
+    a first tape-1 read outside L1 or a first tape-2 read outside L2."""
+    out = {}
+    for q in aut.states:
+        pairs = {(t.read1, t.read2) for t in aut.transitions_from(q)
+                 if t.dst == q and len(t.read1) == len(t.read2) == 1}
+        l1, l2 = {a for a, _ in pairs}, {b for _, b in pairs}
+        if not pairs or pairs != set(itertools.product(l1, l2)):
+            continue
+
+        def first(t, tape):
+            return {t[tape][0]} if t[tape] else first_reads_by_walk(aut, t.dst, tape)
+
+        others = [t for t in aut.transitions_from(q) if t.dst != q or (t.read1, t.read2) not in pairs]
+        inert = all(not first(t, 1) & l1 or not first(t, 2) & l2 for t in others)
+        out[q] = l1, l2, q in aut.accepting, inert
+    return out
+
+
+def lockstep_states(aut) -> set:
+    """Names of the lockstep states of aut."""
+    return {next(iter(pairs.values())).src for _, _, pairs, _ in aut._compiled.lockstep.values()}
+
+
+def test_lockstep_states_of_reference_automata():
+    assert lockstep_states(automaton_T()) == {"q2", "q3"}
+    assert lockstep_states(c_automaton(4)) == lockstep_states(c_automaton(5)) == {"cmp"}
+    assert not any(lockstep_states(c_automaton(j)) for j in (1, 2, 3))
+    assert lockstep_states(r_automaton()) == {"L.q2", "L.q3", "R.L.R.cmp", "R.R.cmp"}
+    # q3's exits wait for an A on tape 2, through q4 or q5
+    assert first_reads_by_walk(automaton_T(), "q4", 2) == first_reads_by_walk(
+        automaton_T(), "q5", 2) == {"A"}
+    # q1 and skip loop on one tape only: a run on their loops can leave at every letter
+    for aut, name in ((automaton_T(), "q1"), (c_automaton(5), "skip")):
+        assert name not in lockstep_states(aut) and name not in lockstep_by_name(aut)
+
+
+def plant_lockstep(rng, aut, firing: bool):
+    """aut over GAMMA with one random state q given a self-loop (a, b) for
+    every a in L1 and b in L2 in place of its transitions, and random
+    exits, none of them one more such loop, kept where inert by
+    first_reads_by_walk; with firing, one more exit whose first reads are
+    in L1 and L2, so that q is not lockstep.  Dropping exits of q, or
+    adding that one, gives the walk no new letter for the kept exits, so
+    they stay inert."""
+    q = rng.choice(aut.states)
+    l1, l2 = (rng.sample("01A", rng.choice((1, 2, 2))) for _ in range(2))
+    labels = ("", "", "0", "1", "A", "0A", "A1")
+    loops = tuple(T(q, a, b, q) for a in l1 for b in l2)
+    exits = dict.fromkeys(T(q, rng.choice(labels), rng.choice(labels), rng.choice(aut.states))
+                          for _ in range(rng.randint(1, 4)))
+    rest = tuple(t for t in aut.transitions if t.src != q) + loops
+    draft = TwoTapeAutomaton(aut.states, GAMMA, GAMMA, rest + tuple(exits), aut.initial,
+                             aut.accepting)
+
+    def misses(t, tape, letters) -> bool:
+        first = {t[tape][0]} if t[tape] else first_reads_by_walk(draft, t.dst, tape)
+        return not first & set(letters)
+
+    kept = tuple(t for t in exits if (misses(t, 1, l1) or misses(t, 2, l2))
+                 and not (t.dst == q and len(t.read1) == len(t.read2) == 1))
+    if firing:
+        a, b = rng.choice(l1), rng.choice(l2)
+        kept += (rng.choice([T(q, a + "0", b, rng.choice(aut.states)), T(q, a, "", q),
+                             T(q, "", b, q), T(q, "", "", q)]),)
+    accepting = aut.accepting | {q} if rng.random() < 0.5 else aut.accepting - {q}
+    return TwoTapeAutomaton(aut.states, GAMMA, GAMMA, rest + kept, aut.initial, accepting), q
+
+
+def test_planted_lockstep_sweep_matches_nested_dfs():
+    # a tenth of the planted states get an exit that fires inside the run;
+    # jumping them too gives wrong verdicts here
+    rng = random.Random(313)
+    accepted_total = through_lockstep = 0
+    for i in range(4000):
+        aut = random_two_tape(rng, max_states=3, labels=("", "0", "1", "A"))
+        aut, q = plant_lockstep(rng, aut, firing=i % 10 == 0)
+        assert (q in lockstep_states(aut)) == (i % 10 != 0), aut
+        l1, l2, _, _ = lockstep_by_name(aut)[q]
+        # words weighted towards q's loop letters, so that its runs are long
+        w1, w2 = (random_lasso(rng, "".join(sorted(ls)) * 3 + "01A", 3, 5) for ls in (l1, l2))
+        out = accepts_lasso_pair(aut, w1, w2)
+        expected = nested_dfs_accepts_pair(aut, w1, w2)
+        assert (out.verdict is Verdict.ACCEPTED) == expected, (aut, w1, w2)
+        if expected:
+            accepted_total += 1
+            assert_fair_certificate(aut, out, w1, w2)
+            # some period leaves the loop letters, so q's pair loops in the
+            # certificate come from lockstep jumps, not from stepping
+            run = out.certificate.stem.transitions + out.certificate.cycle.transitions
+            leaves = set(w1.period) - l1 or set(w2.period) - l2
+            through_lockstep += i % 10 != 0 and bool(leaves) and any(
+                t.src == t.dst == q and len(t.read1) == len(t.read2) == 1 for t in run)
+    assert accepted_total > 300 and through_lockstep > 40, (accepted_total, through_lockstep)
+
+
+def test_lockstep_jumps_wrap_in_both_periods_at_period_400():
+    # q compares {0,1} against {0,1}; an A on tape 1 leads through r (with
+    # an A on tape 2 too) or s (without) back to q.  Each jump crosses up
+    # to a period of 400-405 letters and wraps on one tape or both, or on
+    # a tape that never leaves q's letters, many times round its period.
+    aut = TwoTapeAutomaton(
+        ("q", "r", "s"), GAMMA, GAMMA,
+        tuple(T("q", a, b, "q") for a in "01" for b in "01")
+        + (T("q", "A", "A", "r"), T("q", "A", "", "s"), T("r", "", "", "q"), T("s", "", "", "q")),
+        "q", frozenset({"r", "s"}),
+    )
+    assert lockstep_states(aut) == {"q"}
+    rng = random.Random(5)
+
+    def word(n: int, k: int) -> str:
+        places = set(rng.sample(range(n), k))
+        return "".join("A" if i in places else rng.choice("01") for i in range(n))
+
+    block = "0" * 399 + "A"
+    pairs = [
+        ("|" + block, "|0110100"),  # tape 2 never leaves: 57 turns of it per jump
+        ("|" + block, "|" + "1" * 399 + "A" + block),  # the As meet every block
+        ("|" + block, "|" + "1" * 400 + "A"),  # they drift apart
+        ("|" + word(401, 0), "|" + "0" * 402 + "A"),  # tape 1 never leaves
+    ]
+    for _ in range(4):
+        pairs.append((word(3, 1) + "|" + word(rng.randint(400, 405), rng.randint(1, 3)),
+                      word(2, 0) + "|" + word(rng.randint(400, 405), rng.randint(0, 2))))
+    verdicts = []
+    for text1, text2 in pairs:
+        w1, w2 = lasso(text1), lasso(text2)
+        out = accepts_lasso_pair(aut, w1, w2)
+        verdicts.append(out.verdict is Verdict.ACCEPTED)
+        assert verdicts[-1] == nested_dfs_accepts_pair(aut, w1, w2), (w1, w2)
+        if verdicts[-1]:
+            assert_fair_certificate(aut, out, w1, w2)
+    assert verdicts == [True, True, False, False, True, False, True, False]
 
 
 # -- bounded search ------------------------------------------------------------
