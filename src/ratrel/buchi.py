@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .twotape import TwoTapeAutomaton, Verdict, _dot, accepts_lasso_pair, validate
 from .words import Alphabet, BINARY, LassoWord
@@ -51,8 +51,15 @@ def ones_automaton(complement: bool = False) -> BuchiAutomaton:
 
     With ``complement=True``, the machine instead recognizes words with
     finitely many 1s, by nondeterministically guessing a position after
-    the last 1 and then insisting on 0s forever.
+    the last 1 and then insisting on 0s forever.  Each machine is built
+    once, whichever way the flag is spelled, so its validation, two-tape
+    embedding and compiled form are shared by every caller.
     """
+    return _ones_automaton(bool(complement))
+
+
+@lru_cache(maxsize=None)
+def _ones_automaton(complement: bool) -> BuchiAutomaton:
     if not complement:
         return BuchiAutomaton(
             states=("seen0", "seen1"),

@@ -46,7 +46,11 @@ compared letter against letter cost one edge instead of one per letter.
 
 The certificate is the search stack plus a cycle rebuilt inside the
 component from the visited configurations, with every macro edge
-expanded into the automaton's own loop transitions.
+expanded into the automaton's own loop transitions.  It is built on the
+first read of the outcome's ``certificate``, as on-the-fly emptiness
+checks find the accepting component first and extract the run only on
+demand (Couvreur 1999; Gaiser and Schwoon 2009): a caller that reads
+only the verdict never pays for it.
 
 A budgeted best-first search gathers evidence on block-word inputs,
 over the same compiled rows indexed by the next letter on each tape and
@@ -59,10 +63,11 @@ from __future__ import annotations
 import enum
 import heapq
 import json
+import re
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import inf
 from typing import NamedTuple
 
@@ -339,11 +344,42 @@ class SearchStats:
     exhausted: bool
 
 
+class _BuiltOnRead:
+    """A dataclass field, None by default, that may also be given a
+    ``functools.partial`` that builds its value: the first read calls it
+    and stores the value in its place, dropping the partial and all it
+    holds.  Every read goes through here, the generated ``==``, ``hash``
+    and ``repr`` included, so they see the built value."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.name]
+        if value.__class__ is partial:
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
+    """A verdict, with the certificate of an accepted lasso pair or the
+    statistics of a budgeted search.  ``accepts_lasso_pair`` builds the
+    certificate on its first read (``_BuiltOnRead``); until then the
+    outcome holds the finished search it is built from."""
+
     verdict: Verdict
-    certificate: Certificate | None = None
+    certificate: Certificate | None = _BuiltOnRead()
     stats: SearchStats | None = None
+
+    def __getstate__(self) -> dict:
+        self.certificate  # pickled and copied outcomes carry the built certificate
+        return self.__dict__
 
 
 # Edge marks of the fair-cycle search.
@@ -362,6 +398,7 @@ class _Compiled(NamedTuple):
     loops: dict[int, tuple]
     back: dict[int, list[int]]
     lockstep: dict[int, tuple]
+    outside: dict[frozenset, Callable]
     memo: dict
 
 
@@ -372,8 +409,9 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     marks, transition); per component with a cycle through an accepting
     state, its state ids and the letters its internal edges read on each
     tape (``tails``); the loop summary; the reverse edges, target id -> the
-    source ids of its rows; the lockstep summary; and a memo of
-    ``_liveness``'s per-pair results.
+    source ids of its rows; the lockstep summary; a memo of
+    ``_outside``'s searches; and a memo of ``_liveness``'s per-pair
+    results.
 
     The loop summary holds the states with one-letter self-loops (a, "")
     for a in L1 and ("", b) for b in L2, L1 and L2 both non-empty: id ->
@@ -447,7 +485,7 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
                 candidates[q] = frozenset(l1), frozenset(l2), pairs, acc
     lockstep = _inert_exits(rows, ids, candidates) if candidates else {}
     return _Compiled(ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, back,
-                     lockstep, {})
+                     lockstep, {}, {})
 
 
 def _inert_exits(rows: list[list[tuple]], ids: dict, candidates: dict) -> dict:
@@ -509,7 +547,7 @@ def _liveness(compiled: _Compiled, w1: LassoWord, w2: LassoWord) -> tuple | None
     ``"letters"``, of each equal result under (final states, mask) and of
     each row order under its set of final states.
     """
-    initial, labels1, labels2, rows, tails, loops, back, _, memo = compiled
+    initial, labels1, labels2, rows, tails, loops, back, _, _, memo = compiled
     need1, need2 = frozenset(w1.period), frozenset(w2.period)
     key = (need1.union(w1.prefix), need2.union(w2.prefix), need1, need2)
     if key in memo:
@@ -611,14 +649,15 @@ def accepts_lasso_pair(
     Where some ri does not exist the configuration is a dead end: its tape i
     reads on the loops forever, so no run leaves q, and one that stays is
     fair only if both tapes do and q accepts, which makes q final and the
-    configuration one that turns instead.  The tables of the turn and of ri
-    are built per state on its first expansion.
+    configuration one that turns instead.  The table of the turn is built
+    per state on its first expansion; r1 is found once per head and r2 per
+    configuration (``_run_length``).
 
     A lockstep state (the lockstep summary: a pair loop (a, b) for every a
     in L1 and b in L2, and every other transition inert) takes lockstep
     jumps instead of its pair loops.  From (q, p1, p2) let di be the number
     of letters tape i reads from pi on before its first letter outside Li,
-    wrapping in the period (``_next_outside``), and k = min(d1, d2).  Where
+    wrapping in the period (``_run_length``), and k = min(d1, d2).  Where
     k > 0 the one successor is the macro edge to (q, p1 + k, p2 + k), each
     position advanced in its lasso: past the end of the text it goes on in
     the period, modulo its length (``_advance``).  The edge carries ``T1``,
@@ -636,12 +675,24 @@ def accepts_lasso_pair(
     Where k = 0 some tape's next letter is outside its Li, no pair loop
     matches, and q's rows apply as they are.  Where neither tape ever
     leaves its letters (d1 = d2 = inf) q steps along its loops: the
-    diagonal would cycle only after lcm(periods) letters.  The
-    next-outside tables, per tape and letter set, are built on the first
-    expansion of a state that needs one, so a search that enters no
-    lockstep or corner-only state builds none.
+    diagonal would cycle only after lcm(periods) letters.
 
-    Accepted verdicts carry a replayable stem-plus-cycle certificate.  The
+    Both jumps find their run ends where they need them, with no table
+    per word: d1 once per head, d2 at each configuration, each by one
+    search for a letter outside the loop letters (``_outside``, compiled
+    once per letter set and automaton), wrapping in the period.  A search
+    passes only the letters the run reads, so a jump costs the letters it
+    crosses, scanned in C.  Whether a period ever leaves the letters is
+    found once per state and call, so a run that never ends costs no
+    search from a period position, and the rest of the prefix from a
+    prefix position.
+
+    Accepted verdicts carry a replayable stem-plus-cycle certificate,
+    built on the first read of ``certificate`` and stored: until then the
+    outcome holds the finished search (its successor and step functions,
+    the DFS numbers, the frames and the root of the accepting component),
+    and the read drops it.  Nothing else holds that state, so an outcome
+    whose certificate is never read frees it with the outcome.  The
     stem follows the DFS stack to the root of the accepting component, and
     the cycle is stitched from breadth-first paths inside it, over visited
     configurations only, that pick up each mark in turn and return to the
@@ -656,37 +707,45 @@ def accepts_lasso_pair(
     analysis = _liveness(compiled, w1, w2)
     if analysis is None:
         return SearchOutcome(verdict=Verdict.REJECTED)
-    initial, labels1, labels2, _, _, loops, _, lockstep, _ = compiled
+    initial, labels1, labels2, _, _, loops, _, lockstep, outside, _ = compiled
     final, rows, live = analysis
     n1, tabs1 = _compile_tape(w1, labels1)
     n2, tabs2 = _compile_tape(w2, labels2)
     for tab in tabs2:  # shift past the three mark bits of a successor code
         tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
+    text1, text2 = w1.prefix + w1.period, w2.prefix + w2.period
     lp1, lp2 = len(w1.prefix), len(w2.prefix)
-    per1, per2 = n1 - lp1, n2 - lp2
     turns: dict[int, tuple] = {}  # per final state: first tape-1 position of its turn, tape-2 table
-    jumps: dict[int, tuple] = {}  # per corner-only state: its next-outside tables
-    diagonals: dict[int, tuple] = {}  # per lockstep state: its next-outside tables
-    outside: dict[tuple, list[int]] = {}  # per tape and letter set: its next-outside table
+    ends: dict[tuple, tuple] = {}  # per state and kind of jump: see jump_at
 
-    def next_outside(tape: int, letters: Collection[str]) -> list[int]:
-        """``_next_outside`` of the word on tape 1 or 2, shared by the
-        states that loop on the same letters there."""
-        key = tape, frozenset(letters)
-        if key not in outside:
-            outside[key] = _next_outside(w1 if tape == 1 else w2, letters)
-        return outside[key]
+    def jump_at(q: int, p1: int, lock: bool) -> tuple:
+        """q's lockstep jump (lock) or corner jump from tape-1 position p1:
+        the letters d1 that tape 1 reads on q's loops from there, the
+        search for a tape-2 letter outside them, whether the tape-2 period
+        has none, ACC or 0, and lock.  The searches and the periods' test
+        are found once per state and call."""
+        key = q, lock
+        if key not in ends:
+            if lock:
+                l1, l2, _, acc = lockstep[q]
+            else:
+                l1, l2, acc, _ = loops[q]
+                l1, l2 = frozenset(l1), frozenset(l2)
+            ends[key] = (_outside(outside, l1), l1.issuperset(w1.period),
+                         _outside(outside, l2), l2.issuperset(w2.period), acc)
+        search1, stays1, search2, stays2, acc = ends[key]
+        return _run_length(search1, text1, lp1, p1, stays1), search2, stays2, acc, lock
 
     # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
     # successors come from the rows of its head q * n1 + p1, built on
     # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, and the transition, or None for a turn or a jump.  A
-    # head of a lockstep state whose tape-1 letter its pair loops read
-    # holds (rows, d1) instead, d1 the letters tape 1 reads on them from
-    # there, so that the lockstep jump is tried first.
+    # position 0, and the transition, or None for a turn.  The head of a
+    # corner-only state, or of a lockstep state whose tape-1 letter its
+    # pair loops read, holds (rows, jumps) instead, its jumps tried first;
+    # where a lockstep jump jumps, it is the only successor.
     heads: list = [None] * (len(rows) * n1)
 
-    def head_rows(head: int) -> list[tuple]:
+    def head_rows(head: int) -> list[tuple] | tuple[list[tuple], tuple]:
         q, p1 = divmod(head, n1)
         turn = []
         if q in final:
@@ -709,73 +768,61 @@ def accepts_lasso_pair(
             for a, b, d, m, t in rows[q]
             if tabs1[a][p1] >= 0 and live[d]
         ]
-        corner = loops.get(q)
-        if corner is None or not corner[3]:
-            return rs
-        # A corner-only state's loops give way to one macro edge to the
-        # corner of their rectangle: keep2 gives the corner's tape-2
-        # position with the T2 mark where tape 2 moves, move2 the same only
-        # where it does.  Its other rows, which read on both tapes, match
-        # only at the corner.
-        l1, l2, acc, _ = corner
-        if q not in jumps:
-            keep2 = [-1 if r < 0 else r << 3 | (T2 if r != p else 0)
-                     for p, r in enumerate(next_outside(2, l2))]
-            jumps[q] = next_outside(1, l1), keep2, [y if y & T2 else -1 for y in keep2]
-        out1, keep2, move2 = jumps[q]
-        r1 = out1[p1]
-        if r1 < 0:  # tape 1 reads on the loops forever: a dead end
-            return []
-        if r1 != p1:
-            jump = (keep2, ((q * n1 + r1) * n2) << 3 | T1 | acc, None)
-        else:
-            jump = (move2, ((q * n1 + p1) * n2) << 3 | acc, None)
-        return [jump] + [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
+        jumps = ()
+        if q in loops and loops[q][3]:
+            # A corner-only state's loops give way to one macro edge to the
+            # corner of their rectangle.  Its other rows, which read on both
+            # tapes, match only at the corner.
+            jumps = (jump_at(q, p1, False),)
+            if jumps[0][0] == inf:  # tape 1 reads on the loops forever: a dead end
+                return []
+            rs = [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
+        # Neither return above leaves a lockstep jump out: there tape 1's
+        # next letter is on single-letter loops, and those of a lockstep
+        # state read no letter of its L1.
+        if q in lockstep:
+            diagonal = jump_at(q, p1, True)
+            if diagonal[0]:
+                jumps = (diagonal,) + jumps
+        return (rs, jumps) if jumps else rs
 
-    def lockstep_rows(head: int, rs: list[tuple]) -> list[tuple] | tuple[list[tuple], float]:
-        """The rows rs of a lockstep state's head, as (rs, d1) where tape 1
-        reads d1 > 0 letters on the pair loops from there."""
+    def macro(head: int, p2: int, jump: tuple) -> tuple[int, float, float]:
+        """The successor code of a jump of ``jump_at`` from (head, p2),
+        and the letters it reads on each tape; (0, 0, 0) where it does not
+        jump.  A lockstep jump reads k = min(d1, d2) letters on both
+        tapes; a corner jump d1 on tape 1 and d2 on tape 2.  Where a tape
+        reads on the loops forever neither jumps, nor where neither tape
+        moves."""
+        d1, search2, stays2, acc, lock = jump
+        d2 = _run_length(search2, text2, lp2, p2, stays2)
+        if lock:
+            d1 = d2 = min(d1, d2)
+        if d2 == inf or not (d1 or d2):
+            return 0, 0, 0
         q, p1 = divmod(head, n1)
-        if q not in diagonals:
-            l1, l2, _, _ = lockstep[q]
-            diagonals[q] = next_outside(1, l1), next_outside(2, l2)
-        d1 = _distance(p1, diagonals[q][0][p1], per1)
-        return (rs, d1) if d1 else rs
-
-    def diagonal(head: int, d1: float, p2: int) -> tuple[int, int]:
-        """The length k of the lockstep jump from (head, p2), where tape 1
-        reads d1 letters on the pair loops, and its successor code; k is 0
-        where it does not jump: tape 2 is outside the loops' letters
-        already, or neither tape ever leaves them."""
-        q, p1 = divmod(head, n1)
-        k = min(d1, _distance(p2, diagonals[q][1][p2], per2))
-        if not 0 < k < inf:
-            return 0, 0
-        target = (q * n1 + _advance(p1, k, n1, lp1)) * n2 + _advance(p2, k, n2, lp2)
-        return k, target << 3 | T1 | T2 | lockstep[q][3]
+        target = (q * n1 + _advance(p1, d1, n1, lp1)) * n2 + _advance(p2, d2, n2, lp2)
+        return target << 3 | (T1 if d1 else 0) | (T2 if d2 else 0) | acc, d1, d2
 
     def successors(c: int) -> list[int]:
         """Successor codes ``config << 3 | marks`` of configuration c."""
         head, p2 = divmod(c, n2)
         rs = heads[head]
         if rs is None:
-            rs = head_rows(head)
-            if head // n1 in lockstep:
-                rs = lockstep_rows(head, rs)
-            heads[head] = rs
-        if rs.__class__ is tuple:  # tape 1 reads on a lockstep state's pair loops
-            rs, d1 = rs
-            k, code = diagonal(head, d1, p2)
-            if k:
-                return [code]
+            rs = heads[head] = head_rows(head)
         out = []
+        if rs.__class__ is tuple:  # a head with jumps
+            rs, jumps = rs
+            for jump in jumps:
+                code = macro(head, p2, jump)[0]
+                if code:
+                    if jump[4]:
+                        return [code]
+                    out.append(code)
         for tab2, base, _ in rs:
             y = tab2[p2]
             if y >= 0:
                 out.append(base + y)
         return out
-
-    text1, text2 = w1.prefix + w1.period, w2.prefix + w2.period
 
     def steps(c: int, code: int) -> list[TwoTapeTransition]:
         """The transitions behind successor ``code`` of configuration c: one,
@@ -785,20 +832,23 @@ def accepts_lasso_pair(
         q, p1 = divmod(head, n1)
         rs = heads[head]
         if rs.__class__ is tuple:
-            rs, d1 = rs
-            k, jump = diagonal(head, d1, p2)
-            if k and jump == code:  # k of the pair loops, side by side
-                read = zip(_letters(text1, lp1, p1, k), _letters(text2, lp2, p2, k))
-                return [lockstep[q][2][ab] for ab in read]
+            rs, jumps = rs
+            for jump in jumps:
+                target, d1, d2 = macro(head, p2, jump)
+                if target and target == code:
+                    read1, read2 = _letters(text1, lp1, p1, d1), _letters(text2, lp2, p2, d2)
+                    if jump[4]:  # k of the pair loops, side by side
+                        return [lockstep[q][2][ab] for ab in zip(read1, read2)]
+                    loops1, loops2 = loops[q][:2]
+                    return [loops1[a] for a in read1] + [loops2[b] for b in read2]
         t = next(t for tab2, base, t in rs if tab2[p2] >= 0 and base + tab2[p2] == code)
         if t is not None:
             return [t]
         loops1, loops2 = loops[q][:2]
         if code >> 3 == c:  # a turn inside both periods: once round each
             read1, read2 = text1[p1:] + text1[lp1:p1], text2[p2:] + text2[lp2:p2]
-        else:
-            head2, r2 = divmod(code >> 3, n2)
-            read1, read2 = _between(text1, lp1, p1, head2 % n1), _between(text2, lp2, p2, r2)
+        else:  # the rest of each prefix
+            read1, read2 = text1[p1:lp1], text2[p2:lp2]
         return [loops1[a] for a in read1] + [loops2[b] for b in read2]
 
     start = initial * n1 * n2
@@ -831,9 +881,9 @@ def accepts_lasso_pair(
                     marks |= inside.pop() | entry.pop()
                 marks |= inside[-1]
                 inside[-1] = marks
-                if marks == _ALL:
-                    cert = _certificate(successors, steps, number, todo, roots[-1])
-                    return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=cert)
+                if marks == _ALL:  # the certificate is built on its first read
+                    build = partial(_certificate, successors, steps, number, todo, roots[-1])
+                    return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=build)
         else:
             todo.pop()
             if number[c] == roots[-1]:
@@ -848,25 +898,31 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _next_outside(w: LassoWord, letters: Collection[str]) -> list[int]:
-    """Per position of the normal form w, the first position from it on,
-    wrapping in the period, whose letter is outside letters; -1 if none."""
-    text, lp = w.prefix + w.period, len(w.prefix)
-    # the period's first outside letter, where a sweep back from its end wraps to
-    r = next((p for p in range(lp, len(text)) if text[p] not in letters), -1)
-    out = [-1] * len(text)
-    for p in range(len(text) - 1, -1, -1):
-        if text[p] not in letters:
-            r = p
-        out[p] = r
-    return out
+def _outside(searches: dict, letters: frozenset) -> Callable:
+    """The ``search`` of a pattern for one letter outside letters (the
+    loop letters of one tape of a corner-only or lockstep state),
+    memoised in searches."""
+    if letters not in searches:
+        searches[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").search
+    return searches[letters]
 
 
-def _distance(p: int, r: int, per: int) -> float:
-    """How many letters are read from position p up to position r, which
-    ``_next_outside`` gives: wrapping in a period of per letters where
-    r < p; inf where r is -1, as no such position comes."""
-    return inf if r < 0 else r - p if r >= p else r - p + per
+def _run_length(search: Callable, text: str, lp: int, p: int, stays: bool) -> float:
+    """How many letters are read from position p of a normal form's text
+    on, wrapping in its period text[lp:], before the first letter that
+    search finds (one outside some loop's letters); inf where none comes.
+    stays says that the period has no such letter.  The search passes the
+    letters counted and no more, except from a prefix position where none
+    comes: then it passes the rest of the prefix."""
+    if stays:
+        if p >= lp:
+            return inf
+        m = search(text, p, lp)
+        return inf if m is None else m.start() - p
+    m = search(text, p)
+    if m is None:  # none before the end: wrap to the period's first
+        return search(text, lp).start() - p + len(text) - lp
+    return m.start() - p
 
 
 def _advance(p: int, k: int, n: int, lp: int) -> int:
@@ -881,11 +937,6 @@ def _letters(text: str, lp: int, p: int, k: int) -> str:
     out = text[p:p + k]
     period, rest = text[lp:], k - len(out)
     return out + period * (rest // len(period)) + period[:rest % len(period)]
-
-
-def _between(text: str, lp: int, p: int, r: int) -> str:
-    """The letters read from position p up to position r, wrapping in the period."""
-    return text[p:r] if p <= r else text[p:] + text[lp:r]
 
 
 def _certificate(successors, steps, number, frames, root) -> Certificate:

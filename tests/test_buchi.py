@@ -32,6 +32,16 @@ def test_ones_automaton_examples():
     assert not buchi_accepts_lasso(aut, lasso("111|0"))
 
 
+def test_ones_automaton_is_built_once_per_machine():
+    # every spelling the package and the CLI use shares one object, and
+    # with it the compiled two-tape form
+    ones = ones_automaton()
+    assert ones_automaton(False) is ones and ones_automaton(complement=False) is ones
+    comp = ones_automaton(True)
+    assert ones_automaton(complement=True) is comp and comp is not ones
+    assert comp._embedded._compiled is ones_automaton(True)._embedded._compiled
+
+
 def test_complement_agreement():
     aut = ones_automaton()
     comp = ones_automaton(complement=True)

@@ -1,21 +1,26 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import pickle
 import random
+import re
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from ratrel.buchi import BuchiAutomaton
+from ratrel import cli, twotape, verify
+from ratrel.buchi import BuchiAutomaton, buchi_accepts_lasso, ones_automaton
 from ratrel.constructions import alpha, automaton_T, c_automaton, r2_automaton, r_automaton
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
     _advance,
-    _distance,
     _first_reads,
     _liveness,
-    _next_outside,
+    _run_length,
     AlphabetMismatch,
     InvalidAutomaton,
     RunPrefix,
@@ -837,14 +842,32 @@ def test_corner_only_states_of_reference_automata():
         assert name not in corner_states(aut)
 
 
+def run_lengths(w: LassoWord, letters: str) -> list:
+    """``_run_length`` at every position of the normal form of w, for a
+    search that finds the letters outside letters."""
+    w, search = w.normal(), re.compile(f"[^{letters}]").search
+    text, stays = w.prefix + w.period, set(w.period) <= set(letters)
+    return [_run_length(search, text, len(w.prefix), p, stays) for p in range(len(text))]
+
+
 def test_next_outside_wraps_in_the_period():
     w = LassoWord("0A", "0010")  # normal form: positions 0-1 prefix, 2-5 period
-    assert _next_outside(w, {"0"}) == [1, 1, 4, 4, 4, 4]
-    assert _next_outside(w, {"0", "A"}) == [4, 4, 4, 4, 4, 4]
-    assert _next_outside(LassoWord("1", "0"), {"0"}) == [0, -1]
-    # the letters read up to there, and the position that many letters on
-    assert [_distance(p, r, 4) for p, r in enumerate(_next_outside(w, {"0"}))] == [1, 0, 2, 1, 0, 3]
-    assert _distance(1, -1, 1) == math.inf
+    assert run_lengths(w, "0") == [1, 0, 2, 1, 0, 3]
+    assert run_lengths(w, "0A") == [4, 3, 2, 1, 0, 3]
+    assert run_lengths(LassoWord("1", "0"), "0") == [0, math.inf]
+    # the period never leaves the letters, and the prefix does at A only
+    assert run_lengths(LassoWord("A1", "0"), "01") == [0, math.inf, math.inf]
+    # against the letters read one by one, up to the end of the second period
+    rng = random.Random(23)
+    for _ in range(300):
+        w = random_lasso(rng, "01A", 4, 6).normal()
+        letters = "".join(sorted(rng.sample("01A", rng.randint(1, 2))))
+        n = len(w.prefix) + len(w.period)
+        read = w.prefix_of(n + len(w.period))
+        want = [next((k for k in range(n + len(w.period) - p) if read[p + k] not in letters),
+                     math.inf) for p in range(n)]
+        assert run_lengths(w, letters) == want, (w, letters)
+    # the position that many letters on
     assert [_advance(5, k, 6, 2) for k in (0, 1, 2, 3, 4, 401)] == [5, 2, 3, 4, 5, 2]
     assert _advance(0, 3, 6, 2) == 3
 
@@ -1097,6 +1120,107 @@ def test_lockstep_jumps_wrap_in_both_periods_at_period_400():
         if verdicts[-1]:
             assert_fair_certificate(aut, out, w1, w2)
     assert verdicts == [True, True, False, False, True, False, True, False]
+
+
+# -- certificates built on first read -----------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Each certificate build, as the name of the function whose read of
+    ``.certificate`` started it."""
+    made = []
+    build = twotape._certificate
+
+    def counted(*args):
+        made.append(sys._getframe(2).f_code.co_name)  # past _BuiltOnRead.__get__
+        return build(*args)
+
+    monkeypatch.setattr(twotape, "_certificate", counted)
+    return made
+
+
+def test_verdict_only_callers_build_no_certificate(builds, monkeypatch):
+    rng = random.Random(41)
+    words = [random_lasso(rng, "01", 3, 3) for _ in range(200)]
+    verdicts = [buchi_accepts_lasso(ones_automaton(), w) for w in words]
+    assert 50 < sum(verdicts) < 150 and builds == []
+    # the suite builds exactly the certificates certificate-replay reads
+    decide, read = verify.accepts_lasso_pair, []
+
+    def decided(*args):
+        out = decide(*args)
+        if sys._getframe(1).f_code.co_name == "check_certificates":
+            read.append(out.verdict is Verdict.ACCEPTED)
+        return out
+
+    monkeypatch.setattr(verify, "accepts_lasso_pair", decided)
+    assert all(r.passed for r in verify.run_all(seed=0, trials=66))
+    assert sum(read) > 0 and builds == ["check_certificates"] * sum(read)
+
+
+def test_certificate_is_built_once_on_first_read(builds):
+    w1, w2 = lasso("A0|1A"), lasso("0|A01")
+    out = accepts_lasso_pair(r_automaton(), w1, w2)
+    assert out.verdict is Verdict.ACCEPTED and builds == []
+    cert = out.certificate
+    assert out.certificate is cert and len(builds) == 1
+    assert_fair_certificate(r_automaton(), out, w1, w2)
+
+
+def test_member_json_builds_one_certificate(builds, capsys):
+    assert cli.main(["member", "--aut", "R", "--pair", "A0|1A", "0|A01", "--json"]) == 0
+    assert "certificate" in json.loads(capsys.readouterr().out)
+    assert builds == ["cmd_member"]
+
+
+def test_unread_certificate_holds_the_search_until_read_or_dropped():
+    # with the collector off only reference counts free the search state,
+    # so a reference cycle through its closures would keep it alive here
+    w1, w2 = lasso("A0|1A"), lasso("0|A01")
+    gc.disable()
+    try:
+        out = accepts_lasso_pair(r_automaton(), w1, w2)
+        search = weakref.ref(vars(out)["certificate"].args[0])  # the successor function
+        assert search() is not None
+        cert = out.certificate
+        assert search() is None and vars(out)["certificate"] is cert
+        out = accepts_lasso_pair(r_automaton(), w1, w2)
+        search = weakref.ref(vars(out)["certificate"].args[0])
+        del out
+        assert search() is None
+    finally:
+        gc.enable()
+
+
+def test_outcomes_keep_their_value_semantics():
+    n = 45
+    pairs = [
+        (r_automaton(), lasso("A0|1A"), lasso("0|A01")),
+        (automaton_T(), LassoWord("A0", "0" * 22 + "A" + "1" * 23), LassoWord("", "0" * n + "A")),
+        (c_automaton(4), LassoWord("A", "A" + "0" * n + "A" + "0" * (n - 1)),
+         LassoWord("A", "A" + "0" * (n - 1) + "A" + "0" * n)),
+    ]
+    rng = random.Random(67)
+    while len(pairs) < 503:
+        aut = random_two_tape(rng)
+        w1, w2 = random_lasso(rng, "01", 2, 2), random_lasso(rng, "01", 2, 2)
+        if accepted(aut, w1, w2):
+            pairs.append((aut, w1, w2))
+    for aut, w1, w2 in pairs:
+        first, second, third, fourth = (accepts_lasso_pair(aut, w1, w2) for _ in range(4))
+        assert first.verdict is Verdict.ACCEPTED
+        # hash, ==, repr and pickling each build an unread certificate
+        assert hash(first) == hash(second) and first == second == third
+        assert repr(third) == repr(first)
+        assert pickle.loads(pickle.dumps(fourth)) == first
+        assert f"stem={first.certificate.stem!r}, cycle={first.certificate.cycle!r}" in repr(first)
+        assert dataclasses.replace(third, stats=None) == first
+    rejected = accepts_lasso_pair(c_automaton(4), *[LassoWord("A", "A01")] * 2)
+    assert rejected.verdict is Verdict.REJECTED and rejected.certificate is None
+    assert rejected == dataclasses.replace(rejected) and "certificate=None" in repr(rejected)
+    searched = bounded_run_search(automaton_T(), encode_h(GridWord.zero()), alpha(), 100)
+    assert searched.verdict is Verdict.INCONCLUSIVE and searched.certificate is None
 
 
 # -- bounded search ------------------------------------------------------------
