@@ -26,23 +26,25 @@ Runs on one state's self-loops become macro edges, in the manner of
 Boigelot's meta-transitions (1998), which FAST (Bardin, Finkel, Leroux
 and Petrucci, 2003) applies to counter loops; on single-letter loops
 they are sound because the loops on the two tapes commute, as in
-Godefroid's partial-order methods (1996).  A final state (accepting,
-with a self-loop for every letter of both periods) turns: once the rest
-of each lasso prefix reads on its loops, one edge carrying all three
-marks reads that rest, and at the start of both periods the same edge is
-a self-loop once round each, which the search closes at once.  A corner-only state loops on letters L1 of tape 1
-and L2 of tape 2 and has no other transition that can fire before both
-tapes reach a letter outside its loops.  Its loops sweep a rectangle of
-configurations, and the search crosses it in one edge to the rectangle's
-corner, the first positions whose letters are outside L1 and L2, so a
-pair of long blocks costs one edge instead of the product of their
-lengths.  A lockstep state loops on (a, b), one letter on each tape, for
-every a in L1 and b in L2, and each of its other transitions is inert
-inside that run: the first letter it can read on tape 1 is outside L1,
-or the first on tape 2 is outside L2, found by a least fixpoint over
-the transitions.  The search crosses the diagonal run in one edge to
-where the first of the two tapes leaves its letters, so two blocks
-compared letter against letter cost one edge instead of one per letter.
+Godefroid's partial-order methods (1996).  A corner-only state loops on
+letters L1 of tape 1 and L2 of tape 2 and has no other transition that
+can fire before both tapes reach a letter outside its loops.  Its loops
+sweep a rectangle of configurations, and the search crosses it in one
+edge to the rectangle's corner, the first positions whose letters are
+outside L1 and L2, so a pair of long blocks costs one edge instead of
+the product of their lengths.  A final state (accepting, with a
+self-loop for every letter of both periods) takes the same edge where
+its corner lies at infinity: once the rest of each lasso prefix reads on
+its loops, one edge carrying all three marks reads that rest, and at the
+start of both periods the same edge is a self-loop once round each,
+which the search closes at once.  A lockstep state loops on (a, b), one
+letter on each tape, for every a in L1 and b in L2, and each of its
+other transitions is inert inside that run: the first letter it can
+read on tape 1 is outside L1, or the first on tape 2 is outside L2,
+found by a least fixpoint over the transitions.  The search crosses the
+diagonal run in one edge to where the first of the two tapes leaves its
+letters, so two blocks compared letter against letter cost one edge
+instead of one per letter.
 
 The certificate is the search stack plus a cycle rebuilt inside the
 component from the visited configurations, with every macro edge
@@ -409,9 +411,9 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     marks, transition); per component with a cycle through an accepting
     state, its state ids and the letters its internal edges read on each
     tape (``tails``); the loop summary; the reverse edges, target id -> the
-    source ids of its rows; the lockstep summary; a memo of
-    ``_outside``'s searches; and a memo of ``_liveness``'s per-pair
-    results.
+    source ids of its rows; the lockstep summary; a memo of the searches
+    for a letter outside a set of loop letters, by those letters; and a
+    memo of ``_liveness``'s per-pair results.
 
     The loop summary holds the states with one-letter self-loops (a, "")
     for a in L1 and ("", b) for b in L2, L1 and L2 both non-empty: id ->
@@ -620,25 +622,14 @@ def accepts_lasso_pair(
     into it; it stops as soon as a root holds all three.  It is complete
     whatever the order.
 
-    Three kinds of macro edge stand for runs on one state's self-loops,
-    and a certificate that uses one expands it into those loops.  Turns
-    and rectangle jumps run on the single-letter loops of the loop summary
-    of ``_compile_automaton``, expanded tape 1 first, then tape 2; lockstep
+    Two kinds of macro edge stand for runs on one state's self-loops, and
+    a certificate that uses one expands it into those loops.  Corner
+    jumps run on the single-letter loops of the loop summary of
+    ``_compile_automaton``, expanded tape 1 first, then tape 2; lockstep
     jumps run on the pair loops of its lockstep summary, expanded pair by
     pair.
 
-    A final state (``_liveness``: accepting, with a self-loop for every
-    letter of both periods) turns.  From (q, p1, p2) where the rest of
-    each lasso prefix reads on q's loops, its first successor is the macro
-    edge to (q, max(p1, lp1), max(p2, lp2)), lpi the length of prefix i,
-    marked with all three marks.  Inside both periods that edge is a
-    self-loop, once round each period, which the search closes as soon as
-    it tries it; from a prefix position it reads the rest of each prefix
-    and lies on no cycle, since no configuration goes back into a prefix.
-    So a discovered final configuration accepts at once, whatever q's other
-    transitions.
-
-    A corner-only state (the loop summary again) takes rectangle jumps
+    A corner-only state (the loop summary again) takes corner jumps
     instead of its loops.  From (q, p1, p2) the one successor is the macro
     edge to (q, r1, r2), where ri is the first position from pi on, wrapping
     in the period, whose letter is outside q's tape-i loop letters; it
@@ -646,12 +637,20 @@ def accepts_lasso_pair(
     accepting.  At the corner itself only q's other transitions fire, and no
     other configuration of the rectangle can fire them, so the jump keeps
     reachability among the remaining configurations and every fair cycle.
-    Where some ri does not exist the configuration is a dead end: its tape i
-    reads on the loops forever, so no run leaves q, and one that stays is
-    fair only if both tapes do and q accepts, which makes q final and the
-    configuration one that turns instead.  The table of the turn is built
-    per state on its first expansion; r1 is found once per head and r2 per
-    configuration (``_run_length``).
+    Where some ri does not exist, tape i reads on the loops forever and no
+    run leaves q; one that stays is fair only if both tapes do and q
+    accepts, which makes q final (``_liveness``: accepting, with a
+    self-loop for every letter of both periods).  There the corner lies at
+    infinity, and a final state takes that jump, corner-only or not: from
+    (q, p1, p2) where the rest of each lasso prefix reads on q's loops,
+    its first successor is the macro edge to (q, max(p1, lp1), max(p2,
+    lp2)), lpi the length of prefix i, marked with all three marks.
+    Inside both periods that edge is a self-loop, once round each period,
+    which the search closes as soon as it tries it; from a prefix position
+    it reads the rest of each prefix and lies on no cycle, since no
+    configuration goes back into a prefix.  So a discovered final
+    configuration accepts at once, whatever q's other transitions.  Any
+    other configuration without r1 or r2 is a dead end.
 
     A lockstep state (the lockstep summary: a pair loop (a, b) for every a
     in L1 and b in L2, and every other transition inert) takes lockstep
@@ -667,8 +666,8 @@ def accepts_lasso_pair(
     tape-2 read misses L2, so a run that takes it can never read that tape
     again, and neither can any configuration it reaches, which thus lies on
     no fair cycle.  q's single-letter loops, if it has any, are such
-    transitions too, so they read no letter of L1 or L2, and q's turn or
-    rectangle jump never starts inside the run.  So inside the diagonal
+    transitions too, so they read no letter of L1 or L2, and q's corner
+    jump never starts inside the run.  So inside the diagonal
     run each configuration has one useful successor, the next one along
     it, and the jump keeps reachability among the remaining
     configurations and every fair cycle.
@@ -677,15 +676,16 @@ def accepts_lasso_pair(
     leaves its letters (d1 = d2 = inf) q steps along its loops: the
     diagonal would cycle only after lcm(periods) letters.
 
-    Both jumps find their run ends where they need them, with no table
+    Both kinds find their run ends where they need them, with no table
     per word: d1 once per head, d2 at each configuration, each by one
-    search for a letter outside the loop letters (``_outside``, compiled
-    once per letter set and automaton), wrapping in the period.  A search
-    passes only the letters the run reads, so a jump costs the letters it
-    crosses, scanned in C.  Whether a period ever leaves the letters is
-    found once per state and call, so a run that never ends costs no
-    search from a period position, and the rest of the prefix from a
-    prefix position.
+    search for a letter outside the loop letters (compiled once per letter
+    set and automaton), wrapping in the period (``_run_length``).  A
+    search passes only the letters the run reads, so a jump costs the
+    letters it crosses, scanned in C.  The position from which a tape
+    reads on the loops forever, if it does, is found once per state and
+    call, so a run that never ends costs no search, and a final state
+    that is not corner-only tests at each head whether it can turn, and
+    at each configuration whether it does, without one.
 
     Accepted verdicts carry a replayable stem-plus-cycle certificate,
     built on the first read of ``certificate`` and stored: until then the
@@ -696,9 +696,10 @@ def accepts_lasso_pair(
     stem follows the DFS stack to the root of the accepting component, and
     the cycle is stitched from breadth-first paths inside it, over visited
     configurations only, that pick up each mark in turn and return to the
-    root.  After a final configuration the stem ends with the rest of each
-    prefix, and the cycle is the turn: one turn of the tape-1 period, then
-    of the tape-2 period.
+    root.  After a final configuration the stem ends with the jump that
+    reads the rest of each prefix, and the cycle is the self-loop at the
+    corner at infinity: once round the tape-1 period, then the tape-2
+    period.
     """
     aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
     aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
@@ -715,71 +716,69 @@ def accepts_lasso_pair(
         tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
     text1, text2 = w1.prefix + w1.period, w2.prefix + w2.period
     lp1, lp2 = len(w1.prefix), len(w2.prefix)
-    turns: dict[int, tuple] = {}  # per final state: first tape-1 position of its turn, tape-2 table
     ends: dict[tuple, tuple] = {}  # per state and kind of jump: see jump_at
 
-    def jump_at(q: int, p1: int, lock: bool) -> tuple:
+    def run_end(letters: Collection[str], w: LassoWord) -> tuple[Callable, int | None]:
+        """The search for a letter outside one tape's loop letters,
+        compiled once per letter set and automaton, and the position from
+        which the tape reads on them forever, None where its period leaves
+        them."""
+        letters = frozenset(letters)
+        if letters not in outside:
+            outside[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").search
+        chars = "".join(letters)
+        return outside[letters], None if w.period.strip(chars) else len(w.prefix.rstrip(chars))
+
+    def jump_at(q: int, p1: int, lock: bool) -> tuple | None:
         """q's lockstep jump (lock) or corner jump from tape-1 position p1:
         the letters d1 that tape 1 reads on q's loops from there, the
-        search for a tape-2 letter outside them, whether the tape-2 period
-        has none, ACC or 0, and lock.  The searches and the periods' test
-        are found once per state and call."""
+        search and start of ``run_end`` for tape 2, ACC or 0, and lock.
+        None where q has no jump from p1: a final state that is not
+        corner-only jumps only to its turn, from where tape 1 reads on its
+        loops forever, and a state that is not final jumps nowhere from
+        there.  The searches and starts are found once per state and
+        call."""
         key = q, lock
         if key not in ends:
             if lock:
                 l1, l2, _, acc = lockstep[q]
             else:
                 l1, l2, acc, _ = loops[q]
-                l1, l2 = frozenset(l1), frozenset(l2)
-            ends[key] = (_outside(outside, l1), l1.issuperset(w1.period),
-                         _outside(outside, l2), l2.issuperset(w2.period), acc)
-        search1, stays1, search2, stays2, acc = ends[key]
-        return _run_length(search1, text1, lp1, p1, stays1), search2, stays2, acc, lock
+            ends[key] = *run_end(l1, w1), *run_end(l2, w2), acc, not (lock or loops[q][3])
+        search1, start1, search2, start2, acc, turn_only = ends[key]
+        if turn_only and p1 < start1:
+            return None
+        d1 = _run_length(search1, text1, lp1, p1, start1)
+        if d1 == inf and not lock and q not in final:
+            return None
+        return d1, search2, start2, acc, lock
 
     # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
     # successors come from the rows of its head q * n1 + p1, built on
     # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, and the transition, or None for a turn.  The head of a
-    # corner-only state, or of a lockstep state whose tape-1 letter its
-    # pair loops read, holds (rows, jumps) instead, its jumps tried first;
-    # where a lockstep jump jumps, it is the only successor.
+    # position 0, and the transition.  The head of a corner-only state, of
+    # a final state from where tape 1 reads on its loops forever, or of a
+    # lockstep state whose tape-1 letter its pair loops read, holds (rows,
+    # jumps) instead, its jumps tried first; where a lockstep jump jumps,
+    # it is the only successor.
     heads: list = [None] * (len(rows) * n1)
 
     def head_rows(head: int) -> list[tuple] | tuple[list[tuple], tuple]:
         q, p1 = divmod(head, n1)
-        turn = []
-        if q in final:
-            # From where the rest of each prefix reads on the loops, one
-            # macro edge reads it and goes on to both periods' starts, or
-            # once round both periods from there: a self-loop marked _ALL.
-            l1, l2, _, corner_only = loops[q]
-            if q not in turns:
-                start2 = len(w2.prefix.rstrip("".join(l2)))
-                turns[q] = len(w1.prefix.rstrip("".join(l1))), [-1] * start2 + [
-                    max(p, lp2) << 3 for p in range(start2, n2)
-                ]
-            start1, turn2 = turns[q]
-            if p1 >= start1:
-                turn = [(turn2, ((q * n1 + max(p1, lp1)) * n2) << 3 | _ALL, None)]
-                if corner_only:  # tape 1 never leaves the loops
-                    return turn
-        rs = turn + [
+        rs = [
             (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
             for a, b, d, m, t in rows[q]
             if tabs1[a][p1] >= 0 and live[d]
         ]
         jumps = ()
-        if q in loops and loops[q][3]:
-            # A corner-only state's loops give way to one macro edge to the
-            # corner of their rectangle.  Its other rows, which read on both
-            # tapes, match only at the corner.
-            jumps = (jump_at(q, p1, False),)
-            if jumps[0][0] == inf:  # tape 1 reads on the loops forever: a dead end
-                return []
-            rs = [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
-        # Neither return above leaves a lockstep jump out: there tape 1's
-        # next letter is on single-letter loops, and those of a lockstep
-        # state read no letter of its L1.
+        if q in final or q in loops and loops[q][3]:
+            corner = jump_at(q, p1, False)
+            jumps = (corner,) if corner else ()
+            if loops[q][3]:
+                # A corner-only state's loops give way to one macro edge to
+                # the corner of their rectangle.  Its other rows, which read
+                # on both tapes, match only at the corner.
+                rs = [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
         if q in lockstep:
             diagonal = jump_at(q, p1, True)
             if diagonal[0]:
@@ -790,16 +789,26 @@ def accepts_lasso_pair(
         """The successor code of a jump of ``jump_at`` from (head, p2),
         and the letters it reads on each tape; (0, 0, 0) where it does not
         jump.  A lockstep jump reads k = min(d1, d2) letters on both
-        tapes; a corner jump d1 on tape 1 and d2 on tape 2.  Where a tape
-        reads on the loops forever neither jumps, nor where neither tape
-        moves."""
-        d1, search2, stays2, acc, lock = jump
-        d2 = _run_length(search2, text2, lp2, p2, stays2)
+        tapes; a corner jump d1 on tape 1 and d2 on tape 2.  Where both
+        tapes read on a final state's loops forever the corner lies at
+        infinity: the jump is the turn, marked with all three marks, which
+        reads the rest of each prefix, or once round both periods from
+        inside both.  Otherwise no jump where a tape reads on the loops
+        forever, nor where neither tape moves."""
+        d1, search2, start2, acc, lock = jump
+        q, p1 = divmod(head, n1)
+        if d1 == inf and not lock:  # a final state's turn, once tape 2 too reads on its loops
+            if p2 < start2:
+                return 0, 0, 0
+            code = ((q * n1 + max(p1, lp1)) * n2 + max(p2, lp2)) << 3 | _ALL
+            if p1 < lp1 or p2 < lp2:
+                return code, max(lp1 - p1, 0), max(lp2 - p2, 0)
+            return code, n1 - lp1, n2 - lp2
+        d2 = _run_length(search2, text2, lp2, p2, start2)
         if lock:
             d1 = d2 = min(d1, d2)
         if d2 == inf or not (d1 or d2):
             return 0, 0, 0
-        q, p1 = divmod(head, n1)
         target = (q * n1 + _advance(p1, d1, n1, lp1)) * n2 + _advance(p2, d2, n2, lp2)
         return target << 3 | (T1 if d1 else 0) | (T2 if d2 else 0) | acc, d1, d2
 
@@ -841,15 +850,7 @@ def accepts_lasso_pair(
                         return [lockstep[q][2][ab] for ab in zip(read1, read2)]
                     loops1, loops2 = loops[q][:2]
                     return [loops1[a] for a in read1] + [loops2[b] for b in read2]
-        t = next(t for tab2, base, t in rs if tab2[p2] >= 0 and base + tab2[p2] == code)
-        if t is not None:
-            return [t]
-        loops1, loops2 = loops[q][:2]
-        if code >> 3 == c:  # a turn inside both periods: once round each
-            read1, read2 = text1[p1:] + text1[lp1:p1], text2[p2:] + text2[lp2:p2]
-        else:  # the rest of each prefix
-            read1, read2 = text1[p1:lp1], text2[p2:lp2]
-        return [loops1[a] for a in read1] + [loops2[b] for b in read2]
+        return [next(t for tab2, base, t in rs if tab2[p2] >= 0 and base + tab2[p2] == code)]
 
     start = initial * n1 * n2
     number = {start: 1}  # DFS number per visited configuration; 0 once its component closed
@@ -898,27 +899,14 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _outside(searches: dict, letters: frozenset) -> Callable:
-    """The ``search`` of a pattern for one letter outside letters (the
-    loop letters of one tape of a corner-only or lockstep state),
-    memoised in searches."""
-    if letters not in searches:
-        searches[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").search
-    return searches[letters]
-
-
-def _run_length(search: Callable, text: str, lp: int, p: int, stays: bool) -> float:
+def _run_length(search: Callable, text: str, lp: int, p: int, start: int | None) -> float:
     """How many letters are read from position p of a normal form's text
     on, wrapping in its period text[lp:], before the first letter that
-    search finds (one outside some loop's letters); inf where none comes.
-    stays says that the period has no such letter.  The search passes the
-    letters counted and no more, except from a prefix position where none
-    comes: then it passes the rest of the prefix."""
-    if stays:
-        if p >= lp:
-            return inf
-        m = search(text, p, lp)
-        return inf if m is None else m.start() - p
+    search finds (one outside some loop's letters); inf where none comes,
+    that is from position start on, where start is not None.  The search
+    passes the letters counted and no more."""
+    if start is not None and p >= start:
+        return inf
     m = search(text, p)
     if m is None:  # none before the end: wrap to the period's first
         return search(text, lp).start() - p + len(text) - lp

@@ -446,17 +446,27 @@ def test_planted_terminal_sweep_matches_nested_dfs():
 
 
 def test_terminal_state_reached_inside_prefixes():
-    # C3 reaches hot after one tape-2 letter, with all of "A01" still ahead on tape 1
-    w1, w2 = lasso("A01|0"), lasso("10|A")
-    out = accepts_lasso_pair(c_automaton(3), w1, w2)
-    assert out.verdict is Verdict.ACCEPTED
-    stem, cycle = out.certificate.stem, out.certificate.cycle
-    assert stem.transitions == (
-        T("scan", "", "1", "hot"), T("hot", "A", "", "hot"), T("hot", "0", "", "hot"),
-        T("hot", "1", "", "hot"), T("hot", "", "0", "hot"),
-    )
-    assert cycle.transitions == (T("hot", "0", "", "hot"), T("hot", "", "A", "hot"))
-    assert_fair_certificate(c_automaton(3), out, w1, w2)
+    # C3 reaches hot, a final state, after one tape-2 letter.  The turn
+    # reads the rest of each prefix and nothing of a period one tape is
+    # already in; the cycle then goes once round both periods.  Each of
+    # hot's loops is written as its tape-1 label / its tape-2 label.
+    cases = [
+        # all of "A01" still ahead on tape 1, "0" on tape 2
+        ("A01|0", "10|A", "A/ 0/ 1/ /0", "0/ /A"),
+        # tape 1 in its prefix, tape 2 at the start of its period
+        ("A01|0", "1|A", "A/ 0/ 1/", "0/ /A"),
+        ("0A|1", "1|0A", "0/ A/", "1/ /0 /A"),
+        # tape 1 at the start of its period, tape 2 in its prefix
+        ("|A0", "10A|0", "/0 /A", "A/ 0/ /0"),
+    ]
+    for w1, w2, stem, cycle in cases:
+        out = accepts_lasso_pair(c_automaton(3), lasso(w1), lasso(w2))
+        assert out.verdict is Verdict.ACCEPTED
+        loops = [T("hot", *label.split("/"), "hot") for label in (stem + " " + cycle).split()]
+        k = len(stem.split())
+        assert out.certificate.stem.transitions == (T("scan", "", "1", "hot"), *loops[:k]), w1
+        assert out.certificate.cycle.transitions == tuple(loops[k:]), w1
+        assert_fair_certificate(c_automaton(3), out, lasso(w1), lasso(w2))
 
 
 def test_initial_terminal_state_accepts_at_once():
@@ -844,10 +854,12 @@ def test_corner_only_states_of_reference_automata():
 
 def run_lengths(w: LassoWord, letters: str) -> list:
     """``_run_length`` at every position of the normal form of w, for a
-    search that finds the letters outside letters."""
+    search that finds the letters outside letters and the start from
+    which w reads on letters forever (None where its period leaves them)."""
     w, search = w.normal(), re.compile(f"[^{letters}]").search
-    text, stays = w.prefix + w.period, set(w.period) <= set(letters)
-    return [_run_length(search, text, len(w.prefix), p, stays) for p in range(len(text))]
+    start = len(w.prefix.rstrip(letters)) if set(w.period) <= set(letters) else None
+    text = w.prefix + w.period
+    return [_run_length(search, text, len(w.prefix), p, start) for p in range(len(text))]
 
 
 def test_next_outside_wraps_in_the_period():
@@ -857,6 +869,9 @@ def test_next_outside_wraps_in_the_period():
     assert run_lengths(LassoWord("1", "0"), "0") == [0, math.inf]
     # the period never leaves the letters, and the prefix does at A only
     assert run_lengths(LassoWord("A1", "0"), "01") == [0, math.inf, math.inf]
+    # the endless run starts inside the prefix, after its last outside letter
+    assert LassoWord("A1A10", "0").normal() == LassoWord("A1A1", "0")
+    assert run_lengths(LassoWord("A1A10", "0"), "01") == [0, 1, 0, math.inf, math.inf]
     # against the letters read one by one, up to the end of the second period
     rng = random.Random(23)
     for _ in range(300):
