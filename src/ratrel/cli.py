@@ -141,10 +141,6 @@ def cmd_member(args) -> int:
 def cmd_search(args) -> int:
     aut = _load_two_tape(args, default="R")
     x = _load_grid(args.grid)
-    # the letters of both words, checked as member checks a pair: a mismatch is bad input
-    letters = {"A"}.union(*(column.letters() for column in x.columns()))
-    aut.sigma1.check_word("".join(sorted(letters)), "coded grid with letters")
-    aut.sigma2.check_word("0A", "alpha with letters")
     outcome = bounded_run_search(aut, encode_h(x), alpha(), args.budget)
     stats = dataclasses.asdict(outcome.stats)
     if args.json:

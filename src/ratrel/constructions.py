@@ -411,12 +411,6 @@ def _conforming_opening(w: OmegaWord) -> bool:
     return all(ch in allowed for ch, allowed in zip(w.prefix_of(len(OPENING)), OPENING))
 
 
-def _contains_one(w: OmegaWord) -> bool:
-    if isinstance(w, LassoWord):
-        return "1" in w.letters()
-    return any("1" in col.letters() for col in w.h_source.columns())
-
-
 def _exists_block_mismatch(w1: OmegaWord, w2: OmegaWord, off1: int, off2: int, delta: int) -> bool:
     """Whether some n >= 1 has blocks n+off1 of w1 and n+off2 of w2 with L1 != L2 + delta.
 
@@ -449,7 +443,7 @@ def c_condition_holds(j: int, w1: OmegaWord, w2: OmegaWord) -> bool:
     if j == 2:
         return not _conforming_opening(w1) or not _conforming_opening(w2)
     if j == 3:
-        return _contains_one(w2)
+        return "1" in w2.letters()
     if j in (4, 5):
         off1, delta = (1, 0) if j == 4 else (2, 1)
         mismatch = _exists_block_mismatch(w1, w2, off1, 1, delta)

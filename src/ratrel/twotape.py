@@ -41,10 +41,10 @@ which the search closes at once.  A lockstep state loops on (a, b), one
 letter on each tape, for every a in L1 and b in L2, and each of its
 other transitions is inert inside that run: the first letter it can
 read on tape 1 is outside L1, or the first on tape 2 is outside L2,
-found by a least fixpoint over the transitions.  The search crosses the
-diagonal run in one edge to where the first of the two tapes leaves its
-letters, so two blocks compared letter against letter cost one edge
-instead of one per letter.
+found through the transitions that read nothing on that tape.  The
+search crosses the diagonal run in one edge to where the first of the
+two tapes leaves its letters, so two blocks compared letter against
+letter cost one edge instead of one per letter.
 
 The certificate is the search stack plus a cycle rebuilt inside the
 component from the visited configurations, with every macro edge
@@ -431,10 +431,11 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     transitions are all inert inside the loops' run: id -> (L1, L2, the
     pair loops by (a, b), ACC if accepting else 0).  A transition is inert
     when its first tape-1 read misses L1 or its first tape-2 read misses
-    L2, the first read of a tape being the transition's own first letter
-    there, or, where its label on that tape is empty, any first read of
-    that tape from its target (``_first_reads``).  The guards are computed
-    only for automata with a candidate state, and only as far as needed.
+    L2 (``guard``), the first read of a tape being the transition's own
+    first letter there, or, where its label on that tape is empty, the
+    first letter there of any row from a state that its target reaches
+    along rows silent on that tape (a ``_closure``).  Those rows are
+    gathered per tape only once a guard needs them.
     """
     names = dict.fromkeys(
         (*aut.states, aut.initial, *(x for t in aut.transitions for x in (t.src, t.dst)))
@@ -455,7 +456,17 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     tails: dict[int, tuple[set, set, set]] = {}
     loops: dict[int, tuple] = {}
     back: dict[int, list[int]] = {}
-    candidates: dict[int, tuple] = {}  # states whose pair loops cover L1 x L2
+    lockstep: dict[int, tuple] = {}
+    silent: dict[int, dict] = {}  # per tape: source id -> targets of its rows silent there
+
+    def guard(t: TwoTapeTransition, tape: int) -> Collection[str]:
+        if t[tape]:
+            return t[tape][0]
+        if tape not in silent:
+            silent[tape] = {q: [row[2] for row in rs if not row[4][tape]] for q, rs in enumerate(rows)}
+        return {row[4][tape][0] for r in _closure([ids[t.dst]], silent[tape]) for row in rows[r]
+                if row[4][tape]}
+
     for q, rs in enumerate(rows):
         c = comp[q]
         loops1, loops2, pairs, exits, acc = {}, {}, {}, [], 0
@@ -483,53 +494,13 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
             )
         if pairs:
             l1, l2 = {a for a, _ in pairs}, {b for _, b in pairs}
-            if len(pairs) == len(l1) * len(l2):
-                candidates[q] = frozenset(l1), frozenset(l2), pairs, acc
-    lockstep = _inert_exits(rows, ids, candidates) if candidates else {}
+            if len(pairs) == len(l1) * len(l2) and all(
+                l1.isdisjoint(guard(t, 1)) or l2.isdisjoint(guard(t, 2))
+                for *_, t in rs if t not in pairs.values()
+            ):
+                lockstep[q] = frozenset(l1), frozenset(l2), pairs, acc
     return _Compiled(ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, back,
                      lockstep, {}, {})
-
-
-def _inert_exits(rows: list[list[tuple]], ids: dict, candidates: dict) -> dict:
-    """The candidates, id -> (L1, L2, pair loops, ACC or 0), each of whose
-    rows other than its pair loops has a first tape-1 read outside L1 or
-    a first tape-2 read outside L2; ``_first_reads`` runs per tape only
-    once a label empty on that tape needs it."""
-    first: dict[int, list[set]] = {}
-
-    def guard(t: TwoTapeTransition, tape: int) -> Collection[str]:
-        if t[tape]:
-            return t[tape][0]
-        if tape not in first:
-            first[tape] = _first_reads(rows, tape)
-        return first[tape][ids[t.dst]]
-
-    return {q: (l1, l2, pairs, acc) for q, (l1, l2, pairs, acc) in candidates.items()
-            if all(l1.isdisjoint(guard(t, 1)) or l2.isdisjoint(guard(t, 2))
-                   for *_, t in rows[q] if t not in pairs.values())}
-
-
-def _first_reads(rows: list[list[tuple]], tape: int) -> list[set]:
-    """Per state id, the letters that the first read of the given tape (1
-    or 2) can be on a path from that state: the least fixpoint of
-    first(q) = the first letters of q's non-empty tape labels, with
-    first(d) for each of q's rows whose label on the tape is empty."""
-    first: list[set] = [set() for _ in rows]
-    silent: dict[int, list[int]] = {}  # target -> sources of rows silent on the tape
-    for q, rs in enumerate(rows):
-        for _, _, d, _, t in rs:
-            if t[tape]:
-                first[q].add(t[tape][0])
-            else:
-                silent.setdefault(d, []).append(q)
-    todo = [d for d in silent if first[d]]
-    while todo:
-        d = todo.pop()
-        for q in silent.get(d, ()):
-            if not first[d] <= first[q]:
-                first[q] |= first[d]
-                todo.append(q)
-    return first
 
 
 def _liveness(compiled: _Compiled, w1: LassoWord, w2: LassoWord) -> tuple | None:
@@ -701,8 +672,8 @@ def accepts_lasso_pair(
     corner at infinity: once round the tape-1 period, then the tape-2
     period.
     """
-    aut.sigma1.check_word(w1.prefix + w1.period, "tape-1 word")
-    aut.sigma2.check_word(w2.prefix + w2.period, "tape-2 word")
+    aut.sigma1.check_word(w1.letters(), "tape-1 word")
+    aut.sigma2.check_word(w2.letters(), "tape-2 word")
     w1, w2 = w1.normal(), w2.normal()
     compiled = aut._compiled
     analysis = _liveness(compiled, w1, w2)
@@ -1006,8 +977,11 @@ def bounded_run_search(
     by state and next letter on each tape; only labels longer than one
     letter are compared, by ``str.startswith`` on one text per word,
     reread by ``_text_reader`` whenever a position nears its end by a
-    label length.
+    label length.  Words with a letter outside the tape alphabets raise
+    ``AlphabetMismatch``, as in ``accepts_lasso_pair``.
     """
+    aut.sigma1.check_word(w1.letters(), "tape-1 word")
+    aut.sigma2.check_word(w2.letters(), "tape-2 word")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     c = aut._compiled

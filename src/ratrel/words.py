@@ -181,6 +181,11 @@ class BlockWord:
             raise ValueError("prefix length must be >= 0")
         return self._text(n)[:n]
 
+    def letters(self) -> str:
+        """All letters occurring in the word, sorted: A and the letters of
+        its grid's column descriptions."""
+        return "".join(sorted({"A"}.union(*(col.letters() for col in self.h_source.columns()))))
+
 
 OmegaWord = Union[LassoWord, BlockWord]
 

@@ -18,7 +18,6 @@ from ratrel.constructions import alpha, automaton_T, c_automaton, r2_automaton, 
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
     _advance,
-    _first_reads,
     _liveness,
     _run_length,
     AlphabetMismatch,
@@ -43,7 +42,7 @@ from ratrel.verify import (
     random_lasso,
     random_two_tape,
 )
-from ratrel.words import BINARY, GAMMA, LassoWord
+from ratrel.words import BINARY, GAMMA, Alphabet, LassoWord
 
 from oracles import reference_bounded_search
 from util import accepted, all_binary_lassos, lasso, random_gamma_lasso
@@ -820,10 +819,6 @@ def test_compiled_loop_summary_matches_one_recomputed_by_name():
             got[q] = set(l1), set(l2), bool(acc)
         by_name = lockstep_by_name(aut)
         assert got == {q: v[:3] for q, v in by_name.items() if v[3]}, aut
-        for tape in (1, 2):  # the guards' fixpoint, against a walk per state
-            first = _first_reads(aut._compiled.rows, tape)
-            assert all(first[i] == first_reads_by_walk(aut, q, tape)
-                       for i, q in enumerate(aut.states)), aut
         lockstep += len(got)
         held_back += len(by_name) - len(got)
     assert lockstep > 250 and held_back > 100, (lockstep, held_back)
@@ -1137,6 +1132,46 @@ def test_lockstep_jumps_wrap_in_both_periods_at_period_400():
     assert verdicts == [True, True, False, False, True, False, True, False]
 
 
+SILENT_WAYS = {
+    # three steps silent on both tapes, then the first reads
+    "chain": (T("q", "", "", "s1"), T("s1", "", "", "s2"), T("s2", "", "", "s3")),
+    # a cycle silent on both tapes
+    "cycle": (T("q", "", "", "s1"), T("s1", "", "", "s3"), T("s3", "", "", "s1")),
+    # a cycle silent on tape 2 only, which reads 0 and 1 on tape 1
+    "tape-2 cycle": (T("q", "", "", "s1"), T("s1", "0", "", "s3"), T("s3", "1", "", "s1")),
+}
+
+
+@pytest.mark.parametrize("read2, inert", [("A", True), ("0", False)])
+@pytest.mark.parametrize("way", SILENT_WAYS)
+def test_lockstep_guard_follows_silent_chains_and_cycles(way, read2, inert):
+    # q compares {0,1} against {0}; its one exit reaches the first reads,
+    # (0, read2) into the final state f, only through rows silent on a tape:
+    # an A on tape 2 leaves q's letters, so q stays lockstep, while 0 on
+    # both tapes fires inside its run and keeps it out
+    loops = tuple(T("f", a, "", "f") for a in "01A") + tuple(T("f", "", b, "f") for b in "01A")
+    aut = TwoTapeAutomaton(
+        ("q", "s1", "s2", "s3", "f"), GAMMA, GAMMA,
+        (T("q", "0", "0", "q"), T("q", "1", "0", "q"), *SILENT_WAYS[way],
+         T("s3", "0", read2, "f"), *loops),
+        "q", frozenset({"f"}),
+    )
+    assert lockstep_by_name(aut)["q"] == ({"0", "1"}, {"0"}, False, inert)
+    assert lockstep_states(aut) == ({"q"} if inert else set())
+    rng = random.Random(37)
+    texts = [("|0", "000A|0"), ("|01", "|0"), ("0|1", "0A|0"), ("|10", "00|0A")]
+    pairs = [(lasso(a), lasso(b)) for a, b in texts]
+    pairs += [(random_lasso(rng, "0001A", 3, 4), random_lasso(rng, "000A", 3, 4)) for _ in range(30)]
+    verdicts = []
+    for w1, w2 in pairs:
+        out = accepts_lasso_pair(aut, w1, w2)
+        verdicts.append(out.verdict is Verdict.ACCEPTED)
+        assert verdicts[-1] == nested_dfs_accepts_pair(aut, w1, w2), (w1, w2)
+        if verdicts[-1]:
+            assert_fair_certificate(aut, out, w1, w2)
+    assert 3 <= sum(verdicts) <= len(verdicts) - 3, verdicts
+
+
 # -- certificates built on first read -----------------------------------------
 
 
@@ -1331,6 +1366,20 @@ def test_bounded_search_long_chains_match_reference():
         w1, budget = encode_h(random_grid(rng)), rng.randint(2000, 5000)
         out = bounded_run_search(aut, w1, alpha(), budget)
         assert out == reference_bounded_search(aut, w1, alpha(), budget), (aut, w1, budget)
+
+
+@pytest.mark.parametrize("sigma1, sigma2, columns, letter", [
+    ("01", "01A", {}, "A"),  # the separator of the coded grid
+    ("0A", "01A", {3: "01|0"}, "1"),  # a letter of one column
+    ("01A", "01", {}, "A"),  # the separator of alpha
+])
+def test_bounded_search_alphabet_mismatch(sigma1, sigma2, columns, letter):
+    # as accepts_lasso_pair, the search refuses words its alphabets miss a letter of
+    aut = TwoTapeAutomaton(("q",), Alphabet.of(sigma1), Alphabet.of(sigma2),
+                           (T("q", "0", "0", "q"),), "q", frozenset({"q"}))
+    x = GridWord(lasso("|0"), {m: lasso(c) for m, c in columns.items()})
+    with pytest.raises(AlphabetMismatch, match=f"uses letter {letter!r} not in alphabet"):
+        bounded_run_search(aut, encode_h(x), alpha(), 100)
 
 
 def test_bounded_search_no_transitions():

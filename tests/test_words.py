@@ -91,6 +91,14 @@ def test_block_word_prefix_matches_letters():
     assert all(text[n - 1] == w.letter_at(n) for n in range(1, 31))
 
 
+def test_block_word_letters_are_its_grid_columns_and_a():
+    assert alpha().letters() == "0A"
+    assert encode_h(OVERRIDDEN).letters() == "01A"
+    assert encode_h(GridWord(LassoWord("", "0"), {3: LassoWord("", "0")})).letters() == "0A"
+    text = encode_h(OVERRIDDEN).prefix_of(400)
+    assert set(text) == set(encode_h(OVERRIDDEN).letters())
+
+
 def test_block_word_requires_its_grid():
     with pytest.raises(TypeError, match="h_source"):
         BlockWord(lambda n: "0" * n)
