@@ -15,8 +15,10 @@ components, self-loop summaries and reverse edges.  A liveness analysis,
 memoised with them per letter sets of the pair, comes first: the search
 enters only live states, which reach a component able to carry an
 accepting tail over the words' letters.  The graph is explored on the
-fly, never stored: each tape is compiled into next-position tables per
-transition label, configurations are packed into ints, and one
+fly, never stored, and the tapes are read only where the search goes: a
+label's next position on a tape is found on its first read from a
+position, run ends by bisection in the positions of the letters outside
+a set of loop letters, configurations are packed into ints, and one
 Couvreur-style SCC search with three edge marks (accepting state entered,
 tape-1 letter consumed, tape-2 letter consumed), trying transitions
 towards final states first, stops at the first component that carries all
@@ -66,6 +68,7 @@ import enum
 import heapq
 import json
 import re
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
@@ -412,8 +415,8 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     state, its state ids and the letters its internal edges read on each
     tape (``tails``); the loop summary; the reverse edges, target id -> the
     source ids of its rows; the lockstep summary; a memo of the searches
-    for a letter outside a set of loop letters, by those letters; and a
-    memo of ``_liveness``'s per-pair results.
+    that iterate over the letters outside a set of loop letters, by those
+    letters; and a memo of ``_liveness``'s per-pair results.
 
     The loop summary holds the states with one-letter self-loops (a, "")
     for a in L1 and ("", b) for b in L2, L1 and L2 both non-empty: id ->
@@ -552,22 +555,6 @@ def _liveness(compiled: _Compiled, w1: LassoWord, w2: LassoWord) -> tuple | None
     return memo[key]
 
 
-def _compile_tape(w: LassoWord, labels: list[str]) -> tuple[int, list[list[int]]]:
-    """Positions of the normal form w (absolute in the prefix, phase in the
-    period) and, per label, the table of next positions, -1 where the label
-    does not match."""
-    text = w.prefix + w.period
-    n = len(text)
-    step = list(range(1, n)) + [len(w.prefix)]
-    tables = []
-    for label in labels:
-        table = list(range(n))
-        for ch in label:
-            table = [step[p] if p >= 0 and text[p] == ch else -1 for p in table]
-        tables.append(table)
-    return n, tables
-
-
 def accepts_lasso_pair(
     aut: TwoTapeAutomaton, w1: LassoWord, w2: LassoWord
 ) -> SearchOutcome:
@@ -585,9 +572,12 @@ def accepts_lasso_pair(
     live, and the search enters live states only.  A skipped configuration
     reaches no open component, so the rest are visited in the same order.
 
-    The graph is never built.  Each tape is compiled into next-position
-    tables, one per distinct label, and configurations are packed into
-    ints.  One iterative Couvreur-style DFS explores the product on the
+    The graph is never built, and the tapes are read only where the
+    search goes.  Each distinct label has a table per tape of the position
+    after reading it from each position, and an entry is filled on its
+    first read (``_read``, wrapping in the period); configurations are
+    packed into ints, and only the heads the search visits are held.  One
+    iterative Couvreur-style DFS explores the product on the
     fly, trying first the transitions nearest a final state, and keeps,
     for every root of a partial component, the marks of the edges merged
     into it; it stops as soon as a root holds all three.  It is complete
@@ -647,16 +637,18 @@ def accepts_lasso_pair(
     leaves its letters (d1 = d2 = inf) q steps along its loops: the
     diagonal would cycle only after lcm(periods) letters.
 
-    Both kinds find their run ends where they need them, with no table
-    per word: d1 once per head, d2 at each configuration, each by one
-    search for a letter outside the loop letters (compiled once per letter
-    set and automaton), wrapping in the period (``_run_length``).  A
-    search passes only the letters the run reads, so a jump costs the
-    letters it crosses, scanned in C.  The position from which a tape
-    reads on the loops forever, if it does, is found once per state and
-    call, so a run that never ends costs no search, and a final state
-    that is not corner-only tests at each head whether it can turn, and
-    at each configuration whether it does, without one.
+    Both kinds find their run ends where they need them: d1 once per
+    head, d2 at each configuration, each by bisection, wrapping in the
+    period (``_run_length``), in the sorted positions of the tape's
+    letters outside the loop letters.  That list is built on first need,
+    once per call, tape and letter set, and shared by every state with
+    those loop letters, by one pass of a search compiled once per letter
+    set and automaton.  So a jump costs two bisections at most, whatever
+    the letters it crosses, and each list passes each letter once.  The
+    position from which a tape reads on the loops forever, if it does,
+    comes with the list, so a run that never ends costs no bisection, and
+    a final state that is not corner-only tests at each head whether it
+    can turn, and at each configuration whether it does, without one.
 
     Accepted verdicts carry a replayable stem-plus-cycle certificate,
     built on the first read of ``certificate`` and stored: until then the
@@ -667,10 +659,11 @@ def accepts_lasso_pair(
     stem follows the DFS stack to the root of the accepting component, and
     the cycle is stitched from breadth-first paths inside it, over visited
     configurations only, that pick up each mark in turn and return to the
-    root.  After a final configuration the stem ends with the jump that
-    reads the rest of each prefix, and the cycle is the self-loop at the
-    corner at infinity: once round the tape-1 period, then the tape-2
-    period.
+    root.  Each edge comes with the letters a macro edge reads, so only
+    the edges of the stem and the cycle are expanded, each once.  After a
+    final configuration the stem ends with the jump that reads the rest of
+    each prefix, and the cycle is the self-loop at the corner at infinity:
+    once round the tape-1 period, then the tape-2 period.
     """
     aut.sigma1.check_word(w1.letters(), "tape-1 word")
     aut.sigma2.check_word(w2.letters(), "tape-2 word")
@@ -681,66 +674,78 @@ def accepts_lasso_pair(
         return SearchOutcome(verdict=Verdict.REJECTED)
     initial, labels1, labels2, _, _, loops, _, lockstep, outside, _ = compiled
     final, rows, live = analysis
-    n1, tabs1 = _compile_tape(w1, labels1)
-    n2, tabs2 = _compile_tape(w2, labels2)
-    for tab in tabs2:  # shift past the three mark bits of a successor code
-        tab[:] = [y << 3 if y >= 0 else -1 for y in tab]
     text1, text2 = w1.prefix + w1.period, w2.prefix + w2.period
+    n1, n2 = len(text1), len(text2)
     lp1, lp2 = len(w1.prefix), len(w2.prefix)
+    # per label, the position after reading it from each position, -2 until
+    # first read and negative where it does not match (``_read``); tape 2's
+    # shifted past the three mark bits of a successor code
+    tabs1 = [[-2] * n1 for _ in labels1]
+    tabs2 = [[-2] * n2 for _ in labels2]
+    stops: dict[tuple, tuple] = {}  # per tape and loop letters: see run_end
     ends: dict[tuple, tuple] = {}  # per state and kind of jump: see jump_at
 
-    def run_end(letters: Collection[str], w: LassoWord) -> tuple[Callable, int | None]:
-        """The search for a letter outside one tape's loop letters,
-        compiled once per letter set and automaton, and the position from
-        which the tape reads on them forever, None where its period leaves
-        them."""
+    def run_end(letters: Collection[str], tape: int) -> tuple[list[int], int | None]:
+        """The positions of one tape's text whose letters are outside a
+        state's loop letters, in order, and the position from which the
+        tape reads on them forever, None where its period leaves them.
+        Built once per call, tape and letter set, by one pass of the
+        search compiled once per letter set and automaton."""
         letters = frozenset(letters)
-        if letters not in outside:
-            outside[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").search
-        chars = "".join(letters)
-        return outside[letters], None if w.period.strip(chars) else len(w.prefix.rstrip(chars))
+        key = tape, letters
+        if key not in stops:
+            if letters not in outside:
+                outside[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").finditer
+            text, lp = (text1, lp1) if tape == 1 else (text2, lp2)
+            at = [m.start() for m in outside[letters](text)]
+            stops[key] = at, (None if at and at[-1] >= lp else at[-1] + 1 if at else 0)
+        return stops[key]
 
     def jump_at(q: int, p1: int, lock: bool) -> tuple | None:
         """q's lockstep jump (lock) or corner jump from tape-1 position p1:
         the letters d1 that tape 1 reads on q's loops from there, the
-        search and start of ``run_end`` for tape 2, ACC or 0, and lock.
-        None where q has no jump from p1: a final state that is not
-        corner-only jumps only to its turn, from where tape 1 reads on its
-        loops forever, and a state that is not final jumps nowhere from
-        there.  The searches and starts are found once per state and
-        call."""
+        ``run_end`` of tape 2, ACC or 0, and lock.  None where q has no
+        jump from p1: a final state that is not corner-only jumps only to
+        its turn, from where tape 1 reads on its loops forever, and a
+        state that is not final jumps nowhere from there.  The run ends
+        are found once per state and call."""
         key = q, lock
         if key not in ends:
             if lock:
                 l1, l2, _, acc = lockstep[q]
             else:
                 l1, l2, acc, _ = loops[q]
-            ends[key] = *run_end(l1, w1), *run_end(l2, w2), acc, not (lock or loops[q][3])
-        search1, start1, search2, start2, acc, turn_only = ends[key]
+            ends[key] = *run_end(l1, 1), *run_end(l2, 2), acc, not (lock or loops[q][3])
+        stops1, start1, stops2, start2, acc, turn_only = ends[key]
         if turn_only and p1 < start1:
             return None
-        d1 = _run_length(search1, text1, lp1, p1, start1)
+        d1 = _run_length(stops1, n1, lp1, p1, start1)
         if d1 == inf and not lock and q not in final:
             return None
-        return d1, search2, start2, acc, lock
+        return d1, stops2, start2, acc, lock
 
     # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
     # successors come from the rows of its head q * n1 + p1, built on
     # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, and the transition.  The head of a corner-only state, of
-    # a final state from where tape 1 reads on its loops forever, or of a
-    # lockstep state whose tape-1 letter its pair loops read, holds (rows,
-    # jumps) instead, its jumps tried first; where a lockstep jump jumps,
-    # it is the only successor.
-    heads: list = [None] * (len(rows) * n1)
+    # position 0, the tape-2 label and the transition.  The head of a
+    # corner-only state, of a final state from where tape 1 reads on its
+    # loops forever, or of a lockstep state whose tape-1 letter its pair
+    # loops read, holds (rows, jumps) instead, its jumps tried first;
+    # where a lockstep jump jumps, it is the only successor.  Only
+    # visited heads are held.
+    heads: dict[int, list | tuple] = {}
 
     def head_rows(head: int) -> list[tuple] | tuple[list[tuple], tuple]:
         q, p1 = divmod(head, n1)
-        rs = [
-            (tabs2[b], ((d * n1 + tabs1[a][p1]) * n2) << 3 | m, t)
-            for a, b, d, m, t in rows[q]
-            if tabs1[a][p1] >= 0 and live[d]
-        ]
+        rs = []
+        for a, b, d, m, t in rows[q]:
+            if live[d]:
+                tab1 = tabs1[a]
+                y = tab1[p1]
+                if y == -2:
+                    y = tab1[p1] = _read(text1, lp1, labels1[a], p1)
+                if y >= 0:
+                    rs.append((tabs2[b], ((d * n1 + y) * n2) << 3 | m, labels2[b], t))
         jumps = ()
         if q in final or q in loops and loops[q][3]:
             corner = jump_at(q, p1, False)
@@ -766,7 +771,7 @@ def accepts_lasso_pair(
         reads the rest of each prefix, or once round both periods from
         inside both.  Otherwise no jump where a tape reads on the loops
         forever, nor where neither tape moves."""
-        d1, search2, start2, acc, lock = jump
+        d1, stops2, start2, acc, lock = jump
         q, p1 = divmod(head, n1)
         if d1 == inf and not lock:  # a final state's turn, once tape 2 too reads on its loops
             if p2 < start2:
@@ -775,7 +780,7 @@ def accepts_lasso_pair(
             if p1 < lp1 or p2 < lp2:
                 return code, max(lp1 - p1, 0), max(lp2 - p2, 0)
             return code, n1 - lp1, n2 - lp2
-        d2 = _run_length(search2, text2, lp2, p2, start2)
+        d2 = _run_length(stops2, n2, lp2, p2, start2)
         if lock:
             d1 = d2 = min(d1, d2)
         if d2 == inf or not (d1 or d2):
@@ -786,7 +791,7 @@ def accepts_lasso_pair(
     def successors(c: int) -> list[int]:
         """Successor codes ``config << 3 | marks`` of configuration c."""
         head, p2 = divmod(c, n2)
-        rs = heads[head]
+        rs = heads.get(head)
         if rs is None:
             rs = heads[head] = head_rows(head)
         out = []
@@ -798,30 +803,45 @@ def accepts_lasso_pair(
                     if jump[4]:
                         return [code]
                     out.append(code)
-        for tab2, base, _ in rs:
+        for tab2, base, label2, _ in rs:
             y = tab2[p2]
+            if y == -2:
+                y = tab2[p2] = _read(text2, lp2, label2, p2) << 3
             if y >= 0:
                 out.append(base + y)
         return out
 
-    def steps(c: int, code: int) -> list[TwoTapeTransition]:
-        """The transitions behind successor ``code`` of configuration c: one,
-        or a macro edge's loops, tape 1 first, then tape 2, or side by side
-        for a lockstep jump."""
+    def edges(c: int) -> list[tuple[int, tuple]]:
+        """``successors(c)`` of a visited configuration c, each with what
+        it stands for: its row's transition, or the letters a macro edge
+        reads on each tape and whether it is a lockstep jump."""
         head, p2 = divmod(c, n2)
-        q, p1 = divmod(head, n1)
         rs = heads[head]
+        out = []
         if rs.__class__ is tuple:
             rs, jumps = rs
             for jump in jumps:
-                target, d1, d2 = macro(head, p2, jump)
-                if target and target == code:
-                    read1, read2 = _letters(text1, lp1, p1, d1), _letters(text2, lp2, p2, d2)
-                    if jump[4]:  # k of the pair loops, side by side
-                        return [lockstep[q][2][ab] for ab in zip(read1, read2)]
-                    loops1, loops2 = loops[q][:2]
-                    return [loops1[a] for a in read1] + [loops2[b] for b in read2]
-        return [next(t for tab2, base, t in rs if tab2[p2] >= 0 and base + tab2[p2] == code)]
+                code, d1, d2 = macro(head, p2, jump)
+                if code:
+                    if jump[4]:
+                        return [(code, (d1, d2, True))]
+                    out.append((code, (d1, d2, False)))
+        return out + [(base + tab2[p2], t) for tab2, base, _, t in rs if tab2[p2] >= 0]
+
+    def expand(c: int, how: tuple) -> list[TwoTapeTransition]:
+        """The transitions behind an edge of ``edges(c)``: one, or a macro
+        edge's loops, tape 1 first, then tape 2, or side by side for a
+        lockstep jump."""
+        if how.__class__ is TwoTapeTransition:
+            return [how]
+        d1, d2, lock = how
+        head, p2 = divmod(c, n2)
+        q, p1 = divmod(head, n1)
+        read1, read2 = _letters(text1, lp1, p1, d1), _letters(text2, lp2, p2, d2)
+        if lock:  # k of the pair loops, side by side
+            return [lockstep[q][2][ab] for ab in zip(read1, read2)]
+        loops1, loops2 = loops[q][:2]
+        return [loops1[a] for a in read1] + [loops2[b] for b in read2]
 
     start = initial * n1 * n2
     number = {start: 1}  # DFS number per visited configuration; 0 once its component closed
@@ -854,7 +874,7 @@ def accepts_lasso_pair(
                 marks |= inside[-1]
                 inside[-1] = marks
                 if marks == _ALL:  # the certificate is built on its first read
-                    build = partial(_certificate, successors, steps, number, todo, roots[-1])
+                    build = partial(_certificate, edges, expand, number, todo, roots[-1])
                     return SearchOutcome(verdict=Verdict.ACCEPTED, certificate=build)
         else:
             todo.pop()
@@ -870,18 +890,30 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _run_length(search: Callable, text: str, lp: int, p: int, start: int | None) -> float:
-    """How many letters are read from position p of a normal form's text
-    on, wrapping in its period text[lp:], before the first letter that
-    search finds (one outside some loop's letters); inf where none comes,
-    that is from position start on, where start is not None.  The search
-    passes the letters counted and no more."""
+def _run_length(stops: list[int], n: int, lp: int, p: int, start: int | None) -> float:
+    """How many letters are read from position p of a normal form with n
+    positions and a prefix of lp letters on, wrapping in its period, before
+    the first position listed in stops (the sorted positions of the letters
+    outside some loop's letters); inf where none comes, that is from
+    position start on, where start is not None.  At most two bisections."""
     if start is not None and p >= start:
         return inf
-    m = search(text, p)
-    if m is None:  # none before the end: wrap to the period's first
-        return search(text, lp).start() - p + len(text) - lp
-    return m.start() - p
+    i = bisect_left(stops, p)
+    if i == len(stops):  # none before the end: wrap to the period's first
+        return stops[bisect_left(stops, lp)] - p + n - lp
+    return stops[i] - p
+
+
+def _read(text: str, lp: int, label: str, p: int) -> int:
+    """The position after label, read from position p of a normal form's
+    text on, wrapping in its period text[lp:]; -1 where it does not match."""
+    for ch in label:
+        if text[p] != ch:
+            return -1
+        p += 1
+        if p == len(text):
+            p = lp
+    return p
 
 
 def _advance(p: int, k: int, n: int, lp: int) -> int:
@@ -898,39 +930,43 @@ def _letters(text: str, lp: int, p: int, k: int) -> str:
     return out + period * (rest // len(period)) + period[:rest % len(period)]
 
 
-def _certificate(successors, steps, number, frames, root) -> Certificate:
+def _certificate(edges, expand, number, frames, root) -> Certificate:
     """Stem along the DFS frames, each entered from the last by its code,
     to the root numbered ``root``, and a cycle through that root inside its
     component (the open configurations numbered from ``root`` on) carrying
-    all three marks.  Only visited configurations are expanded."""
+    all three marks.  Only visited configurations are expanded, and only
+    the edges of the stem and the cycle are expanded into transitions."""
 
     def bfs(src: int, need: int, target: int = -1) -> tuple[list, int, int]:
         """Shortest path inside the component from src through the first
         edge carrying a mark of need or entering target: its transitions,
         its end and the union of its marks."""
-        parent: dict[int, tuple[int, int]] = {}
+        parent: dict[int, tuple[int, int, tuple]] = {}
         queue = deque([src])
         while queue:
             a = queue.popleft()
-            for code in successors(a):
+            for code, how in edges(a):
                 d = code >> 3
                 if number.get(d, 0) < root:
                     continue
                 if code & need or d == target:
-                    edges = [(a, code)]
+                    path = [(a, how)]
                     marks = code & _ALL
                     while a != src:
-                        a, code = parent[a]
-                        edges.append((a, code))
+                        a, code, how = parent[a]
+                        path.append((a, how))
                         marks |= code & _ALL
-                    return [t for edge in reversed(edges) for t in steps(*edge)], d, marks
+                    return [t for edge in reversed(path) for t in expand(*edge)], d, marks
                 if d != src and d not in parent:
-                    parent[d] = (a, code)
+                    parent[d] = (a, code, how)
                     queue.append(d)
         raise RuntimeError("component lacks a mark its root accumulated")
 
+    def step(c: int, code: int) -> list[TwoTapeTransition]:
+        return expand(c, next(how for out, how in edges(c) if out == code))
+
     k = next(i for i, (c, _, _) in enumerate(frames) if number[c] == root)
-    stem = [t for i in range(k) for t in steps(frames[i][0], frames[i + 1][2])]
+    stem = [t for i in range(k) for t in step(frames[i][0], frames[i + 1][2])]
     anchor = here = frames[k][0]
     cycle: list[TwoTapeTransition] = []
     need = _ALL

@@ -19,6 +19,9 @@ class AlphabetMismatch(ValueError):
     """A word uses letters outside the declared alphabet."""
 
 
+_EXCERPT = 20  # letters shown on each side of the first bad letter of a word
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered set of single-character symbols."""
@@ -44,11 +47,21 @@ class Alphabet:
         return "".join(self.letters)
 
     def check_word(self, word: str, what: str = "word") -> None:
-        for ch in word:
-            if ch not in self.letters:
-                raise AlphabetMismatch(
-                    f"{what} {word!r} uses letter {ch!r} not in alphabet {{{self}}}"
-                )
+        """Raise AlphabetMismatch naming the first letter of word outside
+        the alphabet and its 1-based position, with the word, or an excerpt
+        of _EXCERPT letters on each side of that letter where it is longer."""
+        bad = set(word).difference(self.letters)
+        if not bad:
+            return
+        i = min(map(word.index, bad))
+        shown = repr(word[max(i - _EXCERPT, 0):i + _EXCERPT + 1])
+        if i > _EXCERPT:
+            shown = "..." + shown
+        if i + _EXCERPT + 1 < len(word):
+            shown += "..."
+        raise AlphabetMismatch(
+            f"{what} {shown} uses letter {word[i]!r} not in alphabet {{{self}}} at position {i + 1}"
+        )
 
 
 BINARY = Alphabet.of("01")

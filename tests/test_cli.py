@@ -201,6 +201,28 @@ def test_search_alphabet_mismatch_is_bad_input(capsys, tmp_path, sigma1, sigma2,
     assert f"uses letter {letter!r} not in alphabet" in err
 
 
+@pytest.mark.parametrize("sigma1, pair, letter, where", [
+    # an A that the tape-1 alphabet misses, through the decision
+    ("01", ("0" * 100_000 + "A|1", "|0"), "A", "tape-1 word ...'"),
+    # a B that no built-in alphabet has, through the lasso parser
+    (None, ("0" * 100_000 + "B|1", "|0"), "B", "lasso ...'"),
+])
+def test_member_names_a_bad_letter_in_a_long_word_briefly(capsys, tmp_path, sigma1, pair,
+                                                          letter, where):
+    source = ["--aut", "T"]
+    if sigma1:
+        aut = tmp_path / "aut.json"
+        aut.write_text(json.dumps({
+            "states": ["q"], "sigma1": sigma1, "sigma2": "01A", "initial": "q",
+            "accepting": ["q"], "transitions": [["q", "0", "0", "q"]],
+        }))
+        source = ["--aut-file", str(aut)]
+    code, out, err = run(capsys, "member", *source, "--pair", *pair)
+    assert (code, out) == (2, "")
+    assert f"{where}{'0' * 20}{letter}1' uses letter {letter!r} not in alphabet" in err
+    assert err.rstrip().endswith("at position 100001") and len(err.encode()) < 300, err
+
+
 def test_member_unknown_name(capsys):
     code, _, err = run(capsys, "member", "--aut", "nope", "--pair", "|0", "|0")
     assert code == 2 and "unknown automaton" in err

@@ -848,13 +848,15 @@ def test_corner_only_states_of_reference_automata():
 
 
 def run_lengths(w: LassoWord, letters: str) -> list:
-    """``_run_length`` at every position of the normal form of w, for a
-    search that finds the letters outside letters and the start from
-    which w reads on letters forever (None where its period leaves them)."""
-    w, search = w.normal(), re.compile(f"[^{letters}]").search
-    start = len(w.prefix.rstrip(letters)) if set(w.period) <= set(letters) else None
+    """``_run_length`` at every position of the normal form of w, for the
+    positions of its text whose letters are outside letters and the start
+    from which w reads on letters forever (None where its period leaves
+    them)."""
+    w = w.normal()
     text = w.prefix + w.period
-    return [_run_length(search, text, len(w.prefix), p, start) for p in range(len(text))]
+    stops = [p for p, ch in enumerate(text) if ch not in letters]
+    start = len(w.prefix.rstrip(letters)) if set(w.period) <= set(letters) else None
+    return [_run_length(stops, len(text), len(w.prefix), p, start) for p in range(len(text))]
 
 
 def test_next_outside_wraps_in_the_period():
@@ -1130,6 +1132,80 @@ def test_lockstep_jumps_wrap_in_both_periods_at_period_400():
         if verdicts[-1]:
             assert_fair_certificate(aut, out, w1, w2)
     assert verdicts == [True, True, False, False, True, False, True, False]
+
+
+def test_on_demand_reads_at_long_periods_match_nested_dfs(monkeypatch):
+    # Periods of 400-470 letters, read by labels of up to two letters that
+    # cross the end of a period, and by planted corner-only or lockstep
+    # states whose runs wrap in it.  One state copies tape 1 onto tape 2,
+    # letter by letter or two at a time, and tape 2 is tape 1, a rotation
+    # of it or another word, so that the search goes round the periods.
+    reads = {"label across the wrap": 0, "run end past the last stop": 0}
+    twotape_read, twotape_run_length = twotape._read, twotape._run_length
+
+    def read(text, lp, label, p):
+        reads["label across the wrap"] += p + len(label) > len(text)
+        return twotape_read(text, lp, label, p)
+
+    def run_length(stops, n, lp, p, start):
+        reads["run end past the last stop"] += (start is None or p < start) and p > stops[-1]
+        return twotape_run_length(stops, n, lp, p, start)
+
+    monkeypatch.setattr(twotape, "_read", read)
+    monkeypatch.setattr(twotape, "_run_length", run_length)
+    rng = random.Random(51)
+    labels = ("", "0", "1", "A", "0A", "A1", "01", "10", "00")
+    verdicts = []
+    for i in range(60):
+        aut = random_two_tape(rng, max_states=3, labels=labels)
+        aut = TwoTapeAutomaton(aut.states, GAMMA, GAMMA, aut.transitions, aut.initial,
+                               aut.accepting)
+        aut, _ = plant_corner(rng, aut, False) if i % 2 else plant_lockstep(rng, aut, False)
+        q = rng.choice(aut.states)
+        copy = [T(q, a, a, q) for a in "01A"] + [T(q, x, x, q) for x in rng.sample(labels[4:], 2)]
+        aut = TwoTapeAutomaton(aut.states, GAMMA, GAMMA, aut.transitions + tuple(copy),
+                               aut.initial, aut.accepting | {q} if rng.random() < 0.7
+                               else aut.accepting)
+        n = rng.randint(400, 440)
+        mix = rng.choice(("01A", "001A", "0111A", "000001A"))
+        period = "".join(rng.choice(mix) for _ in range(n)) + rng.choice("01") * rng.randint(5, 30)
+        prefix = "".join(rng.choice("01A") for _ in range(rng.randint(0, 3)))
+        w1 = LassoWord(prefix, period)
+        r = rng.randrange(n)
+        other = "".join(rng.choice(mix) for _ in range(rng.randint(400, 440)))
+        w2 = rng.choice([w1, LassoWord(prefix[:1], period[r:] + period[:r]), LassoWord("", other)])
+        out = accepts_lasso_pair(aut, w1, w2)
+        verdicts.append(out.verdict is Verdict.ACCEPTED)
+        assert verdicts[-1] == nested_dfs_accepts_pair(aut, w1, w2), (aut, w1, w2)
+        if verdicts[-1]:
+            assert_fair_certificate(aut, out, w1, w2)
+    assert sum(verdicts) >= 12 and min(reads.values()) >= 20, (sum(verdicts), reads)
+
+
+def test_run_ends_pass_each_letter_a_few_times_on_a_block_mismatch():
+    # T on (A|0^n A, A|0^(n+1) A): its lockstep states jump from every
+    # position of the compared blocks, so a run-end lookup that scans from
+    # the jump's position passes about n^2 letters in all.  Counted here
+    # through the compiled searches for letters outside a set of loop
+    # letters: a search passes the letters up to its match, an iteration
+    # over the matches the whole text.
+    passed = [0]
+
+    class Counting(dict):
+        def __setitem__(self, letters, find):
+            def counted(text, pos=0):
+                out = find(text, pos)
+                passed[0] += (out.end() if isinstance(out, re.Match) else len(text)) - pos
+                return out
+
+            super().__setitem__(letters, counted)
+
+    aut = dataclasses.replace(automaton_T())  # a copy, with a compiled form of its own
+    aut.__dict__["_compiled"] = aut._compiled._replace(outside=Counting())
+    n = 1600
+    w1, w2 = LassoWord("A", "0" * n + "A"), LassoWord("A", "0" * (n + 1) + "A")
+    assert accepts_lasso_pair(aut, w1, w2).verdict is Verdict.REJECTED
+    assert 0 < passed[0] <= 4 * len(w1.letters() + w2.letters()), passed[0]
 
 
 SILENT_WAYS = {

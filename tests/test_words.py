@@ -39,6 +39,19 @@ def test_alphabet_invariants():
         BINARY.check_word("0A1")
 
 
+@pytest.mark.parametrize("word, shown, letter, position", [
+    ("0B1A", "'0B1A'", "B", 2),  # the first bad letter, in the whole word
+    ("A" + "0" * 50, "'A00000000000000000000'...", "A", 1),
+    ("0" * 30 + "AB" + "1" * 30, "...'" + "0" * 20 + "AB" + "1" * 19 + "'...", "A", 31),
+    ("1" * 99 + "A", "...'" + "1" * 20 + "A'", "A", 100),
+])
+def test_alphabet_error_names_the_letter_and_its_position(word, shown, letter, position):
+    with pytest.raises(AlphabetMismatch) as err:
+        BINARY.check_word(word, "lasso")
+    assert str(err.value) == (f"lasso {shown} uses letter {letter!r} not in alphabet {{01}}"
+                              f" at position {position}")
+
+
 def test_lasso_parse_and_str():
     w = lasso("A|0A")
     assert (w.prefix, w.period) == ("A", "0A")
