@@ -29,12 +29,13 @@ Boigelot's meta-transitions (1998), which FAST (Bardin, Finkel, Leroux
 and Petrucci, 2003) applies to counter loops; on single-letter loops
 they are sound because the loops on the two tapes commute, as in
 Godefroid's partial-order methods (1996).  A corner-only state loops on
-letters L1 of tape 1 and L2 of tape 2 and has no other transition that
-can fire before both tapes reach a letter outside its loops.  Its loops
-sweep a rectangle of configurations, and the search crosses it in one
-edge to the rectangle's corner, the first positions whose letters are
-outside L1 and L2, so a pair of long blocks costs one edge instead of
-the product of their lengths.  A final state (accepting, with a
+letters L1 of tape 1 and L2 of tape 2, one of them possibly empty, and
+no other transition of it can fire before each tape with loop letters
+reaches a letter outside them.  Its loops sweep a rectangle of
+configurations, a segment where one side is empty, and the search
+crosses it in one edge to the corner, the first positions whose letters
+are outside L1 and L2, so a pair of long blocks costs one edge instead
+of the product of their lengths, and one long block one edge.  A final state (accepting, with a
 self-loop for every letter of both periods) takes the same edge where
 its corner lies at infinity: once the rest of each lasso prefix reads on
 its loops, one edge carrying all three marks reads that rest, and at the
@@ -70,7 +71,7 @@ import json
 import re
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import inf
@@ -419,15 +420,15 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     letters; and a memo of ``_liveness``'s per-pair results.
 
     The loop summary holds the states with one-letter self-loops (a, "")
-    for a in L1 and ("", b) for b in L2, L1 and L2 both non-empty: id ->
-    (tape-1 loops, tape-2 loops, ACC if accepting else 0, corner-only),
-    each loop map sending a letter of L1 or L2 to the automaton's own
-    self-loop that reads it.  A state is corner-only when every transition
-    leaving it other than those loops starts with a letter outside L1 on
-    tape 1 and with a letter outside L2 on tape 2: from (q, p1, p2) the
-    loops sweep the rectangle up to the first positions r1, r2 whose
-    letters are outside L1 and L2, and nothing else fires before its
-    corner (r1, r2).
+    for a in L1 and ("", b) for b in L2, L1 or L2 non-empty: id -> (tape-1
+    loops, tape-2 loops, ACC if accepting else 0, corner-only), each loop
+    map sending a letter of L1 or L2 to the automaton's own self-loop that
+    reads it.  One rule makes a state corner-only: for each tape i whose
+    Li is non-empty, every transition leaving it other than those loops
+    has a non-empty tape-i label that starts outside Li.  From (q, p1, p2)
+    the loops sweep the rectangle up to the first positions r1, r2 whose
+    letters are outside L1 and L2, a segment where some Li is empty and so
+    ri = pi, and nothing else fires before its corner (r1, r2).
 
     The lockstep summary holds the states with a self-loop (a, b) for
     every a in L1 and b in L2, L1 and L2 non-empty, whose other
@@ -490,10 +491,9 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
                 exits.append(t)
                 if len(t.read1) == len(t.read2) == 1:
                     pairs[t.read1, t.read2] = t
-        if loops1 and loops2:
+        if loops1 or loops2:
             loops[q] = loops1, loops2, acc, all(
-                t.read1 and t.read2 and t.read1[0] not in loops1 and t.read2[0] not in loops2
-                for t in exits
+                t[i] and t[i][0] not in li for t in exits for i, li in ((1, loops1), (2, loops2)) if li
             )
         if pairs:
             l1, l2 = {a for a, _ in pairs}, {b for _, b in pairs}
@@ -593,7 +593,8 @@ def accepts_lasso_pair(
     A corner-only state (the loop summary again) takes corner jumps
     instead of its loops.  From (q, p1, p2) the one successor is the macro
     edge to (q, r1, r2), where ri is the first position from pi on, wrapping
-    in the period, whose letter is outside q's tape-i loop letters; it
+    in the period, whose letter is outside q's tape-i loop letters (pi
+    itself where q has none, so that a one-sided jump moves one tape); it
     carries ``T1`` if r1 != p1, ``T2`` if r2 != p2 and ``ACC`` if q is
     accepting.  At the corner itself only q's other transitions fire, and no
     other configuration of the rectangle can fire them, so the jump keeps
@@ -685,19 +686,20 @@ def accepts_lasso_pair(
     stops: dict[tuple, tuple] = {}  # per tape and loop letters: see run_end
     ends: dict[tuple, tuple] = {}  # per state and kind of jump: see jump_at
 
-    def run_end(letters: Collection[str], tape: int) -> tuple[list[int], int | None]:
+    def run_end(letters: Collection[str], tape: int) -> tuple[Sequence[int], int | None]:
         """The positions of one tape's text whose letters are outside a
         state's loop letters, in order, and the position from which the
         tape reads on them forever, None where its period leaves them.
         Built once per call, tape and letter set, by one pass of the
-        search compiled once per letter set and automaton."""
+        search compiled once per letter set and automaton; without loop
+        letters every position is listed, as a range."""
         letters = frozenset(letters)
         key = tape, letters
         if key not in stops:
-            if letters not in outside:
+            if letters and letters not in outside:
                 outside[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").finditer
             text, lp = (text1, lp1) if tape == 1 else (text2, lp2)
-            at = [m.start() for m in outside[letters](text)]
+            at = [m.start() for m in outside[letters](text)] if letters else range(len(text))
             stops[key] = at, (None if at and at[-1] >= lp else at[-1] + 1 if at else 0)
         return stops[key]
 
@@ -752,9 +754,11 @@ def accepts_lasso_pair(
             jumps = (corner,) if corner else ()
             if loops[q][3]:
                 # A corner-only state's loops give way to one macro edge to
-                # the corner of their rectangle.  Its other rows, which read
-                # on both tapes, match only at the corner.
-                rs = [row for row in rs if row[1] & (T1 | T2) == T1 | T2]
+                # the corner of their rectangle.  Its other rows, kept as
+                # each first letter is outside that tape's loop letters,
+                # match only at the corner.
+                l1, l2 = loops[q][:2]
+                rs = [row for row in rs if row[3].read1[:1] not in l1 and row[3].read2[:1] not in l2]
         if q in lockstep:
             diagonal = jump_at(q, p1, True)
             if diagonal[0]:
@@ -890,7 +894,7 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
-def _run_length(stops: list[int], n: int, lp: int, p: int, start: int | None) -> float:
+def _run_length(stops: Sequence[int], n: int, lp: int, p: int, start: int | None) -> float:
     """How many letters are read from position p of a normal form with n
     positions and a prefix of lp letters on, wrapping in its period, before
     the first position listed in stops (the sorted positions of the letters

@@ -766,18 +766,27 @@ def loop_summary(aut) -> dict:
 def loop_summary_by_name(aut) -> dict:
     """The loop summary recomputed by state name from ``aut.transitions``:
     name -> (tape-1 loop letters, tape-2 loop letters, accepting,
-    corner-only), for the states that loop on single letters of both tapes."""
+    corner-only), for the states that loop on single letters of either
+    tape.  One rule makes a state corner-only: on each tape where it has
+    loop letters, every other transition leaving it reads a first letter
+    there, and that letter is not one of them."""
     out = {}
     for q in aut.states:
         loops = {t for t in aut.transitions if t.src == t.dst == q and len(t.read1 + t.read2) == 1}
         l1 = {t.read1 for t in loops if t.read1}
         l2 = {t.read2 for t in loops if t.read2}
-        if l1 and l2:
+        if l1 or l2:
             exits = [t for t in aut.transitions if t.src == q and t not in loops]
-            corner = all(t.read1[:1] not in l1 | {""} and t.read2[:1] not in l2 | {""}
-                         for t in exits)
+            corner = all(t[tape][:1] not in letters | {""}
+                         for tape, letters in ((1, l1), (2, l2)) if letters for t in exits)
             out[q] = l1, l2, q in aut.accepting, corner
     return out
+
+
+def loop_state(loops1: dict, loops2: dict) -> str:
+    """The name of the state of a compiled loop summary entry, from its
+    first loop on either tape."""
+    return next(iter({**loops1, **loops2}.values())).src
 
 
 def test_compiled_loop_summary_matches_one_recomputed_by_name():
@@ -786,24 +795,26 @@ def test_compiled_loop_summary_matches_one_recomputed_by_name():
     for i in range(500):
         aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "A", "0A"))
         for _ in range(rng.randint(1, 3)):
-            aut, _ = plant_corner(rng, aut, interior=rng.random() < 0.4)
+            aut, _ = plant_corner(rng, aut, interior=rng.random() < 0.4, one_sided=0.3)
         automata.append(aut)
-    corners = interior = 0
+    corners = interior = segments = 0
     for aut in automata:
         got = {}
         for loops1, loops2, acc, corner in loop_summary(aut).values():
-            q = next(iter(loops1.values())).src
+            q = loop_state(loops1, loops2)
             assert all(t == T(q, a, "", q) for a, t in loops1.items())
             assert all(t == T(q, "", b, q) for b, t in loops2.items())
             got[q] = set(loops1), set(loops2), bool(acc), corner
         assert got == loop_summary_by_name(aut), aut
         corners += sum(c for *_, c in got.values())
         interior += sum(not c for *_, c in got.values())
+        # corner-only states that loop on one tape only
+        segments += sum(c and not (l1 and l2) for l1, l2, _, c in got.values())
         # the compiled reverse edges list each row once, under its target
         rows, back = aut._compiled.rows, aut._compiled.back
         assert sorted((d, src) for d, srcs in back.items() for src in srcs) == sorted(
             (row[2], src) for src, rs in enumerate(rows) for row in rs)
-    assert corners > 400 and interior > 250, (corners, interior)
+    assert corners > 400 and interior > 250 and segments > 150, (corners, interior, segments)
     for i in range(400):
         aut = random_two_tape(rng, max_states=4, labels=("", "0", "1", "A", "0A"))
         aut, _ = plant_lockstep(rng, aut, firing=i % 3 == 0)
@@ -826,8 +837,8 @@ def test_compiled_loop_summary_matches_one_recomputed_by_name():
 
 def corner_states(aut) -> set:
     """Names of the corner-only states of aut."""
-    return {next(iter(loops1.values())).src
-            for loops1, _, _, corner in loop_summary(aut).values() if corner}
+    return {loop_state(loops1, loops2)
+            for loops1, loops2, _, corner in loop_summary(aut).values() if corner}
 
 
 def test_corner_only_states_of_reference_automata():
@@ -835,16 +846,19 @@ def test_corner_only_states_of_reference_automata():
     assert corner_states(c_automaton(1)) == {"drop1", "drop2"}
     assert corner_states(c_automaton(2)) == {"sink"}
     assert corner_states(c_automaton(3)) == {"hot"}
-    assert corner_states(c_automaton(4)) == corner_states(c_automaton(5)) == {"blocks", "tail"}
+    # more1, more2, skip, lag2 and lead1b loop on one tape only, and every
+    # exit of theirs reads an A there: their rectangles are segments
+    assert corner_states(c_automaton(4)) == {"blocks", "more1", "more2", "tail"}
+    assert corner_states(c_automaton(5)) == {"blocks", "skip", "lag2", "lead1b", "tail"}
     assert corner_states(r_automaton()) == {
         "L.q0", "R.L.L.L.L.drop1", "R.L.L.L.L.drop2", "R.L.L.L.R.sink", "R.L.L.R.hot",
-        "R.L.R.blocks", "R.L.R.tail", "R.R.blocks", "R.R.tail",
+        "R.L.R.blocks", "R.L.R.more1", "R.L.R.more2", "R.L.R.tail",
+        "R.R.blocks", "R.R.skip", "R.R.lag2", "R.R.lead1b", "R.R.tail",
     }
-    # pick and scan have exits that read on one tape only, more1 and skip
-    # loop on one tape only
-    for aut, name in ((c_automaton(1), "pick"), (c_automaton(3), "scan"),
-                      (c_automaton(4), "more1"), (c_automaton(5), "skip")):
-        assert name not in corner_states(aut)
+    # pick and scan have exits that read on one tape only, and T's q1 loops
+    # on tape 1 only but leaves it silently, at every letter
+    for aut, name in ((c_automaton(1), "pick"), (c_automaton(3), "scan"), (automaton_T(), "q1")):
+        assert name in loop_summary_by_name(aut) and name not in corner_states(aut)
 
 
 def run_lengths(w: LassoWord, letters: str) -> list:
@@ -884,28 +898,39 @@ def test_next_outside_wraps_in_the_period():
     assert _advance(0, 3, 6, 2) == 3
 
 
-def plant_corner(rng, aut, interior: bool):
+def plant_corner(rng, aut, interior: bool, one_sided: float = 0.0):
     """aut over GAMMA with one random state q made corner-only: its
-    transitions replaced by loops on letters L1 of tape 1 and L2 of tape 2
-    and by exits whose labels start outside L1 and L2; with interior, one
-    more exit that reads on one tape only or starts inside L1 or L2, so
-    that q is not corner-only."""
+    transitions replaced by loops on letters L1 of tape 1 and L2 of tape 2,
+    one of them empty with chance one_sided, and by exits whose labels
+    start outside L1 and L2, or read anything on a tape where q has no
+    loops; with interior, one more exit that breaks the rule on a tape
+    where q loops, its label there empty or starting inside the loop
+    letters, so that q is not corner-only."""
     q = rng.choice(aut.states)
     l1, l2 = (rng.sample("01A", rng.choice((1, 2, 2))) for _ in range(2))
+    if one_sided and rng.random() < one_sided:  # a segment, not a rectangle
+        l1, l2 = rng.choice(((l1, []), ([], l2)))
     out1, out2 = ("".join(a for a in "01A" if a not in ls) for ls in (l1, l2))
 
     def label(first: str) -> str:
         return rng.choice(first) + rng.choice(("", "", "", "0", "A"))
 
+    def exit_label(ls: list, out: str) -> str:
+        return label(out) if ls else rng.choice(("", label("01A")))
+
     rows = [T(q, a, "", q) for a in l1] + [T(q, "", b, q) for b in l2]
     if out1 and out2:
-        rows += [T(q, label(out1), label(out2), rng.choice(aut.states))
-                 for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            read1, read2, dst = exit_label(l1, out1), exit_label(l2, out2), rng.choice(aut.states)
+            if dst == q and len(read1 + read2) == 1:  # never a loop
+                read1, read2 = read1 and read1 + "0", read2 and read2 + "0"
+            rows.append(T(q, read1, read2, dst))
     if interior:
         others = [s for s in aut.states if s != q] or [q]
         one_tape = (label("01A") + ("0" if others == [q] else ""), "")  # never a loop
-        inside = rng.choice([one_tape, one_tape[::-1], (label(l1), label("01A")),
-                             (label("01A"), label(l2))])
+        breaks = [(one_tape, l2), (one_tape[::-1], l1),
+                  ((label(l1 or "0"), label("01A")), l1), ((label("01A"), label(l2 or "0")), l2)]
+        inside = rng.choice([row for row, ls in breaks if ls])
         rows.append(T(q, *inside, rng.choice(others)))
     accepting = aut.accepting | {q} if rng.random() < 0.5 else aut.accepting - {q}
     transitions = tuple(t for t in aut.transitions if t.src != q) + tuple(rows)
@@ -933,6 +958,65 @@ def test_planted_corner_sweep_matches_nested_dfs():
             run = out.certificate.stem.transitions + out.certificate.cycle.transitions
             through_corner += any(t.src == q != t.dst for t in run)
     assert accepted_total > 150 and through_corner > 25, (accepted_total, through_corner)
+
+
+def words_of_a_run(rng, aut, steps: int):
+    """A word pair that aut accepts, read off a random walk from its
+    initial state: the labels of the walk up to the last visit of a state
+    and of the cycle back to it, once the cycle reads on both tapes and
+    enters an accepting state; None where no walk of that many steps
+    closes such a cycle."""
+    here, walk, seen = aut.initial, [], {aut.initial: 0}
+    for _ in range(steps):
+        if not aut.transitions_from(here):
+            return None
+        walk.append(rng.choice(aut.transitions_from(here)))
+        here = walk[-1].dst
+        if here in seen:
+            stem, cycle = walk[:seen[here]], walk[seen[here]:]
+            reads = ["".join(t[tape] for t in part) for tape in (1, 2) for part in (stem, cycle)]
+            if reads[1] and reads[3] and any(t.dst in aut.accepting for t in cycle):
+                return LassoWord(*reads[:2]), LassoWord(*reads[2:])
+        seen[here] = len(walk)
+    return None
+
+
+def test_planted_one_sided_sweep_matches_nested_dfs():
+    # Every planted state loops on one tape only; a tenth get an exit that
+    # breaks the rule on that tape, and jumping them too gives wrong
+    # verdicts here.  Words read off a run are accepted, and one letter
+    # changed in them gives near misses, which random words rarely give.
+    rng = random.Random(331)
+    accepted_total = through_segment = near_misses = 0
+    for i in range(3000):
+        aut = random_two_tape(rng, max_states=3, labels=("", "0", "1", "A"))
+        for _ in range(rng.randint(0, 2)):  # more planted states, unless overwritten
+            aut, _ = plant_corner(rng, aut, interior=False, one_sided=1.0)
+        aut, q = plant_corner(rng, aut, interior=i % 10 == 0, one_sided=1.0)
+        l1, l2, _, corner = loop_summary_by_name(aut)[q]
+        assert not (l1 and l2) and (q in corner_states(aut)) == corner == (i % 10 != 0), aut
+        words = words_of_a_run(rng, aut, 30)
+        changed = words is not None and i % 3 == 0
+        if changed:
+            texts = [words[0].prefix, words[0].period, words[1].prefix, words[1].period]
+            k = rng.choice([k for k, text in enumerate(texts) if text])
+            j = rng.randrange(len(texts[k]))
+            texts[k] = texts[k][:j] + rng.choice("01A".replace(texts[k][j], "")) + texts[k][j + 1:]
+            words = LassoWord(*texts[:2]), LassoWord(*texts[2:])
+        w1, w2 = words or (random_gamma_lasso(rng, 3, 4), random_gamma_lasso(rng, 3, 4))
+        out = accepts_lasso_pair(aut, w1, w2)
+        expected = nested_dfs_accepts_pair(aut, w1, w2)
+        assert (out.verdict is Verdict.ACCEPTED) == expected, (aut, w1, w2)
+        near_misses += changed and not expected
+        if expected:
+            accepted_total += 1
+            assert_fair_certificate(aut, out, w1, w2)
+            # q is corner-only, so its loops in the certificate come from jumps
+            run = out.certificate.stem.transitions + out.certificate.cycle.transitions
+            through_segment += corner and any(
+                t.src == t.dst == q and len(t.read1 + t.read2) == 1 for t in run)
+    assert accepted_total > 800 and through_segment > 350 and near_misses > 250, (
+        accepted_total, through_segment, near_misses)
 
 
 def test_jumps_accept_block_comparisons_with_certificates():
@@ -1206,6 +1290,29 @@ def test_run_ends_pass_each_letter_a_few_times_on_a_block_mismatch():
     w1, w2 = LassoWord("A", "0" * n + "A"), LassoWord("A", "0" * (n + 1) + "A")
     assert accepts_lasso_pair(aut, w1, w2).verdict is Verdict.REJECTED
     assert 0 < passed[0] <= 4 * len(w1.letters() + w2.letters()), passed[0]
+
+
+def test_one_sided_states_read_labels_a_fixed_number_of_times(monkeypatch):
+    # C5 on equal words, A|0^n A 0^(n/2) A on both tapes: skip, lag2 and
+    # lead1b loop on one tape only, so stepping them reads a label at
+    # every letter of a block, while their segment jumps read the same
+    # labels at every n.
+    reads = [0]
+    twotape_read = twotape._read
+
+    def read(text, lp, label, p):
+        reads[0] += 1
+        return twotape_read(text, lp, label, p)
+
+    monkeypatch.setattr(twotape, "_read", read)
+    counts = []
+    for n in (1600, 6400):
+        reads[0] = 0
+        w = LassoWord("A", "0" * n + "A" + "0" * (n // 2) + "A")
+        out = accepts_lasso_pair(c_automaton(5), w, w)
+        assert out.verdict is Verdict.ACCEPTED
+        counts.append(reads[0])
+    assert counts[1] <= counts[0] < 100, counts
 
 
 SILENT_WAYS = {
