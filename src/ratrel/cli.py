@@ -117,8 +117,8 @@ def cmd_member(args) -> int:
         if args.pair is None:
             raise InputError("member needs --pair W1 W2 (or --word W for A/Acomp)")
         aut = _load_two_tape(args)
-        w1 = _parse_lasso(args.pair[0])
-        w2 = _parse_lasso(args.pair[1])
+        # letters are checked by the decision, against the automaton's own alphabets
+        w1, w2 = map(LassoWord.parse, args.pair)
         outcome = accepts_lasso_pair(aut, w1, w2)
         verdict, certificate = outcome.verdict, outcome.certificate
     runs = {"stem": certificate.stem, "cycle": certificate.cycle} if certificate else {}

@@ -638,18 +638,22 @@ def accepts_lasso_pair(
     leaves its letters (d1 = d2 = inf) q steps along its loops: the
     diagonal would cycle only after lcm(periods) letters.
 
-    Both kinds find their run ends where they need them: d1 once per
-    head, d2 at each configuration, each by bisection, wrapping in the
-    period (``_run_length``), in the sorted positions of the tape's
-    letters outside the loop letters.  That list is built on first need,
-    once per call, tape and letter set, and shared by every state with
-    those loop letters, by one pass of a search compiled once per letter
-    set and automaton.  So a jump costs two bisections at most, whatever
-    the letters it crosses, and each list passes each letter once.  The
-    position from which a tape reads on the loops forever, if it does,
-    comes with the list, so a run that never ends costs no bisection, and
-    a final state that is not corner-only tests at each head whether it
-    can turn, and at each configuration whether it does, without one.
+    A state's jumps are records built once per call, on its first
+    configuration: lockstep first, then corner or turn, each holding the
+    run ends of both tapes, ACC, and whether it is lockstep and whether
+    the state is corner-only.  Every configuration tests them, finding d1
+    and d2 each by bisection, wrapping in the period (``_run_length``), in
+    the sorted positions of the tape's letters outside the loop letters.
+    That list is built on first need, once per call, tape and letter set,
+    and shared by every state with those loop letters, by one pass of a
+    search compiled once per letter set and automaton.  So a jump costs
+    two bisections per tape at most, whatever the letters it crosses, and
+    each list passes each letter once.  The position from which a tape
+    reads on the loops forever, if it does, comes with the list, so a run
+    that never ends costs no bisection, and a final state that is not
+    corner-only tests at each configuration whether it turns without one.
+    A lockstep jump that jumps is tried before q's rows are read, so a
+    configuration it jumps from builds no head.
 
     Accepted verdicts carry a replayable stem-plus-cycle certificate,
     built on the first read of ``certificate`` and stored: until then the
@@ -684,7 +688,6 @@ def accepts_lasso_pair(
     tabs1 = [[-2] * n1 for _ in labels1]
     tabs2 = [[-2] * n2 for _ in labels2]
     stops: dict[tuple, tuple] = {}  # per tape and loop letters: see run_end
-    ends: dict[tuple, tuple] = {}  # per state and kind of jump: see jump_at
 
     def run_end(letters: Collection[str], tape: int) -> tuple[Sequence[int], int | None]:
         """The positions of one tape's text whose letters are outside a
@@ -703,82 +706,39 @@ def accepts_lasso_pair(
             stops[key] = at, (None if at and at[-1] >= lp else at[-1] + 1 if at else 0)
         return stops[key]
 
-    def jump_at(q: int, p1: int, lock: bool) -> tuple | None:
-        """q's lockstep jump (lock) or corner jump from tape-1 position p1:
-        the letters d1 that tape 1 reads on q's loops from there, the
-        ``run_end`` of tape 2, ACC or 0, and lock.  None where q has no
-        jump from p1: a final state that is not corner-only jumps only to
-        its turn, from where tape 1 reads on its loops forever, and a
-        state that is not final jumps nowhere from there.  The run ends
-        are found once per state and call."""
-        key = q, lock
-        if key not in ends:
-            if lock:
-                l1, l2, _, acc = lockstep[q]
-            else:
-                l1, l2, acc, _ = loops[q]
-            ends[key] = *run_end(l1, 1), *run_end(l2, 2), acc, not (lock or loops[q][3])
-        stops1, start1, stops2, start2, acc, turn_only = ends[key]
-        if turn_only and p1 < start1:
-            return None
-        d1 = _run_length(stops1, n1, lp1, p1, start1)
-        if d1 == inf and not lock and q not in final:
-            return None
-        return d1, stops2, start2, acc, lock
+    jumps: dict[int, tuple] = {}  # per state id: see jumps_of
 
-    # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
-    # successors come from the rows of its head q * n1 + p1, built on
-    # first use: the tape-2 table, the code of the target at tape-2
-    # position 0, the tape-2 label and the transition.  The head of a
-    # corner-only state, of a final state from where tape 1 reads on its
-    # loops forever, or of a lockstep state whose tape-1 letter its pair
-    # loops read, holds (rows, jumps) instead, its jumps tried first;
-    # where a lockstep jump jumps, it is the only successor.  Only
-    # visited heads are held.
-    heads: dict[int, list | tuple] = {}
-
-    def head_rows(head: int) -> list[tuple] | tuple[list[tuple], tuple]:
-        q, p1 = divmod(head, n1)
-        rs = []
-        for a, b, d, m, t in rows[q]:
-            if live[d]:
-                tab1 = tabs1[a]
-                y = tab1[p1]
-                if y == -2:
-                    y = tab1[p1] = _read(text1, lp1, labels1[a], p1)
-                if y >= 0:
-                    rs.append((tabs2[b], ((d * n1 + y) * n2) << 3 | m, labels2[b], t))
-        jumps = ()
-        if q in final or q in loops and loops[q][3]:
-            corner = jump_at(q, p1, False)
-            jumps = (corner,) if corner else ()
-            if loops[q][3]:
-                # A corner-only state's loops give way to one macro edge to
-                # the corner of their rectangle.  Its other rows, kept as
-                # each first letter is outside that tape's loop letters,
-                # match only at the corner.
-                l1, l2 = loops[q][:2]
-                rs = [row for row in rs if row[3].read1[:1] not in l1 and row[3].read2[:1] not in l2]
+    def jumps_of(q: int) -> tuple:
+        """q's jumps, built on its first configuration: its lockstep jump,
+        then its corner jump or turn, each as the ``run_end`` of tape 1
+        and of tape 2, ACC or 0, lockstep or not, and corner-only or not."""
+        out = ()
         if q in lockstep:
-            diagonal = jump_at(q, p1, True)
-            if diagonal[0]:
-                jumps = (diagonal,) + jumps
-        return (rs, jumps) if jumps else rs
+            l1, l2, _, acc = lockstep[q]
+            out = (*run_end(l1, 1), *run_end(l2, 2), acc, True, False),
+        if q in final or q in loops and loops[q][3]:
+            l1, l2, acc, only = loops[q]
+            out += (*run_end(l1, 1), *run_end(l2, 2), acc, False, only),
+        return out
 
-    def macro(head: int, p2: int, jump: tuple) -> tuple[int, float, float]:
-        """The successor code of a jump of ``jump_at`` from (head, p2),
-        and the letters it reads on each tape; (0, 0, 0) where it does not
+    def macro(q: int, p1: int, p2: int, jump: tuple) -> tuple[int, float, float]:
+        """The successor code of one of q's jumps from (q, p1, p2), and
+        the letters it reads on each tape; (0, 0, 0) where it does not
         jump.  A lockstep jump reads k = min(d1, d2) letters on both
         tapes; a corner jump d1 on tape 1 and d2 on tape 2.  Where both
         tapes read on a final state's loops forever the corner lies at
         infinity: the jump is the turn, marked with all three marks, which
         reads the rest of each prefix, or once round both periods from
-        inside both.  Otherwise no jump where a tape reads on the loops
-        forever, nor where neither tape moves."""
-        d1, stops2, start2, acc, lock = jump
-        q, p1 = divmod(head, n1)
+        inside both.  A final state that is not corner-only takes only its
+        turn, so it tests first, without a bisection, whether tape 1 reads
+        on its loops forever.  Otherwise no jump where a tape reads on the
+        loops forever, nor where neither tape moves."""
+        stops1, start1, stops2, start2, acc, lock, only = jump
+        if not (lock or only) and p1 < start1:
+            return 0, 0, 0
+        d1 = _run_length(stops1, n1, lp1, p1, start1)
         if d1 == inf and not lock:  # a final state's turn, once tape 2 too reads on its loops
-            if p2 < start2:
+            if q not in final or p2 < start2:
                 return 0, 0, 0
             code = ((q * n1 + max(p1, lp1)) * n2 + max(p2, lp2)) << 3 | _ALL
             if p1 < lp1 or p2 < lp2:
@@ -792,21 +752,51 @@ def accepts_lasso_pair(
         target = (q * n1 + _advance(p1, d1, n1, lp1)) * n2 + _advance(p2, d2, n2, lp2)
         return target << 3 | (T1 if d1 else 0) | (T2 if d2 else 0) | acc, d1, d2
 
+    # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
+    # successors are q's jumps that jump, tried first, then those of the
+    # rows of its head q * n1 + p1, built on first use: the tape-2 table,
+    # the code of the target at tape-2 position 0, the tape-2 label and the
+    # transition.  Where a lockstep jump jumps, it is the only successor,
+    # and no head is built.  Only visited heads are held.
+    heads: dict[int, list] = {}
+
+    def head_rows(head: int) -> list[tuple]:
+        q, p1 = divmod(head, n1)
+        rs = []
+        for a, b, d, m, t in rows[q]:
+            if live[d]:
+                tab1 = tabs1[a]
+                y = tab1[p1]
+                if y == -2:
+                    y = tab1[p1] = _read(text1, lp1, labels1[a], p1)
+                if y >= 0:
+                    rs.append((tabs2[b], ((d * n1 + y) * n2) << 3 | m, labels2[b], t))
+        if q in loops and loops[q][3]:
+            # A corner-only state's loops give way to one macro edge to the
+            # corner of their rectangle.  Its other rows, kept as each first
+            # letter is outside that tape's loop letters, match only at the
+            # corner.
+            l1, l2 = loops[q][:2]
+            rs = [row for row in rs if row[3].read1[:1] not in l1 and row[3].read2[:1] not in l2]
+        return rs
+
     def successors(c: int) -> list[int]:
         """Successor codes ``config << 3 | marks`` of configuration c."""
         head, p2 = divmod(c, n2)
+        q, p1 = divmod(head, n1)
+        js = jumps.get(q)
+        if js is None:
+            js = jumps[q] = jumps_of(q)
+        out = []
+        for jump in js:
+            code = macro(q, p1, p2, jump)[0]
+            if code:
+                if jump[5]:
+                    return [code]
+                out.append(code)
         rs = heads.get(head)
         if rs is None:
             rs = heads[head] = head_rows(head)
-        out = []
-        if rs.__class__ is tuple:  # a head with jumps
-            rs, jumps = rs
-            for jump in jumps:
-                code = macro(head, p2, jump)[0]
-                if code:
-                    if jump[4]:
-                        return [code]
-                    out.append(code)
         for tab2, base, label2, _ in rs:
             y = tab2[p2]
             if y == -2:
@@ -820,17 +810,15 @@ def accepts_lasso_pair(
         it stands for: its row's transition, or the letters a macro edge
         reads on each tape and whether it is a lockstep jump."""
         head, p2 = divmod(c, n2)
-        rs = heads[head]
+        q, p1 = divmod(head, n1)
         out = []
-        if rs.__class__ is tuple:
-            rs, jumps = rs
-            for jump in jumps:
-                code, d1, d2 = macro(head, p2, jump)
-                if code:
-                    if jump[4]:
-                        return [(code, (d1, d2, True))]
-                    out.append((code, (d1, d2, False)))
-        return out + [(base + tab2[p2], t) for tab2, base, _, t in rs if tab2[p2] >= 0]
+        for jump in jumps[q]:
+            code, d1, d2 = macro(q, p1, p2, jump)
+            if code:
+                if jump[5]:
+                    return [(code, (d1, d2, True))]
+                out.append((code, (d1, d2, False)))
+        return out + [(base + tab2[p2], t) for tab2, base, _, t in heads[head] if tab2[p2] >= 0]
 
     def expand(c: int, how: tuple) -> list[TwoTapeTransition]:
         """The transitions behind an edge of ``edges(c)``: one, or a macro

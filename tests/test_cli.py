@@ -204,8 +204,8 @@ def test_search_alphabet_mismatch_is_bad_input(capsys, tmp_path, sigma1, sigma2,
 @pytest.mark.parametrize("sigma1, pair, letter, where", [
     # an A that the tape-1 alphabet misses, through the decision
     ("01", ("0" * 100_000 + "A|1", "|0"), "A", "tape-1 word ...'"),
-    # a B that no built-in alphabet has, through the lasso parser
-    (None, ("0" * 100_000 + "B|1", "|0"), "B", "lasso ...'"),
+    # a B that no built-in alphabet has, through the decision too
+    (None, ("0" * 100_000 + "B|1", "|0"), "B", "tape-1 word ...'"),
 ])
 def test_member_names_a_bad_letter_in_a_long_word_briefly(capsys, tmp_path, sigma1, pair,
                                                           letter, where):
@@ -221,6 +221,23 @@ def test_member_names_a_bad_letter_in_a_long_word_briefly(capsys, tmp_path, sigm
     assert (code, out) == (2, "")
     assert f"{where}{'0' * 20}{letter}1' uses letter {letter!r} not in alphabet" in err
     assert err.rstrip().endswith("at position 100001") and len(err.encode()) < 300, err
+
+
+def test_member_queries_an_automaton_file_over_its_own_alphabet(capsys, tmp_path):
+    # letters outside the built-in alphabet {0,1,A}: the pair is checked
+    # against the file's alphabets, by the decision
+    aut = tmp_path / "ab.json"
+    aut.write_text(json.dumps({
+        "states": ["q"], "sigma1": "ab", "sigma2": "ab", "initial": "q",
+        "accepting": ["q"], "transitions": [["q", "a", "b", "q"]],
+    }))
+    code, out, _ = run(capsys, "member", "--aut-file", str(aut), "--pair", "|a", "|b", "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "accepted", "certificate": {
+        "stem": [], "cycle": [["q", "a", "b", "q"]]}}
+    code, out, err = run(capsys, "member", "--aut-file", str(aut), "--pair", "|a", "|0")
+    assert (code, out) == (2, "")
+    assert err == "error: tape-2 word '0' uses letter '0' not in alphabet {ab} at position 1\n"
 
 
 def test_member_unknown_name(capsys):

@@ -1315,6 +1315,26 @@ def test_one_sided_states_read_labels_a_fixed_number_of_times(monkeypatch):
     assert counts[1] <= counts[0] < 100, counts
 
 
+def test_lockstep_jumps_read_no_labels_along_their_diagonal(monkeypatch):
+    # T on (A|0^n A, A|0^(n+1) A): q1 guesses at every tape-1 position, and
+    # each guess starts a lockstep run of q2 that jumps to its end.  A jump
+    # that jumps is the only successor, so the configurations it leaves
+    # read no labels of q2's rows: about four reads per position in all.
+    reads = [0]
+    twotape_read = twotape._read
+
+    def read(text, lp, label, p):
+        reads[0] += 1
+        return twotape_read(text, lp, label, p)
+
+    monkeypatch.setattr(twotape, "_read", read)
+    for n in (1600, 6400):
+        reads[0] = 0
+        w1, w2 = LassoWord("A", "0" * n + "A"), LassoWord("A", "0" * (n + 1) + "A")
+        assert accepts_lasso_pair(automaton_T(), w1, w2).verdict is Verdict.REJECTED
+        assert reads[0] <= 4 * n + 10, (n, reads[0])
+
+
 SILENT_WAYS = {
     # three steps silent on both tapes, then the first reads
     "chain": (T("q", "", "", "s1"), T("s1", "", "", "s2"), T("s2", "", "", "s3")),
