@@ -71,7 +71,10 @@ def _load_two_tape(args, default: str | None = None) -> twotape.TwoTapeAutomaton
         raise InputError("an automaton is required: --aut NAME or --aut-file FILE")
     aut = _builtin(name, " or use --aut-file")
     if isinstance(aut, BuchiAutomaton):
-        raise InputError(f"{name} is a one-tape automaton; pass --word instead of --pair")
+        if args.command == "member":
+            raise InputError(f"{name} is a one-tape automaton; pass --word instead of --pair")
+        raise InputError(f"{name} is a one-tape automaton; "
+                         f"{args.command} needs a two-tape automaton")
     return aut
 
 

@@ -71,7 +71,7 @@ import json
 import re
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import inf
@@ -404,7 +404,6 @@ class _Compiled(NamedTuple):
     loops: dict[int, tuple]
     back: dict[int, list[int]]
     lockstep: dict[int, tuple]
-    outside: dict[frozenset, Callable]
     memo: dict
 
 
@@ -415,9 +414,8 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
     marks, transition); per component with a cycle through an accepting
     state, its state ids and the letters its internal edges read on each
     tape (``tails``); the loop summary; the reverse edges, target id -> the
-    source ids of its rows; the lockstep summary; a memo of the searches
-    that iterate over the letters outside a set of loop letters, by those
-    letters; and a memo of ``_liveness``'s per-pair results.
+    source ids of its rows; the lockstep summary; and a memo of
+    ``_liveness``'s per-pair results.
 
     The loop summary holds the states with one-letter self-loops (a, "")
     for a in L1 and ("", b) for b in L2, L1 or L2 non-empty: id -> (tape-1
@@ -503,7 +501,7 @@ def _compile_automaton(aut: TwoTapeAutomaton) -> _Compiled:
             ):
                 lockstep[q] = frozenset(l1), frozenset(l2), pairs, acc
     return _Compiled(ids[aut.initial], labels1, labels2, rows, list(tails.values()), loops, back,
-                     lockstep, {}, {})
+                     lockstep, {})
 
 
 def _liveness(compiled: _Compiled, w1: LassoWord, w2: LassoWord) -> tuple | None:
@@ -523,7 +521,7 @@ def _liveness(compiled: _Compiled, w1: LassoWord, w2: LassoWord) -> tuple | None
     ``"letters"``, of each equal result under (final states, mask) and of
     each row order under its set of final states.
     """
-    initial, labels1, labels2, rows, tails, loops, back, _, _, memo = compiled
+    initial, labels1, labels2, rows, tails, loops, back, _, memo = compiled
     need1, need2 = frozenset(w1.period), frozenset(w2.period)
     key = (need1.union(w1.prefix), need2.union(w2.prefix), need1, need2)
     if key in memo:
@@ -576,12 +574,12 @@ def accepts_lasso_pair(
     search goes.  Each distinct label has a table per tape of the position
     after reading it from each position, and an entry is filled on its
     first read (``_read``, wrapping in the period); configurations are
-    packed into ints, and only the heads the search visits are held.  One
-    iterative Couvreur-style DFS explores the product on the
-    fly, trying first the transitions nearest a final state, and keeps,
-    for every root of a partial component, the marks of the edges merged
-    into it; it stops as soon as a root holds all three.  It is complete
-    whatever the order.
+    packed into ints, and beside those tables the call holds one record
+    per state it visits, nothing per (state, position).  One iterative
+    Couvreur-style DFS explores the product on the fly, trying first the
+    transitions nearest a final state, and keeps, for every root of a
+    partial component, the marks of the edges merged into it; it stops as
+    soon as a root holds all three.  It is complete whatever the order.
 
     Two kinds of macro edge stand for runs on one state's self-loops, and
     a certificate that uses one expands it into those loops.  Corner
@@ -638,22 +636,23 @@ def accepts_lasso_pair(
     leaves its letters (d1 = d2 = inf) q steps along its loops: the
     diagonal would cycle only after lcm(periods) letters.
 
-    A state's jumps are records built once per call, on its first
-    configuration: lockstep first, then corner or turn, each holding the
-    run ends of both tapes, ACC, and whether it is lockstep and whether
-    the state is corner-only.  Every configuration tests them, finding d1
-    and d2 each by bisection, wrapping in the period (``_run_length``), in
-    the sorted positions of the tape's letters outside the loop letters.
-    That list is built on first need, once per call, tape and letter set,
-    and shared by every state with those loop letters, by one pass of a
-    search compiled once per letter set and automaton.  So a jump costs
-    two bisections per tape at most, whatever the letters it crosses, and
-    each list passes each letter once.  The position from which a tape
+    A state's jumps and its rows into live states are one record built
+    once per call, on its first configuration.  The jumps come lockstep
+    first, then corner or turn, each holding the run ends of both tapes,
+    ACC, and whether it is lockstep and whether the state is corner-only;
+    a corner-only state keeps only the rows that can match at its corner.
+    Every configuration tests the jumps, finding d1 and d2 each by
+    bisection, wrapping in the period (``_run_length``), in the sorted
+    positions of the tape's letters outside the loop letters.  That list
+    is built on first need, once per call, tape and letter set, and shared
+    by every state with those loop letters, by one ``re.finditer`` pass.
+    So a jump costs two bisections per tape at most, whatever the letters
+    it crosses, and each list passes each letter once.  The position from which a tape
     reads on the loops forever, if it does, comes with the list, so a run
     that never ends costs no bisection, and a final state that is not
     corner-only tests at each configuration whether it turns without one.
     A lockstep jump that jumps is tried before q's rows are read, so a
-    configuration it jumps from builds no head.
+    configuration it jumps from reads no label.
 
     Accepted verdicts carry a replayable stem-plus-cycle certificate,
     built on the first read of ``certificate`` and stored: until then the
@@ -677,14 +676,13 @@ def accepts_lasso_pair(
     analysis = _liveness(compiled, w1, w2)
     if analysis is None:
         return SearchOutcome(verdict=Verdict.REJECTED)
-    initial, labels1, labels2, _, _, loops, _, lockstep, outside, _ = compiled
+    initial, labels1, labels2, _, _, loops, _, lockstep, _ = compiled
     final, rows, live = analysis
     text1, text2 = w1.prefix + w1.period, w2.prefix + w2.period
     n1, n2 = len(text1), len(text2)
     lp1, lp2 = len(w1.prefix), len(w2.prefix)
     # per label, the position after reading it from each position, -2 until
-    # first read and negative where it does not match (``_read``); tape 2's
-    # shifted past the three mark bits of a successor code
+    # first read and negative where it does not match (``_read``)
     tabs1 = [[-2] * n1 for _ in labels1]
     tabs2 = [[-2] * n2 for _ in labels2]
     stops: dict[tuple, tuple] = {}  # per tape and loop letters: see run_end
@@ -693,33 +691,16 @@ def accepts_lasso_pair(
         """The positions of one tape's text whose letters are outside a
         state's loop letters, in order, and the position from which the
         tape reads on them forever, None where its period leaves them.
-        Built once per call, tape and letter set, by one pass of the
-        search compiled once per letter set and automaton; without loop
-        letters every position is listed, as a range."""
+        Built once per call, tape and letter set, by one ``re.finditer``
+        pass; without loop letters every position is listed, as a range."""
         letters = frozenset(letters)
         key = tape, letters
         if key not in stops:
-            if letters and letters not in outside:
-                outside[letters] = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]").finditer
             text, lp = (text1, lp1) if tape == 1 else (text2, lp2)
-            at = [m.start() for m in outside[letters](text)] if letters else range(len(text))
+            outside = f"[^{re.escape(''.join(sorted(letters)))}]"
+            at = [m.start() for m in re.finditer(outside, text)] if letters else range(len(text))
             stops[key] = at, (None if at and at[-1] >= lp else at[-1] + 1 if at else 0)
         return stops[key]
-
-    jumps: dict[int, tuple] = {}  # per state id: see jumps_of
-
-    def jumps_of(q: int) -> tuple:
-        """q's jumps, built on its first configuration: its lockstep jump,
-        then its corner jump or turn, each as the ``run_end`` of tape 1
-        and of tape 2, ACC or 0, lockstep or not, and corner-only or not."""
-        out = ()
-        if q in lockstep:
-            l1, l2, _, acc = lockstep[q]
-            out = (*run_end(l1, 1), *run_end(l2, 2), acc, True, False),
-        if q in final or q in loops and loops[q][3]:
-            l1, l2, acc, only = loops[q]
-            out += (*run_end(l1, 1), *run_end(l2, 2), acc, False, only),
-        return out
 
     def macro(q: int, p1: int, p2: int, jump: tuple) -> tuple[int, float, float]:
         """The successor code of one of q's jumps from (q, p1, p2), and
@@ -752,73 +733,79 @@ def accepts_lasso_pair(
         target = (q * n1 + _advance(p1, d1, n1, lp1)) * n2 + _advance(p2, d2, n2, lp2)
         return target << 3 | (T1 if d1 else 0) | (T2 if d2 else 0) | acc, d1, d2
 
-    # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Its
-    # successors are q's jumps that jump, tried first, then those of the
-    # rows of its head q * n1 + p1, built on first use: the tape-2 table,
-    # the code of the target at tape-2 position 0, the tape-2 label and the
-    # transition.  Where a lockstep jump jumps, it is the only successor,
-    # and no head is built.  Only visited heads are held.
-    heads: dict[int, list] = {}
+    # Configuration (q, p1, p2) is the int (q * n1 + p1) * n2 + p2.  Per
+    # state id, one record built on its first configuration (``record``):
+    # its jumps, lockstep first, then corner or turn, each as the
+    # ``run_end`` of tape 1 and of tape 2, ACC or 0, lockstep or not, and
+    # corner-only or not; and its rows into live states, each as (tape-1
+    # table, tape-1 label, tape-2 table, tape-2 label, target id * n1,
+    # marks, transition).  A configuration's successors are its state's
+    # jumps that jump, tried first, then the rows whose labels match on
+    # both tapes; where a lockstep jump jumps, it is the only successor.
+    states: dict[int, tuple] = {}
 
-    def head_rows(head: int) -> list[tuple]:
-        q, p1 = divmod(head, n1)
-        rs = []
-        for a, b, d, m, t in rows[q]:
-            if live[d]:
-                tab1 = tabs1[a]
-                y = tab1[p1]
-                if y == -2:
-                    y = tab1[p1] = _read(text1, lp1, labels1[a], p1)
-                if y >= 0:
-                    rs.append((tabs2[b], ((d * n1 + y) * n2) << 3 | m, labels2[b], t))
-        if q in loops and loops[q][3]:
+    def record(q: int) -> tuple:
+        jumps, corner = (), q in loops and loops[q][3]
+        if q in lockstep:
+            l1, l2, _, acc = lockstep[q]
+            jumps = (*run_end(l1, 1), *run_end(l2, 2), acc, True, False),
+        if q in final or corner:
+            l1, l2, acc, _ = loops[q]
+            jumps += (*run_end(l1, 1), *run_end(l2, 2), acc, False, corner),
+        rs = [(tabs1[a], labels1[a], tabs2[b], labels2[b], d * n1, m, t)
+              for a, b, d, m, t in rows[q] if live[d]]
+        if corner:
             # A corner-only state's loops give way to one macro edge to the
             # corner of their rectangle.  Its other rows, kept as each first
             # letter is outside that tape's loop letters, match only at the
             # corner.
             l1, l2 = loops[q][:2]
-            rs = [row for row in rs if row[3].read1[:1] not in l1 and row[3].read2[:1] not in l2]
-        return rs
+            rs = [row for row in rs if row[6].read1[:1] not in l1 and row[6].read2[:1] not in l2]
+        return jumps, rs
 
     def successors(c: int) -> list[int]:
         """Successor codes ``config << 3 | marks`` of configuration c."""
-        head, p2 = divmod(c, n2)
-        q, p1 = divmod(head, n1)
-        js = jumps.get(q)
-        if js is None:
-            js = jumps[q] = jumps_of(q)
+        rest, p2 = divmod(c, n2)
+        q, p1 = divmod(rest, n1)
+        rec = states.get(q)
+        if rec is None:
+            rec = states[q] = record(q)
+        jumps, rs = rec
         out = []
-        for jump in js:
+        for jump in jumps:
             code = macro(q, p1, p2, jump)[0]
             if code:
                 if jump[5]:
                     return [code]
                 out.append(code)
-        rs = heads.get(head)
-        if rs is None:
-            rs = heads[head] = head_rows(head)
-        for tab2, base, label2, _ in rs:
-            y = tab2[p2]
-            if y == -2:
-                y = tab2[p2] = _read(text2, lp2, label2, p2) << 3
-            if y >= 0:
-                out.append(base + y)
+        for tab1, label1, tab2, label2, d, m, _ in rs:
+            y1 = tab1[p1]
+            if y1 == -2:
+                y1 = tab1[p1] = _read(text1, lp1, label1, p1)
+            if y1 >= 0:
+                y2 = tab2[p2]
+                if y2 == -2:
+                    y2 = tab2[p2] = _read(text2, lp2, label2, p2)
+                if y2 >= 0:
+                    out.append(((d + y1) * n2 + y2) << 3 | m)
         return out
 
     def edges(c: int) -> list[tuple[int, tuple]]:
         """``successors(c)`` of a visited configuration c, each with what
         it stands for: its row's transition, or the letters a macro edge
         reads on each tape and whether it is a lockstep jump."""
-        head, p2 = divmod(c, n2)
-        q, p1 = divmod(head, n1)
+        rest, p2 = divmod(c, n2)
+        q, p1 = divmod(rest, n1)
+        jumps, rs = states[q]
         out = []
-        for jump in jumps[q]:
+        for jump in jumps:
             code, d1, d2 = macro(q, p1, p2, jump)
             if code:
                 if jump[5]:
                     return [(code, (d1, d2, True))]
                 out.append((code, (d1, d2, False)))
-        return out + [(base + tab2[p2], t) for tab2, base, _, t in heads[head] if tab2[p2] >= 0]
+        return out + [(((d + tab1[p1]) * n2 + tab2[p2]) << 3 | m, t)
+                      for tab1, _, tab2, _, d, m, t in rs if tab1[p1] >= 0 and tab2[p2] >= 0]
 
     def expand(c: int, how: tuple) -> list[TwoTapeTransition]:
         """The transitions behind an edge of ``edges(c)``: one, or a macro
@@ -827,8 +814,8 @@ def accepts_lasso_pair(
         if how.__class__ is TwoTapeTransition:
             return [how]
         d1, d2, lock = how
-        head, p2 = divmod(c, n2)
-        q, p1 = divmod(head, n1)
+        rest, p2 = divmod(c, n2)
+        q, p1 = divmod(rest, n1)
         read1, read2 = _letters(text1, lp1, p1, d1), _letters(text2, lp2, p2, d2)
         if lock:  # k of the pair loops, side by side
             return [lockstep[q][2][ab] for ab in zip(read1, read2)]

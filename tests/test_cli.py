@@ -88,6 +88,13 @@ def test_member_arity_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["A", "Acomp"])
+def test_search_refuses_a_one_tape_automaton(capsys, zero_grid_file, name):
+    code, out, err = run(capsys, "search", "--aut", name, "--grid", zero_grid_file, "--budget", "10")
+    assert (code, out) == (2, "")
+    assert "needs a two-tape" in err and "--word" not in err
+
+
 def test_member_pair_and_word_are_exclusive(capsys):
     code, out, err = run(capsys, "member", "--aut", "A", "--word", "|1", "--pair", "|0", "|0")
     assert (code, out) == (2, "")
