@@ -59,8 +59,10 @@ only the verdict never pays for it.
 
 A budgeted best-first search gathers evidence on block-word inputs,
 over the same compiled rows indexed by the next letter on each tape and
-one text per word.  It never decides: it is inconclusive on every input,
-lassos included, which go to the exact decision above.
+one text per word.  It crosses a lockstep state's diagonal run, where
+only a pair loop can match, as one batch of expansions.  It never
+decides: it is inconclusive on every input, lassos included, which go to
+the exact decision above.
 """
 
 from __future__ import annotations
@@ -697,7 +699,7 @@ def accepts_lasso_pair(
         key = tape, letters
         if key not in stops:
             text, lp = (text1, lp1) if tape == 1 else (text2, lp2)
-            outside = f"[^{re.escape(''.join(sorted(letters)))}]"
+            outside = _outside(letters)
             at = [m.start() for m in re.finditer(outside, text)] if letters else range(len(text))
             stops[key] = at, (None if at and at[-1] >= lp else at[-1] + 1 if at else 0)
         return stops[key]
@@ -869,6 +871,11 @@ def accepts_lasso_pair(
     return SearchOutcome(verdict=Verdict.REJECTED)
 
 
+def _outside(letters: Collection[str]) -> str:
+    """The pattern of a letter outside a non-empty set of letters."""
+    return f"[^{re.escape(''.join(sorted(letters)))}]"
+
+
 def _run_length(stops: Sequence[int], n: int, lp: int, p: int, start: int | None) -> float:
     """How many letters are read from position p of a normal form with n
     positions and a prefix of lp letters on, wrapping in its period, before
@@ -994,6 +1001,19 @@ def bounded_run_search(
     reread by ``_text_reader`` whenever a position nears its end by a
     label length.  Words with a letter outside the tape alphabets raise
     ``AlphabetMismatch``, as in ``accepts_lasso_pair``.
+
+    A lockstep state whose other rows each start outside its loop
+    letters on some tape (``diagonal``) has, inside its diagonal run, one
+    child, one pair loop on.  Its balanced progress is one more than its
+    parent's, and the parent was the least entry, so the child beats the
+    whole queue and is expanded next.  The search crosses the run as one
+    batch of expansions with no heap work, up to a letter outside L1 or
+    L2 (one regex search per tape), the budget or a text's end, and holds
+    the last child.  Configurations are int keys, so the interior ones are
+    a range, which is entered in ``best`` all the same: a path that meets
+    the run later must find them reached, and the run itself stops, with
+    no child, at the first one reached before with an equal or better
+    label.  The texts grow, by doubling, only as far as the runs reach.
     """
     aut.sigma1.check_word(w1.letters(), "tape-1 word")
     aut.sigma2.check_word(w2.letters(), "tape-2 word")
@@ -1004,12 +1024,24 @@ def bounded_run_search(
     reach1, reach2 = (max(map(len, labels), default=0) + 1 for labels in (labels1, labels2))
     read1, read2 = map(_text_reader, (w1, w2))
     text1, text2 = read1(reach1), read2(reach2)
+    # per lockstep state whose other rows each start outside its loop letters
+    # on some tape: searches for a letter outside L1 and L2, and ACC
+    diagonal = {
+        q: (re.compile(_outside(l1)), re.compile(_outside(l2)), acc)
+        for q, (l1, l2, pairs, acc) in c.lockstep.items()
+        if all(any(t[i] and t[i][0] not in li for i, li in ((1, l1), (2, l2)))
+               for *_, t in rows[q] if t not in pairs.values())
+    }
+    # configuration (q, c1, c2) is the key (c1 * B + c2) * N + q, B past any
+    # position the budget reaches
+    B, N = budget * reach2, len(rows)
+    step = (B + 1) * N
     # (state, letter, letter) -> rows as (label 1 if longer than one letter
     # else "", its length, the same for label 2, target, accepting)
     index: dict[tuple[int, str, str], list[tuple]] = {}
-    # per configuration (state, consumed, consumed): (fair visits, -anchor
-    # sum) of its best label, more visits first, then an earlier counted visit
-    best = {(initial, 0, 0): (0, 0)}
+    # per configuration: (fair visits, -anchor sum) of its best label, more
+    # visits first, then an earlier counted visit
+    best = {initial: (0, 0)}
     # entries (-balanced progress, total progress, unique seq, configuration,
     # label); held is the last expansion's least child, kept off the heap
     heap: list[tuple] = []
@@ -1019,13 +1051,45 @@ def bounded_run_search(
         entry = heapq.heappop(heap) if held is None else heapq.heappushpop(heap, held)
         held = None
         _, _, _, q, c1, c2, visits, a1, a2 = entry
-        if best[q, c1, c2] > (visits, -a1 - a2):
+        here = (c1 * B + c2) * N + q
+        if best[here] > (visits, -a1 - a2):
             continue  # a better label for this configuration was processed
         expansions += 1
         if c1 + reach1 > len(text1):
             text1 = read1(c1 + reach1)
         if c2 + reach2 > len(text2):
             text2 = read2(c2 + reach2)
+        if q in diagonal:  # k expansions along the run, this one first
+            outside1, outside2, accepting = diagonal[q]
+            k = budget - expansions + 1
+            found = outside1.search(text1, c1, c1 + k)
+            k = found.start() - c1 if found else min(len(text1) - c1, k)
+            found = outside2.search(text2, c2, c2 + k)
+            k = found.start() - c2 if found else min(len(text2) - c2, k)
+            if k:
+                # children (q, c1 + j, c2 + j) entered for j <= n: none from the
+                # first reached before with an equal or better label on
+                n = k
+                for h in sorted(best.keys() & range(here + step, here + (k + 1) * step, step)):
+                    j = (h - here) // step
+                    mark = (visits + j, -c1 - c2 - 2 * j) if accepting else (visits, -a1 - a2)
+                    if best[h] >= mark:
+                        n = j - 1
+                        break
+                expansions += n if n < k else k - 1  # this one counted
+                keys = range(here + step, here + (n + 1) * step, step)
+                if accepting:  # each step counts one fair visit
+                    best.update(zip(keys, zip(range(visits + 1, visits + n + 1),
+                                              range(-c1 - c2 - 2, -c1 - c2 - 2 * n - 1, -2))))
+                    visits, a1, a2 = visits + n, c1 + n, c2 + n
+                else:
+                    best.update(dict.fromkeys(keys, (visits, -a1 - a2)))
+                c1, c2, seq = c1 + n, c2 + n, seq + n
+                low = c1 if c1 < c2 else c2
+                deepest, fair_visits = max(deepest, low), max(fair_visits, visits)
+                if n == k:
+                    held = (-low, c1 + c2, seq, q, c1, c2, visits, a1, a2)
+                continue
         key = (q, text1[c1], text2[c2])
         matches = index.get(key)
         if matches is None:
@@ -1043,7 +1107,7 @@ def bounded_run_search(
                 nv, na1, na2 = visits + 1, nc1, nc2
             else:
                 nv, na1, na2 = visits, a1, a2
-            cfg, mark = (d, nc1, nc2), (nv, -na1 - na2)
+            cfg, mark = (nc1 * B + nc2) * N + d, (nv, -na1 - na2)
             if best.get(cfg, (-1, 0)) >= mark:
                 continue
             best[cfg] = mark

@@ -1500,6 +1500,26 @@ def test_bounded_search_exact_stats_on_r(columns, budget, expected):
     assert stats_tuple(out) == expected
 
 
+def plant_pair_loops(rng: random.Random, aut: TwoTapeAutomaton) -> TwoTapeAutomaton:
+    """aut with a pair loop (a, b) for every a in L1 and b in L2, two random
+    sets of letters, on a random state, made accepting half the time."""
+    q = rng.choice(aut.states)
+    l1, l2 = (rng.sample("01A", rng.randint(1, 2)) for _ in range(2))
+    loops = tuple(T(q, a, b, q) for a in l1 for b in l2)
+    accepting = aut.accepting | {q} if rng.random() < 0.5 else aut.accepting - {q}
+    return dataclasses.replace(aut, transitions=aut.transitions + loops, accepting=accepting)
+
+
+def has_diagonal_state(aut: TwoTapeAutomaton) -> bool:
+    """Whether a lockstep state's other rows each start outside its loop
+    letters on some tape, so that the search crosses its runs in batches."""
+    return any(
+        all(t.read1[:1] and t.read1[0] not in l1 or t.read2[:1] and t.read2[0] not in l2
+            for t in aut.transitions_from(aut.states[q]) if t not in pairs.values())
+        for q, (l1, l2, pairs, _) in aut._compiled.lockstep.items()
+    )
+
+
 def test_bounded_search_matches_letter_by_letter_reference():
     rng = random.Random(707)
     labels = ("", "", "0", "0", "1", "1", "A", "01", "10", "11", "0A")  # repeats weigh the draw
@@ -1507,6 +1527,8 @@ def test_bounded_search_matches_letter_by_letter_reference():
     for i in range(1200):
         aut = random_two_tape(rng, max_states=3, max_transitions=16, labels=labels)
         aut = dataclasses.replace(aut, sigma1=GAMMA, sigma2=GAMMA)
+        if i % 3 == 1:
+            aut = plant_pair_loops(rng, aut)
         if i % 4:
             letters = "01A" if i % 3 == 0 else "01"
             w1, w2 = random_lasso(rng, letters), random_lasso(rng, letters)
@@ -1515,17 +1537,18 @@ def test_bounded_search_matches_letter_by_letter_reference():
         cases.append((aut, w1, w2))
     for i in range(40):
         cases.append((r_automaton() if i % 2 else automaton_T(), encode_h(random_grid(rng)), alpha()))
+    assert sum(has_diagonal_state(aut) for aut, _, _ in cases) >= 150
     for i, (aut, w1, w2) in enumerate(cases):
         budget = 1 if i % 10 == 0 else rng.randint(1, 400)
         out = bounded_run_search(aut, w1, w2, budget)
         assert out == reference_bounded_search(aut, w1, w2, budget), (aut, w1, w2, budget)
 
 
-def binary_automaton(transitions, accepting=()) -> TwoTapeAutomaton:
-    """An automaton over {0,1} on both tapes with initial state s."""
+def small_automaton(transitions, accepting=(), sigma=BINARY) -> TwoTapeAutomaton:
+    """An automaton over sigma on both tapes with initial state s."""
     states = sorted({"s"} | {q for t in transitions for q in (t[0], t[3])})
     return TwoTapeAutomaton(
-        tuple(states), BINARY, BINARY, tuple(T(*t) for t in transitions), "s", frozenset(accepting)
+        tuple(states), sigma, sigma, tuple(T(*t) for t in transitions), "s", frozenset(accepting)
     )
 
 
@@ -1547,7 +1570,7 @@ def binary_automaton(transitions, accepting=()) -> TwoTapeAutomaton:
     ],
 )
 def test_bounded_search_held_child(transitions, accepting, budget, expected):
-    aut = binary_automaton(transitions, accepting)
+    aut = small_automaton(transitions, accepting)
     w = LassoWord("", "0")
     out = bounded_run_search(aut, w, w, budget)
     assert stats_tuple(out) == expected
@@ -1563,6 +1586,58 @@ def test_bounded_search_long_chains_match_reference():
         w1, budget = encode_h(random_grid(rng)), rng.randint(2000, 5000)
         out = bounded_run_search(aut, w1, alpha(), budget)
         assert out == reference_bounded_search(aut, w1, alpha(), budget), (aut, w1, budget)
+
+
+def test_bounded_search_run_meets_a_configuration_reached_first():
+    # s reaches (q, 2, 2) directly before q's run from (q, 1, 1) gets there
+    # with the same label: that run stops at (q, 2, 2) with no child
+    aut = small_automaton([("s", "0", "0", "q"), ("s", "00", "00", "q"), ("q", "0", "0", "q")],
+                          sigma=GAMMA)
+    w = lasso("00000|A")
+    out = bounded_run_search(aut, w, w, 100)
+    assert stats_tuple(out) == (6, 0, 5, 0, True)
+    assert out == reference_bounded_search(aut, w, w, 100)
+
+
+@pytest.mark.parametrize("accepting", [(), ("q",)], ids=["plain", "accepting"])
+def test_bounded_search_budgets_around_a_run_end(accepting):
+    # q copies 0 against 0 or 1 in lockstep, five letters from (q, 1, 1),
+    # and leaves on 1/1 at the run end; an accepting q counts a fair visit
+    # on entry and at every step of its run
+    aut = small_automaton([("s", "A", "A", "q"), ("q", "0", "0", "q"), ("q", "0", "1", "q"),
+                           ("q", "1", "1", "e"), ("e", "1", "1", "e")], accepting, GAMMA)
+    w1, w2 = lasso("A00000|1"), lasso("A01001|1")
+    for budget in range(1, 10):
+        out = bounded_run_search(aut, w1, w2, budget)
+        assert out == reference_bounded_search(aut, w1, w2, budget), budget
+    if accepting:  # the budget ends inside the run, then past its end
+        assert stats_tuple(bounded_run_search(aut, w1, w2, 4)) == (4, 4, 4, 1, False)
+        assert stats_tuple(bounded_run_search(aut, w1, w2, 7)) == (7, 6, 7, 1, False)
+
+
+def test_bounded_search_accepting_lockstep_state_on_coded_grids():
+    # q compares block n of both words letter against letter, with a fair
+    # visit per pair, and crosses the separators through r
+    aut = small_automaton([("s", "A", "A", "q"), *[("q", a, b, "q") for a in "01" for b in "01"],
+                           ("q", "A", "", "r"), ("r", "", "A", "q")], ("q",), GAMMA)
+    for columns in ({}, {2: "1|0"}, {1: "|1"}):
+        x = GridWord(lasso("|0"), {m: lasso(c) for m, c in columns.items()})
+        for budget in (1, 2, 3, 50, 2000):
+            out = bounded_run_search(aut, encode_h(x), alpha(), budget)
+            assert out == reference_bounded_search(aut, encode_h(x), alpha(), budget), budget
+            assert out.stats.fair_visits == out.stats.deepest
+
+
+def test_bounded_search_reads_only_as_far_as_the_runs_reach():
+    # a graph exhausted after a few expansions, with two diagonal runs: a
+    # huge budget must not make the search read ahead of them
+    aut = small_automaton([("s", "A", "A", "q"), ("q", "0", "0", "q"), ("q", "A", "A", "r"),
+                           ("r", "0", "0", "r")], sigma=GAMMA)
+    w1, w2 = encode_h(GridWord.zero()), alpha()
+    out = bounded_run_search(aut, w1, w2, 10**12)
+    assert out == reference_bounded_search(aut, encode_h(GridWord.zero()), alpha(), 10**12)
+    assert out.stats.exhausted and out.stats.expansions < 10
+    assert len(w1._text_cache[0]) < 100 and len(w2._text_cache[0]) < 100
 
 
 @pytest.mark.parametrize("sigma1, sigma2, columns, letter", [
