@@ -370,17 +370,14 @@ def _block_comparison(states, *exits: TwoTapeTransition) -> TwoTapeAutomaton:
 
 @lru_cache(maxsize=None)
 def r2_automaton() -> TwoTapeAutomaton:
-    """Union of the five complement pieces."""
-    aut = c_automaton(1)
-    for j in range(2, 6):
-        aut = union(aut, c_automaton(j))
-    return aut
+    """Union of the five complement pieces, states named ``C1.pick`` and so on."""
+    return union({f"C{j}": c_automaton(j) for j in range(1, 6)})
 
 
 @lru_cache(maxsize=None)
 def r_automaton() -> TwoTapeAutomaton:
     """The full reference relation: ledger relation plus complement pieces."""
-    return union(automaton_T(), r2_automaton())
+    return union({"T": automaton_T(), **{f"C{j}": c_automaton(j) for j in range(1, 6)}})
 
 
 # ---------------------------------------------------------------------------

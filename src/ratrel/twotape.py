@@ -167,32 +167,39 @@ def _closure(seeds, edges: dict) -> dict:
     return seen
 
 
-def union(a: TwoTapeAutomaton, b: TwoTapeAutomaton) -> TwoTapeAutomaton:
-    """Automaton for the union of the two relations.
+def union(operands: dict[str, TwoTapeAutomaton]) -> TwoTapeAutomaton:
+    """Automaton for the union of the named relations.
 
-    Disjointly renames both machines and adds a fresh initial state that
-    copies every transition leaving either original initial state, so no
-    (empty, empty) bridge is introduced.
+    Renames each operand's states ``name.state`` (``T.q4``, ``C4.cmp``) and
+    adds a fresh initial state ``u0`` that copies every transition leaving
+    an operand's initial state, so no (empty, empty) bridge is introduced.
+    Only the states ``u0`` reaches are kept: an operand's initial state
+    stays only if one of its own transitions enters it.
     """
-    if a.sigma1 != b.sigma1 or a.sigma2 != b.sigma2:
+    first, *rest = operands.values()
+    if any(b.sigma1 != first.sigma1 or b.sigma2 != first.sigma2 for b in rest):
         raise AlphabetMismatch("union requires matching tape alphabets")
-    ra = {s: f"L.{s}" for s in a.states}
-    rb = {s: f"R.{s}" for s in b.states}
     init = "u0"
-    transitions = [
-        TwoTapeTransition(ra[t.src], t.read1, t.read2, ra[t.dst]) for t in a.transitions
-    ] + [TwoTapeTransition(rb[t.src], t.read1, t.read2, rb[t.dst]) for t in b.transitions]
-    for t in a.transitions_from(a.initial):
-        transitions.append(TwoTapeTransition(init, t.read1, t.read2, ra[t.dst]))
-    for t in b.transitions_from(b.initial):
-        transitions.append(TwoTapeTransition(init, t.read1, t.read2, rb[t.dst]))
+    states, transitions, accepting = [init], [], set()
+    for name, a in operands.items():
+        ren = {s: f"{name}.{s}" for s in a.states}
+        states += ren.values()
+        accepting |= {ren[s] for s in a.accepting}
+        for t in a.transitions:
+            transitions.append(TwoTapeTransition(ren[t.src], t.read1, t.read2, ren[t.dst]))
+        for t in a.transitions_from(a.initial):
+            transitions.append(TwoTapeTransition(init, t.read1, t.read2, ren[t.dst]))
+    edges: dict[str, list[str]] = {}
+    for t in transitions:
+        edges.setdefault(t.src, []).append(t.dst)
+    keep = _closure([init], edges)
     return TwoTapeAutomaton(
-        states=(init,) + tuple(ra[s] for s in a.states) + tuple(rb[s] for s in b.states),
-        sigma1=a.sigma1,
-        sigma2=a.sigma2,
-        transitions=tuple(transitions),
+        states=tuple(s for s in states if s in keep),
+        sigma1=first.sigma1,
+        sigma2=first.sigma2,
+        transitions=tuple(t for t in transitions if t.src in keep),
         initial=init,
-        accepting=frozenset({ra[s] for s in a.accepting} | {rb[s] for s in b.accepting}),
+        accepting=frozenset(accepting & keep.keys()),
     )
 
 

@@ -36,6 +36,7 @@ from .twotape import (
     TwoTapeAutomaton,
     TwoTapeTransition,
     Verdict,
+    _closure,
     accepts_lasso_pair,
     epsilon_normalize,
     run_prefix_valid,
@@ -268,8 +269,11 @@ def _checks(seed: int, trials: int):
         for _ in range(trials):
             a = random_two_tape(rng)
             b = random_two_tape(rng)
-            u = union(a, b)
-            assert len(u.states) == len(a.states) + len(b.states) + 1
+            u = union(operands := {"L": a, "R": b})
+            step = {f"{n}.{q}": [f"{n}.{t.dst}" for t in x.transitions_from(q)]
+                    for n, x in operands.items() for q in x.states}
+            first = step["L." + a.initial] + step["R." + b.initial]
+            assert set(u.states) == {"u0", *_closure(first, step)}  # what u0 reaches
             w1 = random_lasso(rng, "01", 2, 2)
             w2 = random_lasso(rng, "01", 2, 2)
             lhs = accepts_lasso_pair(u, w1, w2).verdict is Verdict.ACCEPTED

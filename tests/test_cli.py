@@ -292,7 +292,7 @@ def test_export_json_round_trip(capsys):
     code, out, _ = run(capsys, "export", "--aut", "R2", "--format", "json")
     assert code == 0
     aut = twotape.from_json(out)
-    assert len(aut.states) == 35
+    assert len(aut.states) == 29
 
 
 def test_export_dot(capsys):

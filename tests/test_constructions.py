@@ -82,8 +82,8 @@ FAMILY_DIGESTS = {
     "C3": "f660f60ef4041bbf155c770052ed1e62537ef693163660d7752eadab36cb90ee",
     "C4": "ad0a308eb417d4db1f48886e1aba591baa527d2e37ec4e51f1720fedd9d91a10",
     "C5": "f7450af3700571b57e7b3a38a20fb9ff6eeb59839d62c0076d58db1e608797b0",
-    "R2": "a2ec18ee9fa3c8f2e3a00d5af41240824c32083c42b911bb00d81f4140aa719f",
-    "R": "114db2d7b96c64263551b61a0caed4c819adf4bcad8f1153f056a31643ff84da",
+    "R2": "cabe18b75fe8ced4c0642a17b955e08aebf7e40deb66c6e9817eb94dc4f8f5c3",
+    "R": "36468facab3882ef41c1a7678aa49458a06c04a38df15658b7325df285839344",
 }
 
 

@@ -14,7 +14,14 @@ import pytest
 
 from ratrel import cli, twotape, verify
 from ratrel.buchi import BuchiAutomaton, buchi_accepts_lasso, ones_automaton
-from ratrel.constructions import alpha, automaton_T, c_automaton, r2_automaton, r_automaton
+from ratrel.constructions import (
+    alpha,
+    automaton_T,
+    c_automaton,
+    c_condition_holds,
+    r2_automaton,
+    r_automaton,
+)
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
     _advance,
@@ -76,19 +83,39 @@ def test_validate_rejects_foreign_letter():
 # -- union ------------------------------------------------------------------
 
 
+def reachable_after_initial(aut) -> set:
+    """States of aut reachable from the targets of its initial transitions,
+    found by a walk of its own over ``transitions_from``."""
+    seen, todo = set(), [t.dst for t in aut.transitions_from(aut.initial)]
+    while todo:
+        q = todo.pop()
+        if q not in seen:
+            seen.add(q)
+            todo += [t.dst for t in aut.transitions_from(q)]
+    return seen
+
+
+def r_operands() -> dict:
+    """R's operands, keyed by the prefix their states carry in R."""
+    return {"T": automaton_T(), **{f"C{j}": c_automaton(j) for j in range(1, 6)}}
+
+
 def test_union_state_count_law():
+    # u0 plus exactly the operand states that u0's copied rows lead to
     rng = random.Random(31)
     for _ in range(20):
         a = random_two_tape(rng)
         b = random_two_tape(rng)
-        assert len(union(a, b).states) == len(a.states) + len(b.states) + 1
+        expected = {"u0"} | {f"{n}.{q}" for n, x in (("L", a), ("R", b))
+                             for q in reachable_after_initial(x)}
+        assert set(union({"L": a, "R": b}).states) == expected
 
 
 def test_union_idempotent_on_verdicts():
     rng = random.Random(37)
     for _ in range(50):
         a = random_two_tape(rng)
-        u = union(a, a)
+        u = union({"L": a, "R": a})
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
         assert accepted(u, w1, w2) == accepted(a, w1, w2)
@@ -105,7 +132,7 @@ def test_union_contains_second_operand():
         if not accepted(b, w1, w2):
             continue
         hits += 1
-        assert accepted(union(a, b), w1, w2)
+        assert accepted(union({"L": a, "R": b}), w1, w2)
 
 
 def test_union_soundness_completeness():
@@ -115,14 +142,26 @@ def test_union_soundness_completeness():
         b = random_two_tape(rng)
         w1 = random_lasso(rng, "01", 2, 2)
         w2 = random_lasso(rng, "01", 2, 2)
-        assert accepted(union(a, b), w1, w2) == (accepted(a, w1, w2) or accepted(b, w1, w2))
+        assert accepted(union({"L": a, "R": b}), w1, w2) == (
+            accepted(a, w1, w2) or accepted(b, w1, w2))
+
+
+def test_union_of_three_operands():
+    # R and R2 are flat unions of more than two operands
+    rng = random.Random(47)
+    for _ in range(150):
+        operands = {name: random_two_tape(rng) for name in ("a", "b", "c")}
+        w1 = random_lasso(rng, "01", 2, 2)
+        w2 = random_lasso(rng, "01", 2, 2)
+        assert accepted(union(operands), w1, w2) == any(
+            accepted(x, w1, w2) for x in operands.values())
 
 
 def test_union_alphabet_mismatch():
     a = random_two_tape(random.Random(1))
     b = TwoTapeAutomaton(("x",), GAMMA, GAMMA, (), "x", frozenset())
     with pytest.raises(AlphabetMismatch):
-        union(a, b)
+        union({"L": a, "R": b})
 
 
 # -- epsilon normalization ---------------------------------------------------
@@ -531,7 +570,7 @@ def test_c1_accepts_through_the_drop_state_of_the_finite_tape():
     for aut in (c1, r_automaton()):
         out = accepts_lasso_pair(aut, w1, w2)
         assert out.verdict is Verdict.ACCEPTED
-        assert {t.src for t in out.certificate.cycle.transitions} <= {"drop1", "R.L.L.L.L.drop1"}
+        assert {t.src for t in out.certificate.cycle.transitions} <= {"drop1", "C1.drop1"}
         assert_fair_certificate(aut, out, w1, w2)
     # the FOUND pair of period 640, decided by the loops of drop1
     rng = random.Random(257)
@@ -554,10 +593,10 @@ def test_search_order_leads_to_the_final_states_of_the_pair():
             r._compiled, w1.normal(), w2.normal())[1][initial]
         return [row[4].dst.split(".")[-1] for row in rows]
 
-    # As in both periods: no C1 state is final, so C1 waits behind T (its
-    # original order) and behind the sinks of C2 and C3
+    # As in both periods: no state of C1 or T is final, so both wait behind
+    # the sinks of C2 and C3, in the order of their prefixed names
     order = targets("A0|0A", "A|0A", kept=False)
-    assert order.index("sink") < order.index("hot") < order.index("q0") < order.index("pick")
+    assert order.index("sink") < order.index("hot") < order.index("pick") < order.index("q0")
     # the search takes none of C1, which is not live, nor hot, as tape 2 has no 1
     kept = targets("A0|0A", "A|0A", kept=True)
     assert "q0" in kept and "sink" in kept and not {"hot", "scan", "pick"} & set(kept)
@@ -751,7 +790,40 @@ def test_ladder_pair_accepts_without_entering_c3():
         assert_fair_certificate(aut, out, w1, w2)
     r = r_automaton()
     kept = [row[4].dst for row in kept_rows(r, w1, w2, r._compiled.initial)]
-    assert kept and not any(q.startswith("R.L.L.R.") for q in kept)  # no state of C3
+    assert kept and not any(q.startswith("C3.") for q in kept)  # no state of C3
+
+
+def test_accepting_cycle_stays_in_one_operand_that_accepts_alone(monkeypatch):
+    # a cycle of R lies in one operand, as nothing enters u0; that operand
+    # alone accepts the pair, and a complement piece's condition holds
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import build
+
+    pairs = [(lasso(op.args["w1"]), lasso(op.args["w2"]))
+             for seed in (1, 2, 3)
+             for ops in build("member-R", seed, None, None).ops.values() for op in ops]
+    rng = random.Random(337)
+    pairs += [(random_gamma_lasso(rng), random_gamma_lasso(rng)) for _ in range(300)]
+
+    def blocks(zeros_or_ones):  # a conforming opening, then blocks of 0 to 3 letters
+        return lasso("A0A00A|" + "".join(
+            rng.choice(zeros_or_ones) * rng.randint(0, 3) + "A" for _ in range(rng.randint(1, 3))))
+
+    # As in every period, a conforming opening and no 1 on tape 2 rule out
+    # C1, C2 and C3, so C4 or C5 accepts
+    pairs += [(blocks("01"), blocks("0")) for _ in range(150)]
+    operands, seen = r_operands(), set()
+    for w1, w2 in pairs:
+        out = accepts_lasso_pair(r_automaton(), w1, w2)
+        if out.verdict is not Verdict.ACCEPTED:
+            continue
+        cycle = out.certificate.cycle.transitions
+        (name,) = {q.split(".")[0] for t in cycle for q in (t.src, t.dst)}
+        seen.add(name)
+        assert accepted(operands[name], w1, w2), (name, w1, w2)
+        assert name == "T" or c_condition_holds(int(name[1:]), w1, w2), (name, w1, w2)
+    # every piece closes some cycle; on lassos the search never ends in T first
+    assert seen == {"C1", "C2", "C3", "C4", "C5"}
 
 
 # -- rectangle jumps -----------------------------------------------------------
@@ -850,11 +922,9 @@ def test_corner_only_states_of_reference_automata():
     # exit of theirs reads an A there: their rectangles are segments
     assert corner_states(c_automaton(4)) == {"blocks", "more1", "more2", "tail"}
     assert corner_states(c_automaton(5)) == {"blocks", "skip", "lag2", "lead1b", "tail"}
-    assert corner_states(r_automaton()) == {
-        "L.q0", "R.L.L.L.L.drop1", "R.L.L.L.L.drop2", "R.L.L.L.R.sink", "R.L.L.R.hot",
-        "R.L.R.blocks", "R.L.R.more1", "R.L.R.more2", "R.L.R.tail",
-        "R.R.blocks", "R.R.skip", "R.R.lag2", "R.R.lead1b", "R.R.tail",
-    }
+    r = r_automaton()
+    assert corner_states(r) == set(r.states) & {
+        f"{name}.{q}" for name, aut in r_operands().items() for q in corner_states(aut)}
     # pick and scan have exits that read on one tape only, and T's q1 loops
     # on tape 1 only but leaves it silently, at every letter
     for aut, name in ((c_automaton(1), "pick"), (c_automaton(3), "scan"), (automaton_T(), "q1")):
@@ -1111,7 +1181,9 @@ def test_lockstep_states_of_reference_automata():
     assert lockstep_states(automaton_T()) == {"q2", "q3"}
     assert lockstep_states(c_automaton(4)) == lockstep_states(c_automaton(5)) == {"cmp"}
     assert not any(lockstep_states(c_automaton(j)) for j in (1, 2, 3))
-    assert lockstep_states(r_automaton()) == {"L.q2", "L.q3", "R.L.R.cmp", "R.R.cmp"}
+    r = r_automaton()
+    assert lockstep_states(r) == set(r.states) & {
+        f"{name}.{q}" for name, aut in r_operands().items() for q in lockstep_states(aut)}
     # q3's exits wait for an A on tape 2, through q4 or q5
     assert first_reads_by_walk(automaton_T(), "q4", 2) == first_reads_by_walk(
         automaton_T(), "q5", 2) == {"A"}
