@@ -60,9 +60,9 @@ only the verdict never pays for it.
 A budgeted best-first search gathers evidence on block-word inputs,
 over the same compiled rows indexed by the next letter on each tape and
 one text per word.  It crosses a lockstep state's diagonal run, where
-only a pair loop can match, as one batch of expansions.  It never
-decides: it is inconclusive on every input, lassos included, which go to
-the exact decision above.
+only a pair loop can match, as one batch of expansions, and keeps the
+run as one segment of labels.  It never decides: it is inconclusive on
+every input, lassos included, which go to the exact decision above.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import enum
 import heapq
 import json
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
@@ -1016,11 +1016,22 @@ def bounded_run_search(
     whole queue and is expanded next.  The search crosses the run as one
     batch of expansions with no heap work, up to a letter outside L1 or
     L2 (one regex search per tape), the budget or a text's end, and holds
-    the last child.  Configurations are int keys, so the interior ones are
-    a range, which is entered in ``best`` all the same: a path that meets
-    the run later must find them reached, and the run itself stops, with
-    no child, at the first one reached before with an equal or better
-    label.  The texts grow, by doubling, only as far as the runs reach.
+    the last child.  A diagonal state's labels are kept in lanes, not in
+    ``best``: one per state and diagonal c1 - c2, of disjoint segments
+    (first c1, last c1, key) sorted by c1, the label at c1 being
+    (v + s * c1, m - 2 * s * c1) for key (v, m), where the slope s is 1 if
+    the state is accepting (a run counts a fair visit a step), else 0.  A
+    run is one segment, and a child the rows enter in a diagonal state is
+    a segment of one configuration.  Every write to a configuration's
+    label is strictly better than the one before: a child no better is
+    skipped, and a run stops, with no child, at the first configuration
+    reached before with an equal or better label.  So a new segment
+    replaces the parts of older ones that it overlaps, and as keys order
+    labels alike at every c1 of a lane, the run's stop is found with one
+    comparison per overlapped segment.  A run costs a bisection plus the
+    segments it overlaps, not an entry per configuration, so memory
+    follows the letters read.  The texts grow, by doubling, only as far
+    as the runs reach.
     """
     aut.sigma1.check_word(w1.letters(), "tape-1 word")
     aut.sigma2.check_word(w2.letters(), "tape-2 word")
@@ -1032,23 +1043,32 @@ def bounded_run_search(
     read1, read2 = map(_text_reader, (w1, w2))
     text1, text2 = read1(reach1), read2(reach2)
     # per lockstep state whose other rows each start outside its loop letters
-    # on some tape: searches for a letter outside L1 and L2, and ACC
+    # on some tape: searches for a letter outside L1 and L2, and the slope of
+    # its labels along a run, 1 if accepting (a fair visit a step), else 0
     diagonal = {
-        q: (re.compile(_outside(l1)), re.compile(_outside(l2)), acc)
+        q: (re.compile(_outside(l1)), re.compile(_outside(l2)), 1 if acc else 0)
         for q, (l1, l2, pairs, acc) in c.lockstep.items()
         if all(any(t[i] and t[i][0] not in li for i, li in ((1, l1), (2, l2)))
                for *_, t in rows[q] if t not in pairs.values())
     }
-    # configuration (q, c1, c2) is the key (c1 * B + c2) * N + q, B past any
-    # position the budget reaches
+    # configuration (q, c1, c2) of any other state is the key
+    # (c1 * B + c2) * N + q, B past any position the budget reaches
     B, N = budget * reach2, len(rows)
-    step = (B + 1) * N
     # (state, letter, letter) -> rows as (label 1 if longer than one letter
-    # else "", its length, the same for label 2, target, accepting)
+    # else "", its length, the same for label 2, target, accepting, the
+    # target's slope if it is diagonal else None)
     index: dict[tuple[int, str, str], list[tuple]] = {}
-    # per configuration: (fair visits, -anchor sum) of its best label, more
-    # visits first, then an earlier counted visit
-    best = {initial: (0, 0)}
+    # per configuration of the other states: (fair visits, -anchor sum) of
+    # its best label, more visits first, then an earlier counted visit
+    best: dict[int, tuple[int, int]] = {}
+    # per diagonal state q and diagonal c1 - c2, key (c1 - c2) * N + q: its
+    # lane, segments (first c1, last c1, (v, m)) with the label at c1
+    # (v + s * c1, m - 2 * s * c1)
+    lanes: dict[int, list[tuple]] = {}
+    if initial in diagonal:
+        lanes[initial] = [(0, 0, (0, 0))]
+    else:
+        best[initial] = (0, 0)
     # entries (-balanced progress, total progress, unique seq, configuration,
     # label); held is the last expansion's least child, kept off the heap
     heap: list[tuple] = []
@@ -1058,16 +1078,21 @@ def bounded_run_search(
         entry = heapq.heappop(heap) if held is None else heapq.heappushpop(heap, held)
         held = None
         _, _, _, q, c1, c2, visits, a1, a2 = entry
-        here = (c1 * B + c2) * N + q
-        if best[here] > (visits, -a1 - a2):
-            continue  # a better label for this configuration was processed
+        run = diagonal.get(q)
+        if run is None:
+            if best[(c1 * B + c2) * N + q] > (visits, -a1 - a2):
+                continue  # a better label for this configuration was processed
+        else:
+            outside1, outside2, s = run
+            lane = lanes[(c1 - c2) * N + q]
+            if lane[bisect_right(lane, (c1, inf)) - 1][2] > (visits - s * c1, 2 * s * c1 - a1 - a2):
+                continue
         expansions += 1
         if c1 + reach1 > len(text1):
             text1 = read1(c1 + reach1)
         if c2 + reach2 > len(text2):
             text2 = read2(c2 + reach2)
-        if q in diagonal:  # k expansions along the run, this one first
-            outside1, outside2, accepting = diagonal[q]
+        if run is not None:  # k expansions along the run, this one first
             k = budget - expansions + 1
             found = outside1.search(text1, c1, c1 + k)
             k = found.start() - c1 if found else min(len(text1) - c1, k)
@@ -1075,22 +1100,23 @@ def bounded_run_search(
             k = found.start() - c2 if found else min(len(text2) - c2, k)
             if k:
                 # children (q, c1 + j, c2 + j) entered for j <= n: none from the
-                # first reached before with an equal or better label on
+                # first reached before with an equal or better label on, found
+                # by one comparison per segment overlapped
+                key = (visits - c1, c1 - c2) if s else (visits, -a1 - a2)
+                i = j = bisect_right(lane, (c1 + 1, inf))
+                if i and lane[i - 1][1] > c1:
+                    i = j = i - 1
                 n = k
-                for h in sorted(best.keys() & range(here + step, here + (k + 1) * step, step)):
-                    j = (h - here) // step
-                    mark = (visits + j, -c1 - c2 - 2 * j) if accepting else (visits, -a1 - a2)
-                    if best[h] >= mark:
-                        n = j - 1
+                while j < len(lane) and lane[j][0] <= c1 + k:
+                    if lane[j][2] >= key:
+                        n = max(lane[j][0] - c1 - 1, 0)
                         break
+                    j += 1
+                if n:
+                    _lane_put(lane, i, j, (c1 + 1, c1 + n, key))
                 expansions += n if n < k else k - 1  # this one counted
-                keys = range(here + step, here + (n + 1) * step, step)
-                if accepting:  # each step counts one fair visit
-                    best.update(zip(keys, zip(range(visits + 1, visits + n + 1),
-                                              range(-c1 - c2 - 2, -c1 - c2 - 2 * n - 1, -2))))
+                if s:  # each step counts one fair visit
                     visits, a1, a2 = visits + n, c1 + n, c2 + n
-                else:
-                    best.update(dict.fromkeys(keys, (visits, -a1 - a2)))
                 c1, c2, seq = c1 + n, c2 + n, seq + n
                 low = c1 if c1 < c2 else c2
                 deepest, fair_visits = max(deepest, low), max(fair_visits, visits)
@@ -1101,12 +1127,13 @@ def bounded_run_search(
         matches = index.get(key)
         if matches is None:
             matches = index[key] = [
-                (l1 if len(l1) > 1 else "", len(l1), l2 if len(l2) > 1 else "", len(l2), d, m & ACC)
+                (l1 if len(l1) > 1 else "", len(l1), l2 if len(l2) > 1 else "", len(l2), d, m & ACC,
+                 diagonal[d][2] if d in diagonal else None)
                 for a, b, d, m, _ in rows[q]
                 for l1, l2 in [(labels1[a], labels2[b])]
                 if l1[:1] in ("", key[1]) and l2[:1] in ("", key[2])
             ]
-        for long1, n1, long2, n2, d, accepting in matches:
+        for long1, n1, long2, n2, d, accepting, s in matches:
             if long1 and not text1.startswith(long1, c1) or long2 and not text2.startswith(long2, c2):
                 continue
             nc1, nc2 = c1 + n1, c2 + n2
@@ -1114,10 +1141,20 @@ def bounded_run_search(
                 nv, na1, na2 = visits + 1, nc1, nc2
             else:
                 nv, na1, na2 = visits, a1, a2
-            cfg, mark = (nc1 * B + nc2) * N + d, (nv, -na1 - na2)
-            if best.get(cfg, (-1, 0)) >= mark:
-                continue
-            best[cfg] = mark
+            if s is None:
+                cfg, mark = (nc1 * B + nc2) * N + d, (nv, -na1 - na2)
+                if best.get(cfg, (-1, 0)) >= mark:
+                    continue
+                best[cfg] = mark
+            else:
+                lane = lanes.setdefault((nc1 - nc2) * N + d, [])
+                mark = (nv - s * nc1, 2 * s * nc1 - na1 - na2)
+                i = j = bisect_right(lane, (nc1, inf))
+                if i and lane[i - 1][1] >= nc1:
+                    if lane[i - 1][2] >= mark:
+                        continue
+                    i -= 1
+                _lane_put(lane, i, j, (nc1, nc1, mark))
             low = nc1 if nc1 < nc2 else nc2
             if low > deepest:
                 deepest = low
@@ -1143,6 +1180,19 @@ def bounded_run_search(
             exhausted=not heap and held is None,
         ),
     )
+
+
+def _lane_put(lane: list[tuple], i: int, j: int, segment: tuple) -> None:
+    """Put segment (first, last, key) in place of lane[i:j], the segments
+    it overlaps, keeping their parts before its first and after its last."""
+    first, last, _ = segment
+    new = [segment]
+    if i < j:
+        if lane[i][0] < first:
+            new.insert(0, (lane[i][0], first - 1, lane[i][2]))
+        if lane[j - 1][1] > last:
+            new.append((last + 1, lane[j - 1][1], lane[j - 1][2]))
+    lane[i:j] = new
 
 
 def _text_reader(w: OmegaWord):

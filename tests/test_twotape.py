@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -1685,6 +1686,95 @@ def test_bounded_search_budgets_around_a_run_end(accepting):
     if accepting:  # the budget ends inside the run, then past its end
         assert stats_tuple(bounded_run_search(aut, w1, w2, 4)) == (4, 4, 4, 1, False)
         assert stats_tuple(bounded_run_search(aut, w1, w2, 7)) == (7, 6, 7, 1, False)
+
+
+# s enters q at (1, 1) with no fair visit, and q copies 0 against 0 up to
+# (20, 20), where both words read A (the first run); a detour through r and
+# the accepting p reaches q at (4, 4) later, with a fair visit, and the run
+# from there beats the first run's interior, which keeps its configurations
+# before (4, 4), as x finds at (3, 3) with an equal label after that, and,
+# where the budget ends the later run, after it
+LATER_RUN_CROSSES = ([("s", "0", "0", "q"), ("s", "", "0", "r"), ("r", "000", "00", "p"),
+                      ("r", "00", "0", "x"), ("x", "0", "0", "q"), ("p", "0", "0", "q"),
+                      ("q", "0", "0", "q"), ("q", "A", "A", "e")], ("p",))
+# p reaches q at (4, 4) with a fair visit, and that run is crossed before
+# s's entry at (1, 1), which is shallower: the run from (1, 1) stops at
+# (4, 4), which carries a better label
+RUN_STOPS_AT_BETTER = ([("s", "0", "0", "q"), ("s", "000", "000", "p"), ("p", "0", "0", "q"),
+                        ("q", "0", "0", "q"), ("q", "A", "A", "e")], ("p",))
+# s enters q at (1, 1), (2, 2) and (4, 4) with equal labels, the deepest
+# first: each later run stops, with no child, where the one before began
+RUN_STOPS_AT_EQUAL = ([("s", "0", "0", "q"), ("s", "00", "00", "q"), ("s", "0000", "0000", "q"),
+                       ("q", "0", "0", "q"), ("q", "A", "A", "e")], ())
+# q is accepting, so labels slope along its runs: the run from (2, 2) counts
+# a fair visit a step; a, b and c reach q at (4, 4) with as many visits but
+# the last counted at (4, 3), an earlier anchor, which beats the first run
+# there, while the run from (4, 4), counting again at every step, only
+# equals it at (5, 5) and stops inside it
+SLOPED_RUN_STOPS_INSIDE = ([("s", "00", "00", "q"), ("s", "0", "0", "a"), ("a", "0", "0", "b"),
+                            ("b", "00", "0", "c"), ("c", "", "0", "q"), ("q", "0", "0", "q"),
+                            ("q", "A", "A", "e")], ("q", "a", "b", "c"))
+# the initial state is the lockstep one, with an exit that comes back
+INITIAL_DIAGONAL = ([("s", "0", "0", "s"), ("s", "A", "", "r"), ("r", "", "A", "s"),
+                     ("r", "00", "A0", "s")], ("s",))
+
+
+@pytest.mark.parametrize("transitions, accepting", [
+    LATER_RUN_CROSSES, RUN_STOPS_AT_BETTER, RUN_STOPS_AT_EQUAL, SLOPED_RUN_STOPS_INSIDE,
+    INITIAL_DIAGONAL, (INITIAL_DIAGONAL[0], ()),
+], ids=["later-run-crosses", "stops-at-better", "stops-at-equal", "sloped-stops-inside",
+        "initial-diagonal-accepting", "initial-diagonal"])
+def test_bounded_search_overlapping_runs_of_one_lane(transitions, accepting):
+    aut = small_automaton(transitions, accepting, GAMMA)
+    assert has_diagonal_state(aut)
+    w = lasso("0" * 20 + "A|0000A")
+    for budget in range(1, 60):
+        out = bounded_run_search(aut, w, w, budget)
+        assert out == reference_bounded_search(aut, w, w, budget), budget
+
+
+def overlapping_runs(rng: random.Random) -> TwoTapeAutomaton:
+    """An automaton whose lockstep state q (pair loops over L1 x L2, each of
+    0 or 01, accepting half the time) is entered from s, a, b and e by rows
+    labelled "", 0, 00 or 000 on each tape, and left on an A: on words of
+    mostly 0, its runs meet in one lane from entries of unequal labels."""
+    entry = ("", "0", "00", "000")
+    l1, l2 = rng.choice(("0", "01")), rng.choice(("0", "01"))
+    rows = [T("q", x, y, "q") for x in l1 for y in l2]
+    rows += [T("q", *rng.choice((("A", ""), ("", "A"), ("A", "A"))), "e")]
+    for src in ("s", "a", "b", "e"):
+        for _ in range(rng.randint(1, 3)):
+            rows.append(T(src, rng.choice(entry), rng.choice(entry), rng.choice("qqqab")))
+    accepting = frozenset(q for q in "sabeq" if rng.random() < 0.5)
+    return TwoTapeAutomaton(tuple("sabeq"), GAMMA, GAMMA, tuple(rows), "s", accepting)
+
+
+def test_bounded_search_overlapping_runs_match_reference():
+    rng = random.Random(3232)
+
+    def mostly_zero() -> LassoWord:
+        return random_lasso(rng, "000000001A", max_prefix=30, max_period=6)
+
+    for _ in range(2000):
+        aut = overlapping_runs(rng)
+        assert has_diagonal_state(aut)
+        w1 = mostly_zero()
+        w2 = w1 if rng.random() < 0.5 else mostly_zero()
+        budget = rng.randint(1, 300)
+        out = bounded_run_search(aut, w1, w2, budget)
+        assert out == reference_bounded_search(aut, w1, w2, budget), (aut, w1, w2, budget)
+
+
+def test_bounded_search_memory_stays_flat_in_the_budget():
+    # T's diagonal runs are kept as one segment each: a million expansions
+    # on R hold about 6 MB, mostly the texts of the letters read
+    tracemalloc.start()
+    try:
+        bounded_run_search(r_automaton(), encode_h(GridWord.zero()), alpha(), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_bounded_search_accepting_lockstep_state_on_coded_grids():
