@@ -233,7 +233,9 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
     Covers the opening ledger chunk plus the first ``blocks`` block cycles;
     the accepting state is entered exactly at growth steps.  The run shares
     its transitions, built once per call, one per (state, letter), and reads
-    its blocks from ``schema.coded``, the text a replay can read too.
+    its blocks from ``schema.coded``, the text a replay can read too.  It
+    reads the ledger as one list, extended once, and writes each buffer,
+    checked all zeros, as one repeat of its transition.
     """
     if blocks < 0:
         raise ValueError("block count must be >= 0")
@@ -243,41 +245,43 @@ def schema_to_run(schema: RunSchema, blocks: int) -> RunPrefix:
         return RunPrefix(tuple(run))
 
     loop1 = {ch: T("q1", ch, "", "q1") for ch in SIGMA}
-    step2 = {ch: T("q2", ch, "0", "q2") for ch in SIGMA}
+    zero2 = T("q2", "0", "0", "q2")
     step3 = {ch: T("q3", ch, "0", "q3") for ch in SIGMA}
     exit3 = {ch: T("q3", ch, "", "q5") for ch in SIGMA}
     close2 = T("q2", "A", "", "q3")
     grow = (T("q3", "", "", "q4"), T("q4", "", "A", "q2"))
     keep = T("q5", "", "A", "q2")
     text = schema.coded.prefix_of((blocks + 1) * (blocks + 4) // 2)  # block n at n(n+1)/2
-    run.extend(map(loop1.__getitem__, text[1 : 1 + schema.split(1)]))
+    schema.v_len(blocks + 1)
+    vs = schema._v  # block n has split n - vs[n] and buffer vs[n]
+    run.extend(map(loop1.__getitem__, text[1 : 2 - vs[1]]))
     run.append(T("q1", "", "", "q2"))
     for n in range(1, blocks + 1):
-        s = schema.split(n)
-        v = text[n * (n + 1) // 2 + s : n * (n + 3) // 2]
-        if "1" in v:
+        v, start = vs[n], n * (n + 1) // 2
+        if "1" in text[start + n - v : start + n]:
             raise RuntimeError("schema produced a non-zero buffer")
-        run.extend(map(step2.__getitem__, v))
+        run += [zero2] * v
         run.append(close2)
-        nxt = text[(n + 1) * (n + 2) // 2 : (n + 1) * (n + 4) // 2]
-        run.extend(map(step3.__getitem__, nxt[:s]))
-        if schema.growth_at(n):
+        nxt = text[start + n + 1 : start + 2 * n + 2]  # block n + 1
+        run.extend(map(step3.__getitem__, nxt[: n - v]))
+        if vs[n + 1] == v + 1:
             run += grow
         else:
-            run += (exit3[nxt[s]], keep)
+            run += (exit3[nxt[n - v]], keep)
     return RunPrefix(tuple(run))
 
 
 def grid_pair_in_r1(x: GridWord, check_blocks: int = 50) -> bool:
     """Whether (coded x, alpha) belongs to the ledger relation R1.
 
-    Decided through the column predicate; positive answers additionally
-    build a run schema and replay a truncation through the reference
-    automaton, against the schema's own coded word, as defence in depth.
+    Decided through the column predicate, which ``build_run_schema``
+    checks; positive answers also replay a truncation of the run schema
+    through ``T``, against the schema's own coded word, as defence in depth.
     """
-    if not in_P(x):
+    try:
+        schema = build_run_schema(x)
+    except NotInP:
         return False
-    schema = build_run_schema(x)
     report = run_prefix_valid(
         automaton_T(), schema_to_run(schema, check_blocks), schema.coded, alpha()
     )

@@ -77,11 +77,11 @@ def antidiagonal(x: GridWord, q: int) -> str:
     each overridden column m < q written over index q-m-1."""
     if q < 2:
         raise ValueError("antidiagonals are indexed from 2")
-    letters = list(x.default_column.prefix_of(q - 1))
+    text = x.default_column.prefix_of(q - 1)
     for m, col in x.overrides.items():
         if m < q:
-            letters[q - m - 1] = col.letter_at(q - m)
-    return "".join(letters)
+            text = text[: q - m - 1] + col.letter_at(q - m) + text[q - m :]
+    return text
 
 
 def encode_h(x: GridWord) -> BlockWord:

@@ -76,6 +76,7 @@ from collections import deque
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from math import inf
 from typing import NamedTuple
 
@@ -310,29 +311,30 @@ def run_prefix_valid(
 
     Checks that the transitions exist and chain from the initial state and
     that the concatenated labels are prefixes of the two words.  Accepting
-    visits count the states entered after each transition.
+    visits count the states entered after each transition.  The run is
+    read once, flattened to (source, label 1, label 2, target, ...), and
+    its column slices are compared, joined and counted at C speed; a
+    ``zip(*transitions)`` would hold an iterator per transition, waking
+    the garbage collector on long runs.
     """
+    flat = tuple(chain.from_iterable(run.transitions))
+    srcs, dsts = flat[0::4], flat[3::4]
     problems: list[str] = []
-    if not set(aut.transitions).issuperset(run.transitions):
+    if not set(run.transitions) <= set(aut.transitions):
         problems.append("run uses transitions not present in the automaton")
+    heres = ((aut.initial,) + dsts)[: len(srcs)]
+    if srcs != heres:
+        t, here = next((t, here) for t, here in zip(run.transitions, heres) if t.src != here)
+        problems.append(f"transition {t} does not start at {here!r}")
 
-    here = aut.initial
-    for t in run.transitions:
-        if t.src != here:
-            problems.append(f"transition {t} does not start at {here!r}")
-            break
-        here = t.dst
-
-    u = run.consumed1()
-    v = run.consumed2()
+    u, v = "".join(flat[1::4]), "".join(flat[2::4])
     if u != w1.prefix_of(len(u)):
         problems.append("tape-1 labels do not match the first word")
     if v != w2.prefix_of(len(v)):
         problems.append("tape-2 labels do not match the second word")
 
-    visits = len([t for t in run.transitions if t.dst in aut.accepting])
     return RunReport(
-        accepting_visits=visits,
+        accepting_visits=sum(map(dsts.count, aut.accepting)),
         consumed=(len(u), len(v)),
         problems=tuple(problems),
     )
@@ -1015,9 +1017,14 @@ def bounded_run_search(
     parent's, and the parent was the least entry, so the child beats the
     whole queue and is expanded next.  The search crosses the run as one
     batch of expansions with no heap work, up to a letter outside L1 or
-    L2 (one regex search per tape), the budget or a text's end, and holds
-    the last child.  A diagonal state's labels are kept in lanes, not in
-    ``best``: one per state and diagonal c1 - c2, of disjoint segments
+    L2 (one regex search per tape), the budget or a text's end.  Ended by
+    a letter outside L1 or L2, with budget left and both texts read a
+    label's length past it, a run expands its last child by its rows in
+    the same step, as the next pop would: that child beats the whole
+    queue, passes the lane check on the label just written and has a run
+    of length 0.  Otherwise the last child entered, if any, is held.  A
+    diagonal state's labels are kept in lanes, not in ``best``: one per
+    state and diagonal c1 - c2, of disjoint segments
     (first c1, last c1, key) sorted by c1, the label at c1 being
     (v + s * c1, m - 2 * s * c1) for key (v, m), where the slope s is 1 if
     the state is accepting (a run counts a fair visit a step), else 0.  A
@@ -1120,9 +1127,11 @@ def bounded_run_search(
                 c1, c2, seq = c1 + n, c2 + n, seq + n
                 low = c1 if c1 < c2 else c2
                 deepest, fair_visits = max(deepest, low), max(fair_visits, visits)
-                if n == k:
-                    held = (-low, c1 + c2, seq, q, c1, c2, visits, a1, a2)
-                continue
+                if n < k or expansions == budget or c1 + reach1 > len(text1) or c2 + reach2 > len(text2):
+                    if n == k:
+                        held = (-low, c1 + c2, seq, q, c1, c2, visits, a1, a2)
+                    continue
+                expansions += 1  # the run's last child, the next pop, expanded by its rows now
         key = (q, text1[c1], text2[c2])
         matches = index.get(key)
         if matches is None:

@@ -5,10 +5,10 @@ fair-cycle search: path enumeration with recurrence detection for the
 one-tape case, and for the two-tape case a nested depth-first search over
 the degeneralized product (``ratrel.verify.nested_dfs_accepts_pair``).  The
 budgeted search has a letter-by-letter reference that reads transitions
-by state name and each word one ``letter_at`` call per letter, and the
-schema run has one that builds a fresh transition for every letter.
-Lasso normal forms and first differences have letter-by-letter
-references too.
+by state name and each word one ``letter_at`` call per letter, the
+schema run has one that builds a fresh transition for every letter, and
+the run replay one that walks a run transition by transition.  Lasso
+normal forms and first differences have letter-by-letter references too.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from ratrel.constructions import RunSchema
 from ratrel.grid import antidiagonal
 from ratrel.twotape import (
     RunPrefix,
+    RunReport,
     SearchOutcome,
     SearchStats,
     TwoTapeAutomaton,
@@ -94,8 +95,27 @@ def reference_bounded_search(
 ) -> SearchOutcome:
     """``bounded_run_search`` as first written: the same best-first order,
     labels and statistics, one ``letter_at`` call per letter matched."""
+    stats = reference_search_stats(aut, w1, w2, budget)[-1]
+    return SearchOutcome(verdict=Verdict.INCONCLUSIVE, stats=stats)
+
+
+def reference_search_stats(
+    aut: TwoTapeAutomaton, w1: OmegaWord, w2: OmegaWord, budget: int
+) -> list[SearchStats]:
+    """The statistics of ``reference_bounded_search`` at every budget from 1
+    on, from one search: those after each expansion, then, if the heap
+    runs dry first, the final ones.  Budget b gets entry min(b, len) - 1."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+
+    def stats() -> SearchStats:
+        return SearchStats(
+            expansions=expansions,
+            fair_visits=fair_visits,
+            deepest=deepest,
+            frontier=len(heap),
+            exhausted=not heap,
+        )
 
     def match(w: OmegaWord, consumed: int, label: str) -> int | None:
         for ch in label:
@@ -111,6 +131,7 @@ def reference_bounded_search(
     best[start] = (0, 0)
     heapq.heappush(heap, (0, 0, seq, start, (0, 0, 0)))
     fair_visits = deepest = expansions = 0
+    out: list[SearchStats] = []
     while heap and expansions < budget:
         _, _, _, cfg, label = heapq.heappop(heap)
         visits, a1, a2 = label
@@ -139,17 +160,11 @@ def reference_bounded_search(
             deepest = max(deepest, min(nc1, nc2))
             seq += 1
             heapq.heappush(heap, (-min(nc1, nc2), nc1 + nc2, seq, dst, nlabel))
+        out.append(stats())
 
-    return SearchOutcome(
-        verdict=Verdict.INCONCLUSIVE,
-        stats=SearchStats(
-            expansions=expansions,
-            fair_visits=fair_visits,
-            deepest=deepest,
-            frontier=len(heap),
-            exhausted=not heap,
-        ),
-    )
+    if expansions < budget:
+        out.append(stats())
+    return out
 
 
 def reference_schema_run(schema: RunSchema, blocks: int) -> RunPrefix:
@@ -177,3 +192,34 @@ def reference_schema_run(schema: RunSchema, blocks: int) -> RunPrefix:
             run.append(T("q5", "", "A", "q2"))
         block = nxt
     return RunPrefix(tuple(run))
+
+
+def reference_run_prefix_valid(
+    aut: TwoTapeAutomaton, run: RunPrefix, w1: OmegaWord, w2: OmegaWord
+) -> RunReport:
+    """``run_prefix_valid`` as first written: the chain walked transition by
+    transition, the labels joined per tape and the visits counted in a list."""
+    problems: list[str] = []
+    if not set(aut.transitions).issuperset(run.transitions):
+        problems.append("run uses transitions not present in the automaton")
+
+    here = aut.initial
+    for t in run.transitions:
+        if t.src != here:
+            problems.append(f"transition {t} does not start at {here!r}")
+            break
+        here = t.dst
+
+    u = run.consumed1()
+    v = run.consumed2()
+    if u != w1.prefix_of(len(u)):
+        problems.append("tape-1 labels do not match the first word")
+    if v != w2.prefix_of(len(v)):
+        problems.append("tape-2 labels do not match the second word")
+
+    visits = len([t for t in run.transitions if t.dst in aut.accepting])
+    return RunReport(
+        accepting_visits=visits,
+        consumed=(len(u), len(v)),
+        problems=tuple(problems),
+    )

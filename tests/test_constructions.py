@@ -356,11 +356,15 @@ def test_grid_pair_in_r1():
     assert run_prefix_valid(automaton_T(), run, encode_h(x), alpha()).ok
 
 
-def test_grid_pair_in_r1_matches_column_predicate():
+def test_grid_pair_in_r1_matches_column_predicate(monkeypatch):
+    # with one check of the predicate per call, through build_run_schema
+    checked = []
+    monkeypatch.setattr(constructions, "in_P", lambda x: checked.append(x) or in_P(x))
     rng = random.Random(137)
-    for _ in range(40):
+    for i in range(40):
         x = random_grid(rng)
         assert grid_pair_in_r1(x) == in_P(x)
+        assert len(checked) == i + 1 and checked[-1] is x
 
 
 # -- the reference automaton accepts beyond the strict ledger ----------------------

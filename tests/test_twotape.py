@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -18,10 +19,12 @@ from ratrel.buchi import BuchiAutomaton, buchi_accepts_lasso, ones_automaton
 from ratrel.constructions import (
     alpha,
     automaton_T,
+    build_run_schema,
     c_automaton,
     c_condition_holds,
     r2_automaton,
     r_automaton,
+    schema_to_run,
 )
 from ratrel.grid import GridWord, encode_h
 from ratrel.twotape import (
@@ -52,8 +55,8 @@ from ratrel.verify import (
 )
 from ratrel.words import BINARY, GAMMA, Alphabet, LassoWord
 
-from oracles import reference_bounded_search
-from util import accepted, all_binary_lassos, lasso, random_gamma_lasso
+from oracles import reference_bounded_search, reference_run_prefix_valid, reference_search_stats
+from util import accepted, all_binary_lassos, grid, lasso, random_gamma_lasso
 
 T = TwoTapeTransition
 
@@ -274,6 +277,59 @@ def test_run_prefix_unknown_transition():
     run = RunPrefix((T("q0", "A", "", "q1"),))
     report = run_prefix_valid(automaton_T(), run, alpha(), alpha())
     assert report.problems == ("run uses transitions not present in the automaton",)
+
+
+def corruptions(rng: random.Random, aut: TwoTapeAutomaton, run: RunPrefix) -> list[RunPrefix]:
+    """run, which is not empty, with one transition dropped, duplicated,
+    swapped with the next, replaced by a transition of states or labels aut
+    may not have, or relabelled on one tape, twice each at a random place;
+    a swap needs a next transition."""
+    ts = list(run.transitions)
+    states, labels = list(aut.states) + ["x"], ["", "0", "1", "A", "00"]
+    out = []
+    for _ in range(2):
+        i = rng.randrange(len(ts))
+        t = ts[i]
+        foreign = T(rng.choice(states), rng.choice(labels), rng.choice(labels), rng.choice(states))
+        tape = rng.choice(("read1", "read2"))
+        out += [ts[:i] + ts[i + 1:], ts[:i + 1] + ts[i:], ts[:i] + [foreign] + ts[i + 1:],
+                ts[:i] + [t._replace(**{tape: rng.choice(labels)})] + ts[i + 1:]]
+        if i + 1 < len(ts):
+            out.append(ts[:i] + [ts[i + 1], t] + ts[i + 2:])
+    return [RunPrefix(tuple(c)) for c in out]
+
+
+def test_run_prefix_replay_matches_the_reference_on_corrupted_runs():
+    # sources: schema runs of random in-P grids against their coded words
+    # and alpha, and certificates of accepted random pairs unrolled
+    rng = random.Random(3333)
+    sources = []
+    for _ in range(60):
+        schema = build_run_schema(random_grid(rng, ensure_in_p=True))
+        sources.append((automaton_T(), schema_to_run(schema, rng.randint(0, 12)), schema.coded, alpha()))
+    while len(sources) < 120:
+        aut = random_two_tape(rng)
+        w1, w2 = random_lasso(rng, "01", 2, 2), random_lasso(rng, "01", 2, 2)
+        out = accepts_lasso_pair(aut, w1, w2)
+        if out.verdict is Verdict.ACCEPTED:
+            cert = out.certificate
+            run = RunPrefix(cert.stem.transitions + cert.cycle.transitions * rng.randint(1, 3))
+            sources.append((aut, run, w1, w2))
+    cases = []
+    for aut, run, w1, w2 in sources:
+        elsewhere = [t for t in aut.transitions if t.src != aut.initial]
+        runs = [run, RunPrefix(()), *corruptions(rng, aut, run)]
+        if elsewhere:  # a first transition from a state other than the initial one
+            runs.append(RunPrefix((rng.choice(elsewhere),) + run.transitions[1:]))
+        cases += [(aut, r, w1, w2) for r in runs]
+    assert len(cases) >= 1000
+    problems = collections.Counter()
+    for aut, run, w1, w2 in cases:
+        report = run_prefix_valid(aut, run, w1, w2)
+        assert report == reference_run_prefix_valid(aut, run, w1, w2), (aut, run, w1, w2)
+        problems.update(p.split(" ")[0] for p in report.problems)
+    # every problem shows up, the chain breaking at a named transition included
+    assert min(problems[k] for k in ("run", "transition", "tape-1", "tape-2")) >= 50, problems
 
 
 # -- lasso pair decision -------------------------------------------------------
@@ -1731,6 +1787,54 @@ def test_bounded_search_overlapping_runs_of_one_lane(transitions, accepting):
     for budget in range(1, 60):
         out = bounded_run_search(aut, w, w, budget)
         assert out == reference_bounded_search(aut, w, w, budget), budget
+
+
+# q copies 0 against 0 in lockstep from (1, 1), and leaves on 1/1 into e
+RUN_TO_E = [("s", "A", "A", "q"), ("q", "0", "0", "q"), ("q", "1", "1", "e"), ("e", "1", "1", "e")]
+
+
+def stats_at_every_budget(aut, w1, w2, last: int) -> None:
+    want = reference_search_stats(aut, w1, w2, last)
+    for budget in range(1, last + 1):
+        out = bounded_run_search(aut, w1, w2, budget)
+        assert out.stats == want[min(budget, len(want)) - 1], (aut, w1, w2, budget)
+
+
+@pytest.mark.parametrize("accepting", [(), ("q",)], ids=["plain", "accepting"])
+def test_bounded_search_every_way_a_diagonal_run_stops(accepting, monkeypatch):
+    reads = []
+    reader = twotape._text_reader
+    monkeypatch.setattr(twotape, "_text_reader",
+                        lambda w: lambda n, read=reader(w): reads.append(n) or read(n))
+    aut = small_automaton(RUN_TO_E, accepting, GAMMA)
+    assert has_diagonal_state(aut)
+    visits = 6 if accepting else 0  # an accepting q counts one on entry and one a step
+    # a letter outside q's loop letters, on both tapes or on tape 1 only:
+    # the run's last configuration (6, 6) is expanded in the run's step
+    for w2 in (lasso("A00000|1"), lasso("A000000|1")):
+        stats_at_every_budget(aut, lasso("A00000|1"), w2, 12)
+        # the budget ends at that configuration, which stays on the frontier
+        out = bounded_run_search(aut, lasso("A00000|1"), w2, 6)
+        assert stats_tuple(out) == (6, visits, 6, 1, False)
+    # the texts, read 4 letters at first, end inside the run: each is read
+    # again and the run goes on
+    w = lasso("A" + "0" * 40 + "|1")
+    stats_at_every_budget(aut, w, w, 50)
+    reads.clear()
+    bounded_run_search(aut, w, w, 50)
+    assert reads[:2] == [2, 2] and len(reads) > 4, reads
+    # an earlier equal or better label: each later run stops inside the
+    # one before, in a plain lane and in a sloped one
+    transitions, accepting = SLOPED_RUN_STOPS_INSIDE if accepting else RUN_STOPS_AT_EQUAL
+    stats_at_every_budget(small_automaton(transitions, accepting, GAMMA),
+                          lasso("0" * 20 + "A|0000A"), lasso("0" * 20 + "A|0000A"), 60)
+
+
+@pytest.mark.parametrize("x", [GridWord.zero(), grid(c2="011|0", c5="1|0"), grid(c1="11|0", c3="|1")],
+                         ids=["zero", "in-P", "outside-P"])
+def test_bounded_search_t_and_r_at_every_budget(x):
+    for aut in (automaton_T(), r_automaton()):
+        stats_at_every_budget(aut, encode_h(x), alpha(), 1500)
 
 
 def overlapping_runs(rng: random.Random) -> TwoTapeAutomaton:
